@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
+
+import numpy as np
 
 # Enumeration over vertex subsets is exponential in the motif size, and the
 # pair catalog is factorial in it; these caps keep worst cases tractable.
@@ -464,22 +467,83 @@ def join_catalog(m: Motif, f: Motif) -> JoinCatalog:
 # ---------------------------------------------------------------------------
 # embedding counts
 
+# Rows of candidate extensions materialized at once by the level-wise
+# counters; bounds their working memory whatever the host size.
+EXPANSION_CHUNK = 4096
 
-def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
-    """Copies of m in a simple host graph on vertices 1..host_n.
 
-    Backtracking over injective homomorphisms with degree pruning, divided
-    by the automorphism count.
+class CSR(NamedTuple):
+    """Symmetric adjacency of a simple graph on vertices 1..n.
+
+    The neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
+    increasing order; row 0 is empty, so ``indptr`` has n + 2 entries.
     """
-    adj = [set() for _ in range(host_n + 1)]
-    for a, b in host_edges:
-        if a == b or not (1 <= a <= host_n and 1 <= b <= host_n):
-            raise ValueError(f"bad host edge ({a},{b})")
-        adj[a].add(b)
-        adj[b].add(a)
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def csr_from_sorted_edges(n: int, edges: np.ndarray) -> CSR:
+    """CSR of a lexicographically sorted, duplicate-free (m, 2) int64 array
+    of pairs a < b in 1..n."""
+    src = np.concatenate((edges[:, 1], edges[:, 0]))
+    dst = np.concatenate((edges[:, 0], edges[:, 1]))
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    order = np.argsort(src * (n + 1) + dst, kind="stable")
+    return CSR(indptr, dst[order])
+
+
+def csr_pair_keys(n: int, csr: CSR) -> np.ndarray:
+    """Sorted keys ``u * (n + 1) + v`` of every ordered adjacent pair."""
+    src = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(csr.indptr))
+    return src * (n + 1) + csr.indices
+
+
+def has_pair(keys: np.ndarray, n: int, u: np.ndarray, v: np.ndarray):
+    """Elementwise adjacency test of u and v against ``csr_pair_keys``."""
+    q = u * (n + 1) + v
+    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return keys[at] == q
+
+
+def expansion_windows(counts: np.ndarray):
+    """Enumerate (row, offset) for offset in 0..counts[row]-1 over all rows,
+    in row order, as index-array pairs of at most EXPANSION_CHUNK entries."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    for t0 in range(0, total, EXPANSION_CHUNK):
+        t1 = min(t0 + EXPANSION_CHUNK, total)
+        r0 = int(np.searchsorted(ends, t0, side="right"))
+        r1 = int(np.searchsorted(ends, t1 - 1, side="right")) + 1
+        span = np.minimum(ends[r0:r1], t1) - np.maximum(starts[r0:r1], t0)
+        row = np.repeat(np.arange(r0, r1), span)
+        yield row, np.arange(t0, t1) - starts[row]
+
+
+def _host_csr(host_n: int, host_edges) -> CSR:
+    """Validate an edge iterable and build its CSR; reversed and repeated
+    pairs collapse."""
+    arr = np.array(list(host_edges), dtype=np.int64).reshape(-1, 2)
+    a, b = arr[:, 0], arr[:, 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = (a == b) | (lo < 1) | (hi > host_n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"bad host edge ({a[i]},{b[i]})")
+    keys = np.sort(lo * (host_n + 1) + hi)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    edges = np.column_stack((keys // (host_n + 1), keys % (host_n + 1)))
+    return csr_from_sorted_edges(host_n, edges)
+
+
+def _embedding_plan(m: Motif) -> tuple:
+    """Per level of the extension: (required degree, columns of the placed
+    neighbors, columns of the other placed vertices)."""
     k = m.vertex_count
-    if k > host_n:
-        return 0
     mdeg = m.degrees()
     madj = m.neighbors()
 
@@ -493,39 +557,64 @@ def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
         order.append(v)
         placed.add(v)
         remaining.remove(v)
-    back_neighbors = [tuple(madj[v] & set(order[:i]))
-                      for i, v in enumerate(order)]
+    plan = []
+    for depth, v in enumerate(order):
+        anchors = tuple(order.index(u) for u in madj[v] & set(order[:depth]))
+        others = tuple(c for c in range(depth) if c not in anchors)
+        plan.append((mdeg[v - 1], anchors, others))
+    return tuple(plan)
 
-    host_vertices = [v for v in range(1, host_n + 1)]
-    image = {}
-    used = set()
-    total = 0
 
-    def extend(depth: int):
-        nonlocal total
-        if depth == k:
-            total += 1
-            return
-        v = order[depth]
-        need = mdeg[v - 1]
-        anchors = back_neighbors[depth]
+def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
+    """Copies of m in a simple host graph on vertices 1..host_n.
+
+    ``host_edges`` is an iterable of pairs, validated here, or the CSR of a
+    validated graph (``SampledGraph.adjacency()``).  Injective homomorphisms
+    are extended one motif vertex at a time, most-connected-first: each
+    partial image grows by the neighbors of one placed anchor, pruned by
+    degree, by adjacency to the other anchors and by injectivity, at most
+    EXPANSION_CHUNK candidates at once.  Their number, divided by the
+    automorphism count, is the copy count.
+    """
+    csr = host_edges if isinstance(host_edges, CSR) else _host_csr(
+        host_n, host_edges)
+    k = m.vertex_count
+    if k > host_n:
+        return 0
+    if m.edge_count and csr.indices.size == 0:
+        return 0
+    indptr, indices = csr
+    deg = np.diff(indptr)
+    keys = csr_pair_keys(host_n, csr)
+    plan = _embedding_plan(m)
+
+    def extend(cols: list, depth: int) -> int:
+        need, anchors, others = plan[depth]
         if anchors:
-            cands = set(adj[image[anchors[0]]])
-            for u in anchors[1:]:
-                cands &= adj[image[u]]
-            cands -= used
+            base = cols[anchors[0]]
+            counts = deg[base]
+            start = indptr[base]
         else:
-            cands = [h for h in host_vertices if h not in used]
-        for h in cands:
-            if len(adj[h]) < need:
-                continue
-            image[v] = h
-            used.add(h)
-            extend(depth + 1)
-            used.remove(h)
-        image.pop(v, None)
+            pool = np.flatnonzero(deg[1:] >= need) + 1
+            counts = np.full(cols[0].size, pool.size, dtype=np.int64)
+        found = 0
+        for row, off in expansion_windows(counts):
+            h = indices[start[row] + off] if anchors else pool[off]
+            keep = deg[h] >= need
+            for c in anchors[1:]:
+                keep &= has_pair(keys, host_n, cols[c][row], h)
+            for c in others:
+                keep &= cols[c][row] != h
+            if depth + 1 == k:
+                found += int(np.count_nonzero(keep))
+            else:
+                row = row[keep]
+                found += extend([col[row] for col in cols] + [h[keep]],
+                                depth + 1)
+        return found
 
-    extend(0)
+    first = np.flatnonzero(deg[1:] >= plan[0][0]) + 1
+    total = first.size if k == 1 else extend([first], 1)
     aut = automorphism_count(m)
     assert total % aut == 0
     return total // aut

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .motif import Motif, density_exponents
+from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
 from .graphon import StepGraphon, _arrays
 
 
@@ -41,21 +41,17 @@ class SampledGraph:
     latents: np.ndarray
     blocks: np.ndarray
     edges: np.ndarray  # shape (m, 2), 1-based, i < j, lexicographically sorted
-    _adjacency: list = field(default=None, repr=False, compare=False)
+    _csr: CSR = field(default=None, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:
         return int(self.edges.shape[0])
 
-    def adjacency(self) -> list:
-        """Neighbor sets indexed 1..n (index 0 unused); built on demand."""
-        if self._adjacency is None:
-            adj = [set() for _ in range(self.n + 1)]
-            for a, b in self.edges:
-                adj[a].add(int(b))
-                adj[b].add(int(a))
-            self._adjacency = adj
-        return self._adjacency
+    def adjacency(self) -> CSR:
+        """Neighbor arrays of vertices 1..n as a CSR; built on demand."""
+        if self._csr is None:
+            self._csr = csr_from_sorted_edges(self.n, self.edges)
+        return self._csr
 
     def edge_list(self) -> list:
         return [(int(a), int(b)) for a, b in self.edges]
@@ -81,9 +77,17 @@ class SampledGraph:
         latents = np.array([float(x) for x in lines[i + 1:]], dtype=np.float64)
         if latents.size != n:
             raise ValueError(f"dump has {latents.size} latents for n={n}")
+        pairs = sorted((min(a, b), max(a, b)) for a, b in edges)
+        for k, (a, b) in enumerate(pairs):
+            if a == b:
+                raise ValueError(f"self-loop {a} {b}")
+            if a < 1 or b > n:
+                raise ValueError(f"edge {a} {b} outside vertices 1..{n}")
+            if k and pairs[k - 1] == (a, b):
+                raise ValueError(f"duplicate edge {a} {b}")
         blocks = (w.blocks_of(latents) if w is not None
                   else np.zeros(n, dtype=np.int64))
-        earr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        earr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return SampledGraph(n, rho, seed, latents, blocks, earr)
 
 
@@ -168,7 +172,10 @@ def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarr
             parts.append(_stratum_pairs(rng, verts[b], verts[c],
                                         rho * vals[b, c]))
     edges = np.concatenate(parts, axis=0) if parts else np.empty((0, 2), np.int64)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    del parts  # free the per-stratum pieces before the sort's temporaries
+    # one int64 key per pair gives the order of a two-key lexsort
+    key = edges[:, 0] * (blocks.size + 1) + edges[:, 1]
+    order = np.argsort(key, kind="stable")
     return edges[order]
 
 

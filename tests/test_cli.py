@@ -95,6 +95,28 @@ def test_sample_count_round_trip(capsys, tmp_path):
     assert int(out.strip()) >= 0
 
 
+# A triangle plus its first edge reversed, and a path with a self-loop and
+# a vertex past n: every motif must reject both as bad input.
+MALFORMED_DUMPS = {
+    "reversed_duplicate": ("3 0.5 1\n1 2\n2 3\n1 3\n2 1\n"
+                           "latents\n0.1\n0.2\n0.3\n"),
+    "self_loop_out_of_range": ("3 0.5 1\n1 2\n2 2\n3 4\n"
+                               "latents\n0.1\n0.2\n0.3\n"),
+}
+
+
+@pytest.mark.parametrize("motif", ["edge", "triangle", "path3"])
+@pytest.mark.parametrize("dump", sorted(MALFORMED_DUMPS))
+def test_count_rejects_malformed_dump(capsys, tmp_path, dump, motif):
+    path = tmp_path / "g.txt"
+    path.write_text(MALFORMED_DUMPS[dump])
+    code, out, err = run_cli(capsys, "count", "--graph", str(path),
+                             "--motif", motif)
+    assert code == 2
+    assert out == ""
+    assert "malformed graph dump" in err
+
+
 def test_sample_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli(capsys, "sample", "--graphon", "W_sym", "--n", "50",

@@ -3,10 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphon_motifs import (
     Motif,
+    SampledGraph,
     StepGraphon,
+    canonical_form,
     conditional_expected_count,
     conditional_variance,
     count,
@@ -23,6 +27,7 @@ from graphon_motifs import (
 from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
+    all_graphs_on,
     random_graphon,
     random_motif,
     subset_count_oracle,
@@ -70,6 +75,53 @@ def test_fast_paths_agree_with_generic_counter():
                    replicate_seed(9, n, i))
         assert count(g, K2) == count_embeddings(n, g.edge_list(), K2)
         assert triangle_count(g) == count_embeddings(n, g.edge_list(), K3)
+
+
+# one motif per isomorphism class on 3 and 4 vertices, disconnected and
+# isolated-vertex classes included, plus the two fast-path motifs
+PROPERTY_MOTIFS = [K2, K3] + list({
+    canonical_form(m): m for k in (3, 4) for m in all_graphs_on(k)}.values())
+PAIRS_9 = list(combinations(range(1, 10), 2))
+
+
+def _host(n, bits):
+    return [e for i, e in enumerate(PAIRS_9) if bits >> i & 1
+            and e[1] <= n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** len(PAIRS_9) - 1))
+@example(1, 0)
+@example(3, 0)
+@example(9, 0)
+@example(9, 2 ** len(PAIRS_9) - 1)
+def test_count_paths_agree_with_oracle(n, bits):
+    edges = _host(n, bits)
+    lines = [f"{a} {b}" for a, b in edges]
+    g = SampledGraph.from_dump("\n".join(
+        [f"{n} 0.5 1", *lines, "latents", *["0.5"] * n]) + "\n")
+    for m in PROPERTY_MOTIFS:
+        expect = subset_count_oracle(n, edges, m)
+        assert count(g, m) == expect
+        assert count_embeddings(n, edges, m) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** len(PAIRS_9) - 1),
+       st.randoms(use_true_random=False))
+def test_count_embeddings_ignores_edge_order_and_repeats(n, bits, rnd):
+    edges = _host(n, bits)
+    messy = [(b, a) if rnd.random() < 0.5 else (a, b)
+             for a, b in edges + rnd.sample(edges, len(edges) // 2)]
+    rnd.shuffle(messy)
+    for m in PROPERTY_MOTIFS:
+        assert count_embeddings(n, messy, m) == count_embeddings(n, edges, m)
+
+
+def test_triangle_count_across_expansion_chunks():
+    # C(40, 3) = 9880 wedges close, more than two expansion chunks
+    g = sample(StepGraphon.constant(1.0), 40, 1.0, 5)
+    assert triangle_count(g) == math.comb(40, 3)
 
 
 def test_expected_count_fixtures():

@@ -19,6 +19,7 @@ from graphon_motifs import (
     named_motif,
     vertex_join,
 )
+from graphon_motifs.motif import EXPANSION_CHUNK
 from util import (
     all_graphs_on,
     all_subgraph_ratios,
@@ -316,6 +317,15 @@ def test_count_embeddings_fixtures():
     c5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
     assert count_embeddings(5, c5, K3) == 0
     assert count_embeddings(3, [], K2) == 0
+
+
+def test_count_embeddings_across_expansion_chunks():
+    # K_16: the last level expands 16 * 15 * 14 partial images by 15
+    # neighbors each, several times the chunk cap
+    assert 16 * 15 * 14 * 15 > 4 * EXPANSION_CHUNK
+    k16 = list(combinations(range(1, 17), 2))
+    for m in (named_motif("c4"), named_motif("k4")):
+        assert count_embeddings(16, k16, m) == copies_in_complete(m, 16)
 
 
 def test_count_embeddings_against_subset_oracle():

@@ -86,6 +86,42 @@ def test_dump_round_trip():
     assert np.array_equal(back.blocks, g.blocks)
 
 
+def _dump(n, edge_lines):
+    return "\n".join([f"{n} 0.5 1", *edge_lines, "latents",
+                      *(str(0.1 * (i + 1)) for i in range(n))]) + "\n"
+
+
+def test_from_dump_normalizes_pair_orientation():
+    g = SampledGraph.from_dump(_dump(3, ["3 1", "2 1"]))
+    assert g.edge_list() == [(1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("edge_lines,message", [
+    (["1 2", "2 1"], "duplicate edge 1 2"),
+    (["2 3", "2 3"], "duplicate edge 2 3"),
+    (["3 3"], "self-loop 3 3"),
+    (["1 4"], "edge 1 4 outside vertices 1..3"),
+    (["0 2"], "edge 0 2 outside vertices 1..3"),
+])
+def test_from_dump_rejects_bad_edges(edge_lines, message):
+    with pytest.raises(ValueError, match=message):
+        SampledGraph.from_dump(_dump(3, edge_lines))
+
+
+def test_adjacency_is_sorted_symmetric_csr():
+    g = sample(W_ASYM, 60, 0.2, 8)
+    indptr, indices = g.adjacency()
+    assert indptr.size == g.n + 2 and indptr[1] == 0
+    assert indptr[-1] == indices.size == 2 * g.edge_count
+    nbrs = [set() for _ in range(g.n + 1)]
+    for a, b in g.edge_list():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for v in range(1, g.n + 1):
+        assert indices[indptr[v]:indptr[v + 1]].tolist() == sorted(nbrs[v])
+    assert g.adjacency() is g.adjacency()
+
+
 def test_resample_edges_keeps_latents():
     g = sample(W_ASYM, 120, 0.2, 3)
     h = resample_edges(W_ASYM, g.latents, 0.2, 4)
