@@ -224,9 +224,7 @@ def cmd_run_experiment(args) -> int:
         raise UsageError(f"invalid experiment config: {exc}") from exc
     t0 = time.perf_counter()
     result = run_experiment(cfg, threads=args.threads)
-    table = None
-    if args.with_replicates:
-        table = replicate_rows(cfg, threads=args.threads)
+    table = replicate_rows(result) if args.with_replicates else None
     write_result(result, args.out_dir, replicate_table=table)
     elapsed = time.perf_counter() - t0
     print(f"experiment {cfg.experiment_kind}: {len(result.records)} cells "
@@ -282,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="kept for interface symmetry; both files are written")
     p.set_defaults(func=cmd_run_experiment)
     return parser
 

@@ -339,9 +339,3 @@ def mean_variance_orders(m: Motif, n: int, rho: float) -> OrdersReport:
             min_best, min_arg = scale, sub
     return OrdersReport(mean_order, var_best, var_arg, min_best, min_arg)
 
-
-# ---------------------------------------------------------------------------
-# per-replicate serialization
-
-REPLICATE_CSV_HEADER = ("seed", "n", "rho", "x", "expected", "cond_expected",
-                        "delta", "delta1", "delta2")

@@ -4,7 +4,9 @@ Five experiment kinds: containment fractions across the appearance
 threshold, normality of the standardized count, the split of the variance
 between the edge and label components, the critical pinned-sparsity regime
 against its predicted share, and the conditional normality of the edge
-component at frozen latents.
+component at frozen latents.  One engine samples and counts each
+replicate once; every kind aggregates its per-replicate table, and the
+replicate rows are that same table.
 
 Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,6 @@ from .sampler import (
     schedule_rho,
 )
 from .counting import (
-    REPLICATE_CSV_HEADER,
     conditional_expected_count,
     count,
     expected_count,
@@ -180,16 +180,39 @@ class CellRecord:
         return CellRecord(**kwargs)
 
 
+@dataclass(eq=False)
+class ReplicateCell:
+    """Per-replicate table of one n cell, in replicate order.
+
+    ``cond`` is E[X | latents] of each replicate (one constant under frozen
+    latents), so delta1 = x - cond and delta2 = cond - expected.
+    """
+
+    n: int
+    rho: float
+    expected: float
+    seed: np.ndarray
+    x: np.ndarray
+    cond: np.ndarray
+
+    @property
+    def delta1(self) -> np.ndarray:
+        return self.x - self.cond
+
+    @property
+    def delta2(self) -> np.ndarray:
+        return self.cond - self.expected
+
+
 @dataclass
 class ExperimentResult:
     experiment_kind: str
     config: dict
     records: list
-    runtime_seconds: float = field(default=0.0, compare=False)
+    # the replicate cells the records aggregate; not serialized
+    table: list = field(default_factory=list, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        # runtime is intentionally not serialized: outputs must be
-        # byte-identical across reruns of the same config
         return {
             "experiment_kind": self.experiment_kind,
             "config": self.config,
@@ -208,45 +231,68 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# replicate loops
+# the replicate engine
 
 
-def _run_replicates(cfg: ExperimentConfig, n: int, rho: float, threads: int,
-                    with_decomposition: bool):
-    """Per-replicate arrays (x, delta1, delta2), filled in index order."""
-    R = cfg.replicates
+def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCell:
+    """Sample and count every replicate of one n cell.
+
+    conditional_clt redraws only the edges on one frozen latent draw per n;
+    every other kind draws fresh latents for each replicate.
+    """
     m, w = cfg.motif, cfg.graphon
+    R = cfg.replicates
+    rho = schedule_rho(cfg.schedule, n)
+    seeds = np.empty(R, dtype=np.uint64)
     xs = np.empty(R)
-    d1 = np.empty(R)
-    d2 = np.empty(R)
-    exp = expected_count(m, w, n, rho)
+    conds = np.empty(R)
+    frozen = None
+    if cfg.experiment_kind == "conditional_clt":
+        lat_seed = replicate_seed(cfg.seed, n, _LATENT_TAG)
+        frozen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(lat_seed))).random(n)
+        conds[:] = conditional_expected_count(frozen, m, w, rho)
 
     def work(r: int):
-        g = sample(w, n, rho, replicate_seed(cfg.seed, n, r))
-        x = count(g, m)
-        xs[r] = x
-        if with_decomposition:
-            cond = conditional_expected_count(g.latents, m, w, rho)
-            d1[r] = x - cond
-            d2[r] = cond - exp
+        seed = replicate_seed(cfg.seed, n, r)
+        seeds[r] = seed
+        if frozen is None:
+            g = sample(w, n, rho, seed)
+            conds[r] = conditional_expected_count(g.latents, m, w, rho)
+        else:
+            g = resample_edges(w, frozen, rho, seed)
+        xs[r] = count(g, m)
 
-    _dispatch(work, R, threads)
-    return xs, d1, d2, exp
-
-
-def _dispatch(work, R: int, threads: int):
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(R)))
     else:
         for r in range(R):
             work(r)
+    return ReplicateCell(n=n, rho=rho, expected=expected_count(m, w, n, rho),
+                         seed=seeds, x=xs, cond=conds)
 
 
-def _base_record(cfg, n, rho, xs, exp) -> CellRecord:
+def _aggregate(cfg: ExperimentConfig, threads: int, fill) -> ExperimentResult:
+    """Fill one record per n cell from that cell's replicate table."""
+    table = []
+    records = []
+    for n in cfg.n_values:
+        cell = _replicate_cell(cfg, n, threads)
+        rec = _base_record(cfg, cell)
+        fill(rec, cell)
+        table.append(cell)
+        records.append(rec)
+    return ExperimentResult(experiment_kind=cfg.experiment_kind,
+                            config=cfg.to_json_dict(),
+                            records=records, table=table)
+
+
+def _base_record(cfg, cell: ReplicateCell) -> CellRecord:
+    xs, exp = cell.x, cell.expected
     mean_x, se_x = mean_and_se(xs)
     ok = abs(mean_x - exp) <= 4.0 * se_x if se_x > 0 else mean_x == exp
-    return CellRecord(n=n, rho=rho, replicates=cfg.replicates,
+    return CellRecord(n=cell.n, rho=cell.rho, replicates=cfg.replicates,
                       expected_count=exp, mean_x=mean_x, se_x=se_x,
                       var_x=float(np.var(xs, ddof=1)), mean_within_4se=ok)
 
@@ -259,22 +305,17 @@ def _ks_or_none(values) -> NormalityReport:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: aggregations over the replicate table
 
 
 def run_containment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Fraction of replicates containing the motif, against the mean bound."""
     _require_kind(cfg, "containment")
-    t0 = time.perf_counter()
-    records = []
-    for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        xs, _, _, exp = _run_replicates(cfg, n, rho, threads,
-                                        with_decomposition=False)
-        rec = _base_record(cfg, n, rho, xs, exp)
-        rec.containment_fraction = float(np.mean(xs > 0))
-        records.append(rec)
-    return _result(cfg, records, t0)
+
+    def fill(rec, cell):
+        rec.containment_fraction = float(np.mean(cell.x > 0))
+
+    return _aggregate(cfg, threads, fill)
 
 
 def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -283,12 +324,9 @@ def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     regime = classify_regime(cfg.motif, cfg.schedule.gamma)
     if regime in ("below_containment", "at_containment"):
         raise ValueError(f"normality run not meaningful in regime {regime!r}")
-    t0 = time.perf_counter()
-    records = []
-    for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        xs, d1, d2, exp = _run_replicates(cfg, n, rho, threads, True)
-        rec = _base_record(cfg, n, rho, xs, exp)
+
+    def fill(rec, cell):
+        xs, d1, d2 = cell.x, cell.delta1, cell.delta2
         sd = float(np.std(xs, ddof=1))
         if sd == 0.0:
             raise ValueError("zero empirical variance of the count")
@@ -296,8 +334,8 @@ def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         rec.ks_delta1 = _ks_or_none(d1)
         rec.ks_delta2 = _ks_or_none(d2)
         _fill_component_stats(rec, d1, d2)
-        records.append(rec)
-    return _result(cfg, records, t0)
+
+    return _aggregate(cfg, threads, fill)
 
 
 def run_variance_ratio(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -306,15 +344,11 @@ def run_variance_ratio(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRes
     regime = classify_regime(cfg.motif, cfg.schedule.gamma)
     if regime in ("below_containment", "at_containment"):
         raise ValueError(f"variance ratios not meaningful in regime {regime!r}")
-    t0 = time.perf_counter()
-    records = []
-    for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        xs, d1, d2, exp = _run_replicates(cfg, n, rho, threads, True)
-        rec = _base_record(cfg, n, rho, xs, exp)
-        _fill_component_stats(rec, d1, d2)
-        records.append(rec)
-    return _result(cfg, records, t0)
+
+    def fill(rec, cell):
+        _fill_component_stats(rec, cell.delta1, cell.delta2)
+
+    return _aggregate(cfg, threads, fill)
 
 
 def run_critical_kappa(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -328,46 +362,28 @@ def run_critical_kappa(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRes
         raise ValueError("schedule exponent must equal 1/m1 for a pinned run")
     c = cfg.schedule.a ** m1
     kappa = critical_edge_variance_share(m, w, c)
-    t0 = time.perf_counter()
-    records = []
     for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        if abs(n * rho ** m1 - c) > 1e-9 * c:
+        if abs(n * schedule_rho(cfg.schedule, n) ** m1 - c) > 1e-9 * c:
             raise ValueError(f"pinning broken at n={n}: n rho^m1 != c")
-        xs, d1, d2, exp = _run_replicates(cfg, n, rho, threads, True)
-        rec = _base_record(cfg, n, rho, xs, exp)
+
+    def fill(rec, cell):
+        d1, d2 = cell.delta1, cell.delta2
         _fill_component_stats(rec, d1, d2)
         rec.c_value = c
         rec.kappa_theory = kappa
         rec.ks_delta1 = _ks_or_none(d1)
         rec.ks_delta2 = _ks_or_none(d2)
-        records.append(rec)
-    return _result(cfg, records, t0)
+
+    return _aggregate(cfg, threads, fill)
 
 
 def run_conditional_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Edge-component normality at one frozen latent draw per n."""
     _require_kind(cfg, "conditional_clt")
-    m, w = cfg.motif, cfg.graphon
-    t0 = time.perf_counter()
-    records = []
-    for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        lat_seed = replicate_seed(cfg.seed, n, _LATENT_TAG)
-        latents = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(lat_seed))).random(n)
-        cond = conditional_expected_count(latents, m, w, rho)
-        exp = expected_count(m, w, n, rho)
-        R = cfg.replicates
-        xs = np.empty(R)
 
-        def work(r: int):
-            g = resample_edges(w, latents, rho, replicate_seed(cfg.seed, n, r))
-            xs[r] = count(g, m)
-
-        _dispatch(work, R, threads)
-        d1 = xs - cond
-        rec = _base_record(cfg, n, rho, xs, exp)
+    def fill(rec, cell):
+        cond = float(cell.cond[0])
+        d1 = cell.delta1
         # the latents are frozen, so the replicate mean tracks the
         # conditional expectation, not the unconditional one
         rec.mean_within_4se = (abs(rec.mean_x - cond) <= 4.0 * rec.se_x
@@ -376,8 +392,8 @@ def run_conditional_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRe
         rec.cond_var_empirical = float(np.var(d1, ddof=1))
         rec.cond_ks = _ks_or_none(d1)
         rec.ks_delta1 = rec.cond_ks
-        records.append(rec)
-    return _result(cfg, records, t0)
+
+    return _aggregate(cfg, threads, fill)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -408,13 +424,6 @@ def _require_kind(cfg: ExperimentConfig, kind: str):
         raise ValueError(f"config kind {cfg.experiment_kind!r}, runner {kind!r}")
 
 
-def _result(cfg, records, t0) -> ExperimentResult:
-    return ExperimentResult(experiment_kind=cfg.experiment_kind,
-                            config=cfg.to_json_dict(),
-                            records=records,
-                            runtime_seconds=time.perf_counter() - t0)
-
-
 # ---------------------------------------------------------------------------
 # per-replicate rows and file output
 
@@ -426,27 +435,25 @@ SUMMARY_CSV_COLUMNS = (
     "cond_var_empirical",
 )
 
+REPLICATE_CSV_HEADER = ("seed", "n", "rho", "x", "expected", "cond_expected",
+                        "delta", "delta1", "delta2")
 
-def replicate_rows(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Full per-replicate decomposition rows for every (n, replicate)."""
-    m, w = cfg.motif, cfg.graphon
+
+def replicate_rows(result: ExperimentResult) -> list:
+    """One row per (n, replicate) of the result's own replicate table,
+    columns as in REPLICATE_CSV_HEADER.
+
+    Values are Python scalars, so the CSV writes them as the scalar
+    computation would (numpy scalars repr differently).
+    """
     rows = []
-    for n in cfg.n_values:
-        rho = schedule_rho(cfg.schedule, n)
-        exp = expected_count(m, w, n, rho)
-        R = cfg.replicates
-        cell = [None] * R
-
-        def work(r: int):
-            seed = replicate_seed(cfg.seed, n, r)
-            g = sample(w, n, rho, seed)
-            x = count(g, m)
-            cond = conditional_expected_count(g.latents, m, w, rho)
-            cell[r] = (seed, n, rho, x, exp, cond, x - exp, x - cond,
-                       cond - exp)
-
-        _dispatch(work, R, threads)
-        rows.extend(cell)
+    for cell in result.table:
+        R = cell.x.size
+        rows.extend(zip(cell.seed.tolist(), [cell.n] * R, [cell.rho] * R,
+                        cell.x.astype(np.int64).tolist(),
+                        [cell.expected] * R, cell.cond.tolist(),
+                        (cell.x - cell.expected).tolist(),
+                        cell.delta1.tolist(), cell.delta2.tolist()))
     return rows
 
 

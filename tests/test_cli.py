@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -188,6 +189,39 @@ def test_run_experiment_byte_identical(capsys, tmp_path):
     for name in ("summary.json", "summary.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+
+
+def test_run_experiment_conditional_replicates_match_summary(capsys, tmp_path):
+    # replicates.csv holds the campaign's own frozen-latent replicates
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "conditional_clt", "motif": "triangle",
+        "graphon": "W_sym", "schedule": {"a": 1.0, "gamma": 0.5},
+        "n_values": [60], "replicates": 100, "seed": 41}))
+    out = tmp_path / "out"
+    assert run_cli(capsys, "run-experiment", "--config", str(cfg_path),
+                   "--out-dir", str(out), "--threads", "1",
+                   "--with-replicates")[0] == 0
+    rec = json.loads((out / "summary.json").read_text())["records"][0]
+    with open(out / "replicates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 100
+    xs = [int(row["x"]) for row in rows]
+    assert sum(xs) / len(xs) == pytest.approx(rec["mean_x"], rel=1e-12)
+    assert {float(row["cond_expected"]) for row in rows} == {rec["cond_mean"]}
+
+
+def test_run_experiment_has_no_format_flag(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "containment", "motif": "edge",
+        "graphon": "const:1.0", "schedule": {"a": 1.0, "gamma": 1.2},
+        "n_values": [10], "replicates": 5, "seed": 7}))
+    code, _, err = run_cli(capsys, "run-experiment", "--config",
+                           str(cfg_path), "--out-dir", str(tmp_path / "o"),
+                           "--format", "json")
+    assert code == 2
+    assert "--format" in err
 
 def test_run_experiment_invalid_config(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"

@@ -189,12 +189,11 @@ def test_run_experiment_dispatch():
 def test_write_result_files_and_determinism(tmp_path):
     cfg = small_cfg("clt", n_values=(80,), replicates=150)
     res = run_clt(cfg)
-    rows = replicate_rows(cfg)
+    res3 = run_clt(cfg, threads=3)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    write_result(res, d1, replicate_table=rows)
-    write_result(run_clt(cfg, threads=3), d2,
-                 replicate_table=replicate_rows(cfg, threads=3))
+    write_result(res, d1, replicate_table=replicate_rows(res))
+    write_result(res3, d2, replicate_table=replicate_rows(res3))
     for name in ("summary.json", "summary.csv", "replicates.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     doc = json.loads((d1 / "summary.json").read_text())
@@ -249,7 +248,42 @@ def test_conditional_clt_mean_guard_uses_conditional_mean():
 
 def test_replicate_rows_identity():
     cfg = small_cfg("clt", n_values=(40,), replicates=50)
-    rows = replicate_rows(cfg)
+    rows = replicate_rows(run_clt(cfg))
     for seed, n, rho, x, exp, cond, delta, d1, d2 in rows:
         assert delta == pytest.approx(d1 + d2, abs=1e-9)
         assert x == int(x)
+
+
+def test_replicate_rows_regenerate_from_seed_for_every_kind():
+    # each row is the replicate its seed draws: fresh latents, or the
+    # frozen latent draw of the cell for conditional_clt
+    from graphon_motifs.counting import conditional_expected_count, count
+    from graphon_motifs.experiments import EXPERIMENT_KINDS, _LATENT_TAG
+    from graphon_motifs.sampler import replicate_seed, resample_edges, sample
+    cfgs = [
+        small_cfg("containment", motif=K3, n_values=(30, 50), replicates=50,
+                  schedule=SparsitySchedule(1.0, 0.9)),
+        small_cfg("clt", n_values=(30, 50), replicates=50),
+        small_cfg("variance_ratio", n_values=(30, 50), replicates=50),
+        small_cfg("critical_kappa", n_values=(30, 50), replicates=50,
+                  schedule=critical_schedule(K2, 1.0)),
+        small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym"),
+                  n_values=(30, 50), replicates=50),
+    ]
+    assert {c.experiment_kind for c in cfgs} == set(EXPERIMENT_KINDS)
+    for cfg in cfgs:
+        m, w = cfg.motif, cfg.graphon
+        rows = replicate_rows(run_experiment(cfg, threads=2))
+        assert len(rows) == cfg.replicates * len(cfg.n_values)
+        for i, (seed, n, rho, x, _, cond, _, _, _) in enumerate(rows):
+            assert n == cfg.n_values[i // cfg.replicates]
+            assert seed == replicate_seed(cfg.seed, n, i % cfg.replicates)
+            if cfg.experiment_kind == "conditional_clt":
+                lat = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                    replicate_seed(cfg.seed, n, _LATENT_TAG)))).random(n)
+                g = resample_edges(w, lat, rho, seed)
+                assert cond == conditional_expected_count(lat, m, w, rho)
+            else:
+                g = sample(w, n, rho, seed)
+                assert cond == conditional_expected_count(g.latents, m, w, rho)
+            assert type(x) is int and x == count(g, m)
