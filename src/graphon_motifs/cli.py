@@ -62,8 +62,9 @@ def _load_motif(source: str) -> Motif:
 def _load_graphon(source: str) -> StepGraphon:
     try:
         return named_graphon(source)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        if source.startswith("const:"):
+            raise UsageError(f"bad graphon {source}: {exc}") from exc
     path = Path(source)
     if not path.exists():
         raise UsageError(f"no such graphon name or file: {source}")

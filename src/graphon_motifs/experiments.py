@@ -46,6 +46,7 @@ from .counting import (
     expected_count,
 )
 from .stats import (
+    KS_MIN_SAMPLES,
     NormalityReport,
     covariance_and_se,
     ks_test,
@@ -324,6 +325,7 @@ def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     regime = classify_regime(cfg.motif, cfg.schedule.gamma)
     if regime in ("below_containment", "at_containment"):
         raise ValueError(f"normality run not meaningful in regime {regime!r}")
+    _require_ks_sample(cfg)
 
     def fill(rec, cell):
         xs, d1, d2 = cell.x, cell.delta1, cell.delta2
@@ -365,6 +367,7 @@ def run_critical_kappa(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRes
     for n in cfg.n_values:
         if abs(n * schedule_rho(cfg.schedule, n) ** m1 - c) > 1e-9 * c:
             raise ValueError(f"pinning broken at n={n}: n rho^m1 != c")
+    _require_ks_sample(cfg)
 
     def fill(rec, cell):
         d1, d2 = cell.delta1, cell.delta2
@@ -380,6 +383,7 @@ def run_critical_kappa(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRes
 def run_conditional_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Edge-component normality at one frozen latent draw per n."""
     _require_kind(cfg, "conditional_clt")
+    _require_ks_sample(cfg)
 
     def fill(rec, cell):
         cond = float(cell.cond[0])
@@ -422,6 +426,12 @@ def _fill_component_stats(rec: CellRecord, d1, d2):
 def _require_kind(cfg: ExperimentConfig, kind: str):
     if cfg.experiment_kind != kind:
         raise ValueError(f"config kind {cfg.experiment_kind!r}, runner {kind!r}")
+
+
+def _require_ks_sample(cfg: ExperimentConfig):
+    """Reject before any sampling a run whose KS tests would refuse it."""
+    if cfg.replicates < KS_MIN_SAMPLES:
+        raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,19 @@ Bernoulli draws and touches only the realized edges.
 
 Reproducibility contract (pinned by a golden test):
 
-- the root seed feeds ``numpy.random.SeedSequence(seed)``, whose two
-  spawned children drive a PCG64 generator for the latent layer and one
-  for the edge layer;
+- the root seed's two child streams ``SeedSequence(seed, spawn_key=(k,))``
+  (the children ``SeedSequence(seed).spawn(2)`` would give) drive a PCG64
+  generator for the latent layer (k = 0) and one for the edge layer
+  (k = 1);
 - only uniform doubles are consumed from the generators: latents directly,
   geometric gaps by inversion of uniforms;
 - strata are visited in a fixed order (same-block pairs by block index,
   then cross-block pairs in lexicographic order), and each stratum consumes
-  uniforms in batches until its pair stream is exhausted.
+  uniforms in batches of ``_batch_size`` until its pair stream is exhausted.
+
+Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices decode the same
+uniforms on Python scalars instead of numpy arrays; the two edge paths
+give the same edges and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -29,6 +34,15 @@ import numpy as np
 
 from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
 from .graphon import StepGraphon, _arrays
+
+# Graphs of at most this many vertices take the scalar edge path.  Edge
+# layer per graph, scalar against vectorized: on W_asym at rho = 0.3,
+# 12 against 77 us at n = 6 and 41 against 134 us at n = 30; at rho = 1
+# and n = 30, 106 against 160 us on W_asym but 101 against 83 us on the
+# one-block const:1, which grows to 178 against 117 us at n = 40.
+# numpy's fixed cost per call decides small graphs, Python's cost per
+# uniform and per edge large ones.
+SMALL_GRAPH_VERTICES = 30
 
 
 @dataclass
@@ -95,6 +109,14 @@ class SampledGraph:
 # edge stream
 
 
+def _batch_size(remaining: int, p: float) -> int:
+    """Uniforms drawn at once while ``remaining`` slots are left: the mean
+    count of successes plus four standard deviations, at least 16.  Both
+    edge paths draw these batches, so this fixes what a stratum consumes."""
+    expect = remaining * p
+    return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
+
+
 def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """Success indices of an iid Bernoulli(p) stream of length n_slots.
 
@@ -109,9 +131,7 @@ def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     chunks = []
     last = -1
     while True:
-        expect = (n_slots - last) * p
-        batch = max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
-        u = rng.random(batch)
+        u = rng.random(_batch_size(n_slots - last, p))
         gaps = np.log1p(-u) / log_q
         np.minimum(gaps, float(n_slots) + 1.0, out=gaps)
         pos = last + np.cumsum(gaps.astype(np.int64) + 1)
@@ -122,6 +142,27 @@ def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
         chunks.append(pos)
         last = int(pos[-1])
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _bernoulli_positions_scalar(rng, n_slots: int, p: float) -> list:
+    """``_bernoulli_positions`` as a list: the same batches of uniforms and
+    the same numpy ``log1p`` on each, then the gaps in Python floats (the
+    same IEEE division and truncation as the array path)."""
+    if n_slots <= 0 or p <= 0.0:
+        return []
+    if p >= 1.0:
+        return list(range(n_slots))
+    log_q = math.log1p(-p)
+    cap = float(n_slots) + 1.0
+    out = []
+    pos = -1
+    while True:
+        u = rng.random(_batch_size(n_slots - pos, p))
+        for x in np.log1p(-u).tolist():
+            pos += int(min(x / log_q, cap)) + 1
+            if pos >= n_slots:
+                return out
+            out.append(pos)
 
 
 def _decode_within(idx: np.ndarray, nb: int):
@@ -160,7 +201,43 @@ def _stratum_pairs(rng, verts_b, verts_c, p: float) -> np.ndarray:
     return np.column_stack((lo, hi))
 
 
-def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarray:
+def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
+                       rng) -> np.ndarray:
+    """``_edge_layer`` on Python scalars: strata in the same order, each
+    pair packed into one key lo*(n+1)+hi, the keys sorted once."""
+    vals = w.values
+    K = w.block_count
+    stride = blocks.size + 1
+    verts = [[] for _ in range(K)]
+    for v, b in enumerate(blocks.tolist(), 1):
+        verts[b].append(v)
+    keys = []
+    for b in range(K):
+        vb = verts[b]
+        nb = len(vb)
+        # positions ascend, so walk the rows: row i holds slots [start, end)
+        i, start, end = 0, 0, nb - 1
+        for t in _bernoulli_positions_scalar(rng, nb * (nb - 1) // 2,
+                                             rho * vals[b][b]):
+            while t >= end:
+                i += 1
+                start, end = end, end + nb - 1 - i
+            keys.append(vb[i] * stride + vb[t - start + i + 1])
+    for b in range(K):
+        for c in range(b + 1, K):
+            vb, vc = verts[b], verts[c]
+            nc = len(vc)
+            for t in _bernoulli_positions_scalar(rng, len(vb) * nc,
+                                                 rho * vals[b][c]):
+                x, y = vb[t // nc], vc[t % nc]
+                keys.append(x * stride + y if x < y else y * stride + x)
+    keys.sort()
+    flat = [v for k in keys for v in divmod(k, stride)]
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+
+
+def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
+                           rng) -> np.ndarray:
     _, vals, _ = _arrays(w)
     K = w.block_count
     verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1 for b in range(K)]
@@ -179,10 +256,18 @@ def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarr
     return edges[order]
 
 
-def _spawned_rngs(seed: int):
-    lat_ss, edge_ss = np.random.SeedSequence(seed).spawn(2)
-    return (np.random.Generator(np.random.PCG64(lat_ss)),
-            np.random.Generator(np.random.PCG64(edge_ss)))
+def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarray:
+    """Sorted (m, 2) edge array of one graph; both paths give the same."""
+    if blocks.size <= SMALL_GRAPH_VERTICES:
+        return _edge_layer_scalar(w, blocks, rho, rng)
+    return _edge_layer_vectorized(w, blocks, rho, rng)
+
+
+def _child_rng(seed: int, k: int):
+    """Generator of the seed's child stream k (0 latents, 1 edges), the
+    stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent."""
+    ss = np.random.SeedSequence(seed, spawn_key=(k,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
@@ -192,10 +277,9 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
         raise ValueError("n must be at least 1")
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    lat_rng, edge_rng = _spawned_rngs(seed)
-    latents = lat_rng.random(n)
+    latents = _child_rng(seed, 0).random(n)
     blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, edge_rng)
+    edges = _edge_layer(w, blocks, rho, _child_rng(seed, 1))
     return SampledGraph(n, float(rho), int(seed), latents, blocks, edges)
 
 
@@ -205,9 +289,8 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
     latents = np.asarray(latents, dtype=np.float64)
-    _, edge_rng = _spawned_rngs(seed)
     blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, edge_rng)
+    edges = _edge_layer(w, blocks, rho, _child_rng(seed, 1))
     return SampledGraph(latents.size, float(rho), int(seed), latents, blocks,
                         edges)
 

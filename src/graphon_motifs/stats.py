@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# fewest samples ks_test accepts
+KS_MIN_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class NormalityReport:
@@ -50,8 +53,8 @@ def ks_test(samples) -> NormalityReport:
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.size
-    if n < 50:
-        raise ValueError("KS test needs at least 50 samples")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
     cdf = _normal_cdf_array(x)
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = np.max(i / n - cdf)

@@ -237,5 +237,19 @@ def test_run_experiment_invalid_config(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name,message", [
+    ("const:nan", "value nan outside [0,1]"),
+    ("const:2", "value 2.0 outside [0,1]"),
+    ("const:x", "could not convert string to float: 'x'"),
+], ids=["nan", "2", "x"])
+def test_bad_const_graphon_gives_the_reason(capsys, name, message):
+    code, out, err = run_cli(capsys, "sample", "--graphon", name,
+                             "--n", "5", "--rho", "0.5", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "no such graphon" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2

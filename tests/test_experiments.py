@@ -109,6 +109,31 @@ def test_clt_rejects_subcritical_regime():
         run_clt(cfg)
 
 
+@pytest.mark.parametrize("kind,runner,over", [
+    ("clt", run_clt, dict(motif=named_motif("c4"), n_values=(50, 90))),
+    ("critical_kappa", run_critical_kappa,
+     dict(schedule=critical_schedule(K2, 1.0))),
+    ("conditional_clt", run_conditional_clt, dict(motif=K3)),
+], ids=["clt", "critical_kappa", "conditional_clt"])
+def test_ks_runners_reject_too_few_replicates_before_sampling(
+        monkeypatch, kind, runner, over):
+    import graphon_motifs.experiments as ex
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ex, "sample", counted(ex.sample))
+    monkeypatch.setattr(ex, "resample_edges", counted(ex.resample_edges))
+    cfg = small_cfg(kind, replicates=40, **over)
+    with pytest.raises(ValueError, match="KS test needs at least 50 samples"):
+        runner(cfg)
+    assert calls == []
+
+
 def test_variance_ratio_constant_graphon_r2_zero():
     cfg = small_cfg("variance_ratio", graphon=StepGraphon.constant(0.7),
                     n_values=(60,), replicates=200)

@@ -21,8 +21,11 @@ from graphon_motifs import (
     schedule_rho,
 )
 from graphon_motifs.sampler import (
+    SMALL_GRAPH_VERTICES,
     _bernoulli_positions,
     _decode_within,
+    _edge_layer_scalar,
+    _edge_layer_vectorized,
     replicate_seed,
 )
 
@@ -65,6 +68,16 @@ def test_sample_golden_output():
     assert g2.edge_count == 138
     assert digest2 == ("a31cb26867d624f0e8d254a6e02604172a2fbf8a"
                        "2e857114afb65bce1a3e460a")
+
+
+def test_sample_golden_output_small_graph():
+    # n = 6 takes the scalar edge path; the digest was computed before that
+    # path existed
+    g = sample(W_ASYM, 6, 0.3, 5001)
+    digest = hashlib.sha256(g.to_dump().encode()).hexdigest()
+    assert g.edges.tolist() == [[1, 4], [2, 3], [3, 4], [3, 6]]
+    assert digest == ("e1cce918fbf667e247e7a595814dc36d54f6c38d"
+                      "4ed6f5e305920a2a4abb80f2")
 
 
 def test_sampled_graph_is_simple_and_sorted():
@@ -150,6 +163,82 @@ def test_decode_within_random_indices(nb, raw):
     i, j = int(i[0]), int(j[0])
     assert 0 <= i < j < nb
     assert i * nb - i * (i + 1) // 2 + (j - i - 1) == t
+
+
+# three blocks with a zero and a one entry: at rho = 1 the strata hit both
+# the p <= 0 and the p >= 1 branch
+W_THREE = StepGraphon((0.2, 0.3, 0.5),
+                      ((1.0, 0.0, 0.4), (0.0, 0.7, 1.0), (0.4, 1.0, 0.05)))
+
+
+class _LowUniforms:
+    """Generator stand-in drawing uniforms in [0, scale), which makes gaps
+    short, so a stratum runs past its first batch; logs the batch sizes."""
+
+    def __init__(self, seed, scale):
+        self._gen = np.random.default_rng(seed)
+        self._scale = scale
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self._gen.random(size) * self._scale
+
+
+def _assert_paths_agree(w, blocks, rho, make_rng):
+    rng_v, rng_s = make_rng(), make_rng()
+    vec = _edge_layer_vectorized(w, blocks, rho, rng_v)
+    sca = _edge_layer_scalar(w, blocks, rho, rng_s)
+    assert sca.dtype == vec.dtype and sca.shape == vec.shape
+    assert np.array_equal(sca, vec)
+    # the same next uniform shows the same generator state
+    assert rng_s.random() == rng_v.random()
+    return rng_v
+
+
+@pytest.mark.parametrize("w", [StepGraphon.constant(0.3), W_ASYM, W_THREE],
+                         ids=["one_block", "W_asym", "three_blocks"])
+def test_edge_layer_paths_agree(w):
+    ns = (1, 2, 3, 5, 6, 10, SMALL_GRAPH_VERTICES, SMALL_GRAPH_VERTICES + 1,
+          60)
+    for n in ns:
+        for rho in (0.02, 0.3, 1.0):
+            for seed in range(4):
+                latents = np.random.default_rng(1000 * seed + n).random(n)
+                blocks = w.blocks_of(latents)
+                _assert_paths_agree(
+                    w, blocks, rho,
+                    lambda: np.random.Generator(np.random.PCG64(seed)))
+
+
+def test_edge_layer_paths_agree_with_empty_blocks():
+    for n in (1, 4, 12, 45):
+        for block in range(3):
+            blocks = np.full(n, block, dtype=np.int64)
+            for rho in (0.3, 1.0):
+                _assert_paths_agree(W_THREE, blocks, rho,
+                                    lambda: np.random.default_rng(n))
+    # one vertex per block: every stratum holds at most one pair
+    _assert_paths_agree(W_THREE, np.arange(3, dtype=np.int64), 1.0,
+                        lambda: np.random.default_rng(3))
+
+
+def test_edge_layer_paths_agree_past_the_first_batch():
+    rho = 0.6
+    for w in (StepGraphon.constant(0.3), W_ASYM, W_THREE):
+        for n in (12, 25, 50):
+            blocks = w.blocks_of(np.random.default_rng(n).random(n))
+            rng = _assert_paths_agree(w, blocks, rho,
+                                      lambda: _LowUniforms(n, 0.05))
+            K = w.block_count
+            sizes = np.bincount(blocks, minlength=K).tolist()
+            strata = [(b, b, sizes[b] * (sizes[b] - 1) // 2) for b in range(K)]
+            strata += [(b, c, sizes[b] * sizes[c])
+                       for b, c in combinations(range(K), 2)]
+            drawing = sum(1 for b, c, slots in strata
+                          if slots and 0.0 < rho * w.values[b][c] < 1.0)
+            # one batch per drawing stratum, one more uniform for the check
+            assert len(rng.sizes) > drawing + 1
 
 
 def test_bernoulli_positions_edge_cases():
