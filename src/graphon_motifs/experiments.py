@@ -264,7 +264,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
             g = resample_edges(w, frozen, rho, seed)
         xs[r] = count(g, m)
 
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(R)))
     else:
@@ -276,6 +276,8 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
 
 def _aggregate(cfg: ExperimentConfig, threads: int, fill) -> ExperimentResult:
     """Fill one record per n cell from that cell's replicate table."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
     table = []
     records = []
     for n in cfg.n_values:

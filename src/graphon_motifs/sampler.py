@@ -36,10 +36,11 @@ from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
 from .graphon import StepGraphon, _arrays
 
 # Graphs of at most this many vertices take the scalar edge path.  Edge
-# layer per graph, scalar against vectorized: on W_asym at rho = 0.3,
-# 12 against 77 us at n = 6 and 41 against 134 us at n = 30; at rho = 1
-# and n = 30, 106 against 160 us on W_asym but 101 against 83 us on the
-# one-block const:1, which grows to 178 against 117 us at n = 40.
+# layer per graph, vectorized against scalar, best of three runs: at n = 30,
+# 159 against 49 us on W_asym at rho = 0.05 and 97 against 67 us at
+# rho = 0.3, but 107 against 226 us at rho = 1 and 55 against 169 us on the
+# one-block const:1.  At n = 40 sparse W_asym still favours the scalar path
+# (163 against 69 us at rho = 0.05) and rho = 0.3 is even (178 against 175).
 # numpy's fixed cost per call decides small graphs, Python's cost per
 # uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
@@ -166,39 +167,27 @@ def _bernoulli_positions_scalar(rng, n_slots: int, p: float) -> list:
 
 
 def _decode_within(idx: np.ndarray, nb: int):
-    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb."""
-    t = idx.astype(np.float64)
-    disc = (2 * nb - 1) ** 2 - 8.0 * t
-    i = np.floor(((2 * nb - 1) - np.sqrt(disc)) / 2.0).astype(np.int64)
-
-    def row_start(r):
-        return r * (2 * nb - r - 1) // 2
-
-    for _ in range(2):  # fix float-sqrt off-by-one in either direction
-        i = np.where(row_start(i + 1) <= idx, i + 1, i)
-        i = np.where(row_start(i) > idx, i - 1, i)
-    j = idx - row_start(i) + i + 1
-    return i, j
+    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
+    row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
+    rows = np.arange(nb - 1, dtype=np.int64)
+    starts = rows * (2 * nb - rows - 1) // 2
+    i = np.searchsorted(starts, idx, side="right") - 1
+    return i, idx - starts[i] + i + 1
 
 
-def _stratum_pairs(rng, verts_b, verts_c, p: float) -> np.ndarray:
-    """Edges drawn inside one block-pair stratum, as global (i, j) rows."""
+def _stratum_keys(rng, verts_b, verts_c, p: float, stride: int) -> np.ndarray:
+    """Edges drawn inside one block-pair stratum, as global pair keys
+    lo*stride + hi."""
     if verts_c is None:
         nb = verts_b.size
-        pos = _bernoulli_positions(rng, nb * (nb - 1) // 2, p)
-        if pos.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        i, j = _decode_within(pos, nb)
-        out = np.column_stack((verts_b[i], verts_b[j]))
-    else:
-        nc = verts_c.size
-        pos = _bernoulli_positions(rng, verts_b.size * nc, p)
-        if pos.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        out = np.column_stack((verts_b[pos // nc], verts_c[pos % nc]))
-    lo = out.min(axis=1)
-    hi = out.max(axis=1)
-    return np.column_stack((lo, hi))
+        i, j = _decode_within(
+            _bernoulli_positions(rng, nb * (nb - 1) // 2, p), nb)
+        # block vertex arrays ascend, so i < j gives lo, hi
+        return verts_b[i] * stride + verts_b[j]
+    nc = verts_c.size
+    i, j = np.divmod(_bernoulli_positions(rng, verts_b.size * nc, p), nc)
+    x, y = verts_b[i], verts_c[j]
+    return np.minimum(x, y) * stride + np.maximum(x, y)
 
 
 def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
@@ -240,20 +229,20 @@ def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
                            rng) -> np.ndarray:
     _, vals, _ = _arrays(w)
     K = w.block_count
+    stride = blocks.size + 1
     verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1 for b in range(K)]
-    parts = []
-    for b in range(K):
-        parts.append(_stratum_pairs(rng, verts[b], None, rho * vals[b, b]))
+    parts = [_stratum_keys(rng, verts[b], None, rho * vals[b, b], stride)
+             for b in range(K)]
     for b in range(K):
         for c in range(b + 1, K):
-            parts.append(_stratum_pairs(rng, verts[b], verts[c],
-                                        rho * vals[b, c]))
-    edges = np.concatenate(parts, axis=0) if parts else np.empty((0, 2), np.int64)
-    del parts  # free the per-stratum pieces before the sort's temporaries
-    # one int64 key per pair gives the order of a two-key lexsort
-    key = edges[:, 0] * (blocks.size + 1) + edges[:, 1]
-    order = np.argsort(key, kind="stable")
-    return edges[order]
+            parts.append(_stratum_keys(rng, verts[b], verts[c],
+                                       rho * vals[b, c], stride))
+    # the keys are distinct, so sorting them gives the lexicographic order
+    keys = np.concatenate(parts)
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, stride, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarray:

@@ -223,6 +223,23 @@ def test_run_experiment_has_no_format_flag(capsys, tmp_path):
     assert code == 2
     assert "--format" in err
 
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_experiment_rejects_threads_below_one(capsys, tmp_path, threads):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "containment", "motif": "edge",
+        "graphon": "const:1.0", "schedule": {"a": 1.0, "gamma": 1.2},
+        "n_values": [10], "replicates": 5, "seed": 7}))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "run-experiment", "--config",
+                           str(cfg_path), "--out-dir", str(out),
+                           "--threads", threads)
+    assert code == 2
+    assert f"threads must be at least 1, not {threads}" in err
+    assert not out.exists()
+
+
 def test_run_experiment_invalid_config(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

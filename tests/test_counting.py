@@ -13,6 +13,7 @@ from graphon_motifs import (
     canonical_form,
     conditional_expected_count,
     conditional_variance,
+    copies_in_complete,
     count,
     count_embeddings,
     decompose,
@@ -24,6 +25,7 @@ from graphon_motifs import (
     named_motif,
     sample,
 )
+from graphon_motifs import motif
 from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
@@ -122,6 +124,33 @@ def test_triangle_count_across_expansion_chunks():
     # C(40, 3) = 9880 wedges close, more than two expansion chunks
     g = sample(StepGraphon.constant(1.0), 40, 1.0, 5)
     assert triangle_count(g) == math.comb(40, 3)
+
+
+def test_pair_lookup_table_and_sorted_keys_agree(monkeypatch):
+    g = sample(W_ASYM, 60, 0.3, 8)
+    n = g.n
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(1, n + 1),
+                                           np.arange(1, n + 1)))
+    want = np.zeros((n + 1, n + 1), dtype=bool)
+    want[g.edges[:, 0], g.edges[:, 1]] = True
+    want |= want.T
+    table = motif.csr_pair_keys(n, g.adjacency())
+    assert table.dtype == bool
+    assert np.array_equal(motif.has_pair(table, n, u, v), want[u, v])
+    monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", 0)
+    keys = motif.csr_pair_keys(n, g.adjacency())
+    assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+    assert np.array_equal(motif.has_pair(keys, n, u, v), want[u, v])
+
+
+def test_counts_with_sorted_pair_keys(monkeypatch):
+    # hosts above the table cap search the sorted keys instead
+    monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", 0)
+    g = sample(StepGraphon.constant(1.0), 40, 1.0, 5)
+    assert triangle_count(g) == math.comb(40, 3)
+    k16 = list(combinations(range(1, 17), 2))
+    c4 = named_motif("c4")
+    assert count_embeddings(16, k16, c4) == copies_in_complete(c4, 16)
 
 
 def test_expected_count_fixtures():

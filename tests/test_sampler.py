@@ -70,6 +70,15 @@ def test_sample_golden_output():
                        "2e857114afb65bce1a3e460a")
 
 
+def test_sample_golden_output_large_graph():
+    # C10's shape, on the vectorized edge path
+    g = sample(W_ASYM, 2000, 2 / math.sqrt(2000), 2024)
+    digest = hashlib.sha256(g.to_dump().encode()).hexdigest()
+    assert g.edge_count == 36273
+    assert digest == ("cde9c475091aa95f2a73e6f727364baedf54ff5c"
+                      "57d15154cd4cf17aabea150f")
+
+
 def test_sample_golden_output_small_graph():
     # n = 6 takes the scalar edge path; the digest was computed before that
     # path existed
@@ -189,7 +198,8 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     rng_v, rng_s = make_rng(), make_rng()
     vec = _edge_layer_vectorized(w, blocks, rho, rng_v)
     sca = _edge_layer_scalar(w, blocks, rho, rng_s)
-    assert sca.dtype == vec.dtype and sca.shape == vec.shape
+    assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
+    assert vec.flags["C_CONTIGUOUS"]
     assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random()
@@ -209,6 +219,21 @@ def test_edge_layer_paths_agree(w):
                 _assert_paths_agree(
                     w, blocks, rho,
                     lambda: np.random.Generator(np.random.PCG64(seed)))
+
+
+@pytest.mark.parametrize("w,n,rho", [
+    (W_ASYM, 200, 2 / math.sqrt(2000)),
+    (W_ASYM, 200, 1.0),
+    (W_THREE, 200, 2 / math.sqrt(2000)),
+    (W_ASYM, 2000, 2 / math.sqrt(2000)),
+    (W_THREE, 2000, 2 / math.sqrt(2000)),
+], ids=["W_asym-200", "W_asym-200-dense", "three_blocks-200",
+        "W_asym-2000", "three_blocks-2000"])
+def test_edge_layer_paths_agree_at_scale(w, n, rho):
+    for seed in range(2):
+        blocks = w.blocks_of(np.random.default_rng(seed).random(n))
+        _assert_paths_agree(w, blocks, rho,
+                            lambda: np.random.default_rng(100 + seed))
 
 
 def test_edge_layer_paths_agree_with_empty_blocks():
