@@ -5,6 +5,8 @@ Library layout:
 - ``motif``       exact motif combinatorics (isomorphism, density exponents,
                   joins, embedding counts)
 - ``graphon``     step graphons and their exact density analytics
+- ``seeding``     replicate seeds and child stream generators, derived in
+                  blocks that match numpy's SeedSequence word for word
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance ratios

@@ -183,7 +183,7 @@ def cmd_count(args) -> int:
         raise UsageError(f"no such graph file: {args.graph}")
     try:
         g = SampledGraph.from_dump(path.read_text())
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed graph dump {args.graph}: {exc}") from exc
     sys.stdout.write(f"{count(g, m)}\n")
     return 0
@@ -228,9 +228,11 @@ def cmd_run_experiment(args) -> int:
     table = replicate_rows(result) if args.with_replicates else None
     write_result(result, args.out_dir, replicate_table=table)
     elapsed = time.perf_counter() - t0
+    replicates = cfg.replicates * len(cfg.n_values)
     print(f"experiment {cfg.experiment_kind}: {len(result.records)} cells "
           f"-> {args.out_dir}", file=sys.stderr)
-    print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
+    print(f"elapsed {elapsed:.2f}s, {replicates / elapsed:.0f} replicates/s",
+          file=sys.stderr)
     return 0
 
 

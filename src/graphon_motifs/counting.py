@@ -142,19 +142,19 @@ def conditional_expected_count(latents, m: Motif, w: StepGraphon,
     """Exact conditional mean of the count given the latent coordinates.
 
     Polynomial in the block occupancy vector, so evaluation is O(K^|V|)
-    independent of n.  For a one-block graphon the conditional mean equals
-    the unconditional one identically, and is returned as such.
+    independent of n.
     """
-    if w.block_count == 1:
-        n = np.asarray(latents).size
-        return expected_count(m, w, n, rho)
-    blocks = w.blocks_of(latents)
-    occ = np.bincount(blocks, minlength=w.block_count)
+    occ = np.bincount(w.blocks_of(latents), minlength=w.block_count)
     return _conditional_from_occupancy(tuple(int(x) for x in occ), m, w, rho)
 
 
 def _conditional_from_occupancy(occ: tuple, m: Motif, w: StepGraphon,
                                 rho: float) -> float:
+    """Conditional mean given the block occupancy counts.  For a one-block
+    graphon it equals the unconditional mean identically, and is returned
+    as such."""
+    if w.block_count == 1:
+        return expected_count(m, w, occ[0], rho)
     total = 0.0
     for counts, weight in _occupancy_polynomial(m, w):
         term = weight

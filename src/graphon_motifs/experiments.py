@@ -12,6 +12,14 @@ Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
 replicate order, and serialized outputs carry no timing, so reruns are
 byte-identical regardless of thread count.
+
+The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
+and ``count`` once per replicate.  Seeds and generator states come from
+the block derivation in ``seeding``, which matches numpy's SeedSequence
+and PCG64 seeding word for word, so a block-derived seed and a
+numpy-derived one give the same replicate.  E[X | latents] depends on the latents only through the block
+occupancy counts, so a cell records those and evaluates the conditional
+mean once per distinct occupancy at its end.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .sampler import (
     schedule_rho,
 )
 from .counting import (
+    _conditional_from_occupancy,
     conditional_expected_count,
     count,
     expected_count,
@@ -85,6 +94,10 @@ class ExperimentConfig:
             raise ValueError("n values must be positive")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.replicates >= _LATENT_TAG:
+            # an index of _LATENT_TAG would reuse the frozen latent seed
+            raise ValueError(f"replicates must be below {_LATENT_TAG:#x}, "
+                             f"the index reserved for the frozen latent draw")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -247,6 +260,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
     seeds = np.empty(R, dtype=np.uint64)
     xs = np.empty(R)
     conds = np.empty(R)
+    occupancy = np.empty((R, w.block_count), dtype=np.int64)
     frozen = None
     if cfg.experiment_kind == "conditional_clt":
         lat_seed = replicate_seed(cfg.seed, n, _LATENT_TAG)
@@ -259,7 +273,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
         seeds[r] = seed
         if frozen is None:
             g = sample(w, n, rho, seed)
-            conds[r] = conditional_expected_count(g.latents, m, w, rho)
+            occupancy[r] = np.bincount(g.blocks, minlength=w.block_count)
         else:
             g = resample_edges(w, frozen, rho, seed)
         xs[r] = count(g, m)
@@ -270,6 +284,13 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
     else:
         for r in range(R):
             work(r)
+    if frozen is None:
+        # E[X | latents] depends on the latents through the occupancy
+        # counts alone, so each distinct row is evaluated once
+        rows, inverse = np.unique(occupancy, axis=0, return_inverse=True)
+        means = [_conditional_from_occupancy(tuple(row), m, w, rho)
+                 for row in rows.tolist()]
+        conds[:] = np.array(means)[inverse.reshape(-1)]
     return ReplicateCell(n=n, rho=rho, expected=expected_count(m, w, n, rho),
                          seed=seeds, x=xs, cond=conds)
 

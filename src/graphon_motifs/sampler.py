@@ -22,6 +22,13 @@ Reproducibility contract (pinned by a golden test):
 Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices decode the same
 uniforms on Python scalars instead of numpy arrays; the two edge paths
 give the same edges and leave the generator in the same state.
+
+Replicate seeds and the child stream generators come from ``seeding``,
+which derives a whole block of replicate seeds, and both child streams'
+PCG64 states of each, in numpy array passes that match numpy's
+SeedSequence and PCG64 seeding word for word.  A seed from a derived block
+sets a reused generator; any other seed builds one through numpy.  Either
+way the streams are the same.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
 from .graphon import StepGraphon, _arrays
+from .seeding import child_rng, replicate_seed
 
 # Graphs of at most this many vertices take the scalar edge path.  Edge
 # layer per graph, vectorized against scalar, best of three runs: at n = 30,
@@ -80,9 +88,17 @@ class SampledGraph:
 
     @staticmethod
     def from_dump(text: str, w: StepGraphon = None) -> "SampledGraph":
+        """Parse ``to_dump`` output.  Malformed input raises ValueError,
+        which names a bad n, rho, latent or edge."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty graph dump")
         n_str, rho_str, seed_str = lines[0].split()
         n, rho, seed = int(n_str), float(rho_str), int(seed_str)
+        if n < 1:
+            raise ValueError(f"n = {n} must be at least 1")
+        if not (0.0 < rho <= 1.0):
+            raise ValueError(f"rho = {rho!r} must lie in (0, 1]")
         edges = []
         i = 1
         while i < len(lines) and lines[i] != "latents":
@@ -92,6 +108,11 @@ class SampledGraph:
         latents = np.array([float(x) for x in lines[i + 1:]], dtype=np.float64)
         if latents.size != n:
             raise ValueError(f"dump has {latents.size} latents for n={n}")
+        bad = np.flatnonzero(~((latents >= 0.0) & (latents < 1.0)))
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(f"latent {float(latents[v])!r} of vertex {v + 1} "
+                             f"outside [0, 1)")
         pairs = sorted((min(a, b), max(a, b)) for a, b in edges)
         for k, (a, b) in enumerate(pairs):
             if a == b:
@@ -252,13 +273,6 @@ def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarr
     return _edge_layer_vectorized(w, blocks, rho, rng)
 
 
-def _child_rng(seed: int, k: int):
-    """Generator of the seed's child stream k (0 latents, 1 edges), the
-    stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent."""
-    ss = np.random.SeedSequence(seed, spawn_key=(k,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     """Draw one graph: latents from the seed's first child stream, edges
     from the second.  Fully deterministic given (w, n, rho, seed)."""
@@ -266,9 +280,9 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
         raise ValueError("n must be at least 1")
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    latents = _child_rng(seed, 0).random(n)
+    latents = child_rng(seed, 0).random(n)
     blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, _child_rng(seed, 1))
+    edges = _edge_layer(w, blocks, rho, child_rng(seed, 1))
     return SampledGraph(n, float(rho), int(seed), latents, blocks, edges)
 
 
@@ -279,16 +293,9 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
         raise ValueError("rho must lie in (0, 1]")
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, _child_rng(seed, 1))
+    edges = _edge_layer(w, blocks, rho, child_rng(seed, 1))
     return SampledGraph(latents.size, float(rho), int(seed), latents, blocks,
                         edges)
-
-
-def replicate_seed(root_seed: int, n: int, r: int) -> int:
-    """Per-replicate seed: a splittable derivation from (root, n, replicate),
-    so replicate results do not depend on scheduling or batch order."""
-    ss = np.random.SeedSequence((int(root_seed), int(n), int(r)))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -103,6 +104,23 @@ MALFORMED_DUMPS = {
                            "latents\n0.1\n0.2\n0.3\n"),
     "self_loop_out_of_range": ("3 0.5 1\n1 2\n2 2\n3 4\n"
                                "latents\n0.1\n0.2\n0.3\n"),
+    "empty": "",
+    "n_zero": "0 0.5 1\nlatents\n",
+    "rho_above_one": "3 1.5 1\n1 2\nlatents\n0.1\n0.2\n0.3\n",
+    "nan_latent": "3 0.5 1\n1 2\nlatents\n0.1\nnan\n0.5\n",
+    "latent_above_one": "3 0.5 1\n1 2\nlatents\n0.1\n1.5\n0.5\n",
+    "negative_latent": "3 0.5 1\n1 2\nlatents\n-0.2\n0.1\n0.5\n",
+}
+# the reason each one is refused, as the error names it
+MALFORMED_DUMP_REASONS = {
+    "reversed_duplicate": "duplicate edge 1 2",
+    "self_loop_out_of_range": "self-loop 2 2",
+    "empty": "empty graph dump",
+    "n_zero": "n = 0 must be at least 1",
+    "rho_above_one": "rho = 1.5 must lie in (0, 1]",
+    "nan_latent": "latent nan of vertex 2 outside [0, 1)",
+    "latent_above_one": "latent 1.5 of vertex 2 outside [0, 1)",
+    "negative_latent": "latent -0.2 of vertex 1 outside [0, 1)",
 }
 
 
@@ -116,6 +134,7 @@ def test_count_rejects_malformed_dump(capsys, tmp_path, dump, motif):
     assert code == 2
     assert out == ""
     assert "malformed graph dump" in err
+    assert MALFORMED_DUMP_REASONS[dump] in err
 
 
 def test_sample_determinism(capsys, tmp_path):
@@ -163,6 +182,7 @@ def test_run_experiment_writes_outputs(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run-experiment", "--config",
                            str(cfg_path), "--out-dir", str(out_dir))
     assert code == 0
+    assert re.search(r"^elapsed \d+\.\d\ds, \d+ replicates/s$", err, re.M)
     summary = json.loads((out_dir / "summary.json").read_text())
     assert len(summary["records"]) == 2
     csv_lines = (out_dir / "summary.csv").read_text().splitlines()
@@ -237,6 +257,20 @@ def test_run_experiment_rejects_threads_below_one(capsys, tmp_path, threads):
                            "--threads", threads)
     assert code == 2
     assert f"threads must be at least 1, not {threads}" in err
+    assert not out.exists()
+
+
+def test_run_experiment_rejects_replicates_at_the_latent_tag(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "conditional_clt", "motif": "triangle",
+        "graphon": "W_sym", "schedule": {"a": 1.0, "gamma": 0.5},
+        "n_values": [6], "replicates": 0xFEED0000, "seed": 7}))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "run-experiment", "--config",
+                           str(cfg_path), "--out-dir", str(out))
+    assert code == 2
+    assert "replicates must be below 0xfeed0000" in err
     assert not out.exists()
 
 

@@ -46,6 +46,18 @@ def test_config_validation():
         small_cfg("clt", n_values=(200, 100))
 
 
+def test_config_rejects_replicates_reaching_the_latent_tag():
+    # replicate index _LATENT_TAG would draw the frozen latent seed; only
+    # the config is built, nothing is sampled
+    from graphon_motifs.experiments import _LATENT_TAG
+    with pytest.raises(ValueError, match="must be below 0xfeed0000"):
+        small_cfg("conditional_clt", replicates=_LATENT_TAG)
+    with pytest.raises(ValueError, match="replicates must be below"):
+        small_cfg("clt", replicates=_LATENT_TAG + 1)
+    assert small_cfg("clt", replicates=_LATENT_TAG - 1).replicates == \
+        _LATENT_TAG - 1
+
+
 def test_config_json_round_trip():
     cfg = small_cfg("variance_ratio")
     back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
@@ -312,3 +324,59 @@ def test_replicate_rows_regenerate_from_seed_for_every_kind():
                 g = sample(w, n, rho, seed)
                 assert cond == conditional_expected_count(g.latents, m, w, rho)
             assert type(x) is int and x == count(g, m)
+
+
+def _reference_cell(cfg, n):
+    """The replicate table of one cell, one replicate at a time."""
+    from graphon_motifs.counting import (
+        conditional_expected_count, count, expected_count)
+    from graphon_motifs.experiments import _LATENT_TAG
+    from graphon_motifs.sampler import (
+        replicate_seed, resample_edges, sample, schedule_rho)
+    m, w = cfg.motif, cfg.graphon
+    rho = schedule_rho(cfg.schedule, n)
+    frozen = None
+    if cfg.experiment_kind == "conditional_clt":
+        frozen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            replicate_seed(cfg.seed, n, _LATENT_TAG)))).random(n)
+    seeds, xs, conds = [], [], []
+    for r in range(cfg.replicates):
+        seed = replicate_seed(cfg.seed, n, r)
+        if frozen is None:
+            g = sample(w, n, rho, seed)
+            conds.append(conditional_expected_count(g.latents, m, w, rho))
+        else:
+            g = resample_edges(w, frozen, rho, seed)
+            conds.append(conditional_expected_count(frozen, m, w, rho))
+        seeds.append(seed)
+        xs.append(count(g, m))
+    return rho, expected_count(m, w, n, rho), seeds, xs, conds
+
+
+@pytest.mark.parametrize("cfg", [
+    small_cfg("containment", motif=K3, schedule=SparsitySchedule(1.0, 0.9)),
+    small_cfg("clt", graphon=named_graphon("const:0.3")),
+    small_cfg("clt", motif=K3),
+    small_cfg("variance_ratio"),
+    small_cfg("critical_kappa", schedule=critical_schedule(K2, 1.0)),
+    small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym")),
+], ids=["containment", "clt_const", "clt", "variance_ratio",
+        "critical_kappa", "conditional_clt"])
+def test_replicate_cell_equals_reference_loop(cfg):
+    # the cell crosses a seed block edge, on both edge paths
+    from dataclasses import replace
+    from graphon_motifs.experiments import _replicate_cell
+    from graphon_motifs.seeding import SEED_BLOCK
+    cfg = replace(cfg, n_values=(8, 40), replicates=SEED_BLOCK + 30)
+    for n in cfg.n_values:
+        rho, expected, seeds, xs, conds = _reference_cell(cfg, n)
+        for threads in (1, 3):
+            cell = _replicate_cell(cfg, n, threads)
+            assert cell.n == n and cell.rho == rho
+            assert cell.expected == expected
+            assert cell.seed.tolist() == seeds
+            assert cell.x.tolist() == xs
+            assert cell.cond.tolist() == conds
+        if cfg.graphon.block_count == 1:
+            # one block: E[X | latents] is the unconditional mean, exactly
+            assert set(conds) == {expected}
