@@ -6,7 +6,8 @@ Library layout:
                   joins, embedding counts)
 - ``graphon``     step graphons and their exact density analytics
 - ``seeding``     replicate seeds and child stream generators, derived in
-                  blocks that match numpy's SeedSequence word for word
+                  cached blocks that match numpy's SeedSequence word for
+                  word; each thread reuses the states of its last seed
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance ratios

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
 from .motif import (
     Motif,
+    _copies_on,
     automorphism_count,
     canonical_key,
     canonical_relabel,
@@ -208,11 +209,7 @@ def label_ustatistic(latents, m: Motif, w: StepGraphon) -> float:
 def _copies_in_kn(m: Motif, n: int) -> list:
     """All copies of m in K_n as (vertex frozenset, edge frozenset)."""
     k = m.vertex_count
-    base = set()
-    for perm in permutations(range(k)):
-        base.add(frozenset((min(perm[a - 1], perm[b - 1]),
-                            max(perm[a - 1], perm[b - 1]))
-                           for a, b in m.edges))
+    base = _copies_on(m, tuple(range(k)))
     out = []
     for subset in combinations(range(n), k):
         vs = frozenset(subset)

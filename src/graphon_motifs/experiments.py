@@ -14,10 +14,13 @@ replicate order, and serialized outputs carry no timing, so reruns are
 byte-identical regardless of thread count.
 
 The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
-and ``count`` once per replicate.  Seeds and generator states come from
-the block derivation in ``seeding``, which matches numpy's SeedSequence
-and PCG64 seeding word for word, so a block-derived seed and a
-numpy-derived one give the same replicate.  E[X | latents] depends on the latents only through the block
+and ``count`` once per replicate, on one thread, so the sampler finds the
+seed's generator states in the thread's note of the last seed handed out.
+Those come from the block derivation in ``seeding``, which matches
+numpy's SeedSequence and PCG64 seeding word for word.  The one
+frozen-latent seed of a conditional_clt cell goes through numpy's
+SeedSequence, which gives the same value without deriving a block for
+it.  E[X | latents] depends on the latents only through the block
 occupancy counts, so a cell records those and evaluates the conditional
 mean once per distinct occupancy at its end.
 """
@@ -48,6 +51,7 @@ from .sampler import (
     sample,
     schedule_rho,
 )
+from .seeding import _numpy_replicate_seed
 from .counting import (
     _conditional_from_occupancy,
     conditional_expected_count,
@@ -263,7 +267,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
     occupancy = np.empty((R, w.block_count), dtype=np.int64)
     frozen = None
     if cfg.experiment_kind == "conditional_clt":
-        lat_seed = replicate_seed(cfg.seed, n, _LATENT_TAG)
+        lat_seed = _numpy_replicate_seed(cfg.seed, n, _LATENT_TAG)
         frozen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(lat_seed))).random(n)
         conds[:] = conditional_expected_count(frozen, m, w, rho)

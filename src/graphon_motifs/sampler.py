@@ -26,9 +26,11 @@ give the same edges and leave the generator in the same state.
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and both child streams'
 PCG64 states of each, in numpy array passes that match numpy's
-SeedSequence and PCG64 seeding word for word.  A seed from a derived block
-sets a reused generator; any other seed builds one through numpy.  Either
-way the streams are the same.
+SeedSequence and PCG64 seeding word for word.  The seed the calling
+thread's last ``replicate_seed`` handed out sets a reused generator; any
+other seed builds one through numpy.  Either way the streams are the same.
+``sample`` draws the latents from stream 0 and then runs the edge step of
+``resample_edges`` on stream 1.
 """
 
 from __future__ import annotations
@@ -89,23 +91,27 @@ class SampledGraph:
     @staticmethod
     def from_dump(text: str, w: StepGraphon = None) -> "SampledGraph":
         """Parse ``to_dump`` output.  Malformed input raises ValueError,
-        which names a bad n, rho, latent or edge."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        which names a bad n, rho, latent or edge, or the number and text
+        of a line that does not parse."""
+        lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
         if not lines:
             raise ValueError("empty graph dump")
-        n_str, rho_str, seed_str = lines[0].split()
-        n, rho, seed = int(n_str), float(rho_str), int(seed_str)
+        n, rho, seed = _parse_line(lines[0], (int, float, int), "'n rho seed'")
         if n < 1:
             raise ValueError(f"n = {n} must be at least 1")
         if not (0.0 < rho <= 1.0):
             raise ValueError(f"rho = {rho!r} must lie in (0, 1]")
         edges = []
         i = 1
-        while i < len(lines) and lines[i] != "latents":
-            a, b = lines[i].split()
-            edges.append((int(a), int(b)))
+        while i < len(lines) and lines[i][1] != "latents":
+            edges.append(_parse_line(lines[i], (int, int),
+                                     "an edge 'a b' or 'latents'"))
             i += 1
-        latents = np.array([float(x) for x in lines[i + 1:]], dtype=np.float64)
+        if i == len(lines):
+            raise ValueError("dump has no latents line")
+        latents = np.array([_parse_line(ln, (float,), "a latent")[0]
+                            for ln in lines[i + 1:]], dtype=np.float64)
         if latents.size != n:
             raise ValueError(f"dump has {latents.size} latents for n={n}")
         bad = np.flatnonzero(~((latents >= 0.0) & (latents < 1.0)))
@@ -125,6 +131,19 @@ class SampledGraph:
                   else np.zeros(n, dtype=np.int64))
         earr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return SampledGraph(n, rho, seed, latents, blocks, earr)
+
+
+def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
+    """The fields of one numbered dump line, each converted by its type;
+    a ValueError names the line when it does not parse."""
+    no, line = numbered
+    fields = line.split()
+    if len(fields) == len(types):
+        try:
+            return [t(x) for t, x in zip(types, fields)]
+        except ValueError:
+            pass
+    raise ValueError(f"line {no}: expected {expected}, got {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +297,13 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     from the second.  Fully deterministic given (w, n, rho, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    latents = child_rng(seed, 0).random(n)
-    blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, child_rng(seed, 1))
-    return SampledGraph(n, float(rho), int(seed), latents, blocks, edges)
+    return resample_edges(w, child_rng(seed, 0).random(n), rho, seed)
 
 
 def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
                    seed: int) -> SampledGraph:
-    """Fresh edge layer over fixed latents (conditional resampling)."""
+    """Fresh edge layer over fixed latents (conditional resampling), from
+    the seed's second child stream."""
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
     latents = np.asarray(latents, dtype=np.float64)

@@ -8,10 +8,11 @@ replicate, more than sampling a graph of a few vertices, so
 ``SEED_BLOCK`` replicate indices at once: it restates SeedSequence's
 hashmix, mix and generate_state (O'Neill's seed_seq_fe, M. E. O'Neill,
 HMC-CS-2014-0905) on uint32 arrays, and PCG64's seeding on uint64 arrays,
-for both child streams of every seed in the block.  The last two blocks
-are kept, and ``child_rng`` sets a kept seed's state on a reused generator
-of the calling thread.  Any other seed, and any argument outside the block
-range, goes through numpy itself; the values are the same either way.
+for both child streams of every seed in the block.  An ``lru_cache``
+keeps the last two blocks.  Each thread notes the last seed it handed
+out, and ``child_rng`` sets that seed's state on a reused generator of
+the thread.  Any other seed, and any argument outside the block range,
+goes through numpy itself; the values are the same either way.
 
 This couples the module to numpy's SeedSequence constants and PCG64
 seeding.  The tests compare both with numpy word for word, so a numpy
@@ -21,6 +22,7 @@ change to either fails there first.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,87 +136,34 @@ def _pcg64_states(seeds: np.ndarray, k: int) -> np.ndarray:
     return np.stack([st_hi, st_lo, inc_hi, inc_lo], axis=-1)
 
 
-class _SeedBlock:
-    """Replicate seeds of one aligned block of indices, in index order,
-    with both child streams' PCG64 states of each seed."""
-
-    def __init__(self, root: int, n: int, block: int):
-        self.key = (root, n, block)
-        r = np.arange(block * SEED_BLOCK, (block + 1) * SEED_BLOCK,
-                      dtype=np.uint32)
-        entropy = [np.full(SEED_BLOCK, word, dtype=np.uint32)
-                   for word in _uint32_words(root) + _uint32_words(n)]
-        w = _seed_words(entropy + [r], 2)
-        self.seeds = _uint64(w[0], w[1])
-        self.states = np.stack([_pcg64_states(self.seeds, k) for k in (0, 1)])
-
-
-class _SeedCache:
-    """The two most recently derived seed blocks, shared by all threads,
-    and per thread the last seed handed out and one reused PCG64 and
-    Generator pair per child stream.
-
-    Readers take the tuple of kept blocks without the lock; a thread that
-    derives a block swaps in a new tuple under it.  Blocks hold numpy
-    arrays only, no Python int per seed, to keep peak memory low.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._kept = ()
-        self._local = threading.local()
-
-    def seed(self, root: int, n: int, r: int) -> int:
-        key = (root, n, r // SEED_BLOCK)
-        blk = self._block(key)
-        if blk is None:
-            with self._lock:
-                blk = self._block(key)
-                if blk is None:
-                    blk = _SeedBlock(*key)
-                    self._kept = (blk,) + self._kept[:1]
-        i = r % SEED_BLOCK
-        seed = int(blk.seeds[i])
-        self._local.last = (seed, blk, i)
-        return seed
-
-    def _block(self, key):
-        for blk in self._kept:
-            if blk.key == key:
-                return blk
-        return None
-
-    def child_rng(self, seed: int, k: int):
-        """The thread's reused generator of stream k set to the seed's
-        child state, or None when no kept block holds the seed."""
-        last = getattr(self._local, "last", None)
-        if last is not None and last[0] == seed:
-            _, blk, i = last
-        elif 0 <= seed <= _M64:
-            for blk in self._kept:
-                hits = np.flatnonzero(blk.seeds == np.uint64(seed))
-                if hits.size:
-                    i = int(hits[0])
-                    break
-            else:
-                return None
-        else:
-            return None
-        st_hi, st_lo, inc_hi, inc_lo = blk.states[k, i].tolist()
-        pairs = getattr(self._local, "pairs", None)
-        if pairs is None:
-            pairs = self._local.pairs = tuple(
-                (bg, np.random.Generator(bg))
-                for bg in (np.random.PCG64(0), np.random.PCG64(0)))
-        bitgen, gen = pairs[k]
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": st_hi << 64 | st_lo,
-                                  "inc": inc_hi << 64 | inc_lo},
-                        "has_uint32": 0, "uinteger": 0}
-        return gen
+@lru_cache(maxsize=2)
+def _seed_block(root: int, n: int, block: int):
+    """Replicate seeds of one aligned block of indices, in index order, and
+    both child streams' PCG64 states of each seed: arrays of shape
+    (SEED_BLOCK,) and (2, SEED_BLOCK, 4).  Numpy arrays only, no Python int
+    per seed, to keep peak memory low."""
+    r = np.arange(block * SEED_BLOCK, (block + 1) * SEED_BLOCK,
+                  dtype=np.uint32)
+    entropy = [np.full(SEED_BLOCK, word, dtype=np.uint32)
+               for word in _uint32_words(root) + _uint32_words(n)]
+    w = _seed_words(entropy + [r], 2)
+    seeds = _uint64(w[0], w[1])
+    states = np.stack([_pcg64_states(seeds, k) for k in (0, 1)])
+    # every caller gets the cached arrays themselves
+    seeds.flags.writeable = states.flags.writeable = False
+    return seeds, states
 
 
-_SEEDS = _SeedCache()
+# Per thread: ``note``, the last seed handed out with its block's states
+# and its index there, and ``pairs``, one reused PCG64 and Generator pair
+# per child stream.
+_LOCAL = threading.local()
+
+
+def _numpy_replicate_seed(root_seed: int, n: int, r: int) -> int:
+    """``replicate_seed`` through numpy's SeedSequence, deriving no block."""
+    ss = np.random.SeedSequence((root_seed, n, r))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def replicate_seed(root_seed: int, n: int, r: int) -> int:
@@ -223,28 +172,43 @@ def replicate_seed(root_seed: int, n: int, r: int) -> int:
 
     The value is ``SeedSequence((root, n, r)).generate_state(1, uint64)``.
     For nonnegative root and n and r below 2^32 it comes from the derived
-    block of r, which also holds both child streams' generator states of
-    every seed in it; other arguments go to numpy's SeedSequence, which
-    rejects negative ones.
+    block of r, and the thread notes it with its child streams' generator
+    states for ``child_rng``; other arguments go to numpy's SeedSequence,
+    which rejects negative ones.
     """
     root_seed, n, r = int(root_seed), int(n), int(r)
-    if root_seed >= 0 and n >= 0 and 0 <= r <= _M32:
-        return _SEEDS.seed(root_seed, n, r)
-    ss = np.random.SeedSequence((root_seed, n, r))
-    return int(ss.generate_state(1, np.uint64)[0])
+    if not (root_seed >= 0 and n >= 0 and 0 <= r <= _M32):
+        return _numpy_replicate_seed(root_seed, n, r)
+    seeds, states = _seed_block(root_seed, n, r // SEED_BLOCK)
+    i = r % SEED_BLOCK
+    seed = int(seeds[i])
+    _LOCAL.note = (seed, states, i)
+    return seed
 
 
 def child_rng(seed: int, k: int):
     """Generator of the seed's child stream k (0 latents, 1 edges), the
     stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent.
 
-    A seed from a kept block sets the thread's reused generator of stream
-    k, which stays valid until the thread's next call for the same k; any
-    other seed gets a fresh generator from numpy's SeedSequence.
+    The seed the thread's last ``replicate_seed`` call handed out sets the
+    thread's reused generator of stream k, which stays valid until the
+    thread's next call for the same k; any other seed gets a fresh
+    generator from numpy's SeedSequence.
     """
-    if isinstance(seed, int):
-        gen = _SEEDS.child_rng(seed, k)
-        if gen is not None:
-            return gen
-    ss = np.random.SeedSequence(seed, spawn_key=(k,))
-    return np.random.Generator(np.random.PCG64(ss))
+    note = getattr(_LOCAL, "note", None)
+    if note is None or not isinstance(seed, int) or note[0] != seed:
+        ss = np.random.SeedSequence(seed, spawn_key=(k,))
+        return np.random.Generator(np.random.PCG64(ss))
+    _, states, i = note
+    st_hi, st_lo, inc_hi, inc_lo = states[k, i].tolist()
+    pairs = getattr(_LOCAL, "pairs", None)
+    if pairs is None:
+        pairs = _LOCAL.pairs = tuple(
+            (bg, np.random.Generator(bg))
+            for bg in (np.random.PCG64(0), np.random.PCG64(0)))
+    bitgen, gen = pairs[k]
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": st_hi << 64 | st_lo,
+                              "inc": inc_hi << 64 | inc_lo},
+                    "has_uint32": 0, "uinteger": 0}
+    return gen

@@ -97,8 +97,10 @@ def test_sample_count_round_trip(capsys, tmp_path):
     assert int(out.strip()) >= 0
 
 
-# A triangle plus its first edge reversed, and a path with a self-loop and
-# a vertex past n: every motif must reject both as bad input.
+# A triangle plus its first edge reversed, a path with a self-loop and a
+# vertex past n, values out of range, and lines that do not parse, named
+# by their number in the file (blank lines count): every motif must reject
+# each as bad input.
 MALFORMED_DUMPS = {
     "reversed_duplicate": ("3 0.5 1\n1 2\n2 3\n1 3\n2 1\n"
                            "latents\n0.1\n0.2\n0.3\n"),
@@ -110,6 +112,11 @@ MALFORMED_DUMPS = {
     "nan_latent": "3 0.5 1\n1 2\nlatents\n0.1\nnan\n0.5\n",
     "latent_above_one": "3 0.5 1\n1 2\nlatents\n0.1\n1.5\n0.5\n",
     "negative_latent": "3 0.5 1\n1 2\nlatents\n-0.2\n0.1\n0.5\n",
+    "two_field_header": "3 0.5\n1 2\nlatents\n0.1\n0.2\n0.3\n",
+    "three_field_edge": "3 0.5 1\n1 2 3\nlatents\n0.1\n0.2\n0.3\n",
+    "non_integer_edge": "3 0.5 1\n\n1 x\nlatents\n0.1\n0.2\n0.3\n",
+    "no_latents_line": "3 0.5 1\n1 2\n0.1\n0.2\n0.3\n",
+    "non_numeric_latent": "3 0.5 1\n1 2\nlatents\n0.1\nabc\n0.3\n",
 }
 # the reason each one is refused, as the error names it
 MALFORMED_DUMP_REASONS = {
@@ -121,6 +128,14 @@ MALFORMED_DUMP_REASONS = {
     "nan_latent": "latent nan of vertex 2 outside [0, 1)",
     "latent_above_one": "latent 1.5 of vertex 2 outside [0, 1)",
     "negative_latent": "latent -0.2 of vertex 1 outside [0, 1)",
+    "two_field_header": "line 1: expected 'n rho seed', got '3 0.5'",
+    "three_field_edge": "line 2: expected an edge 'a b' or 'latents', "
+                        "got '1 2 3'",
+    "non_integer_edge": "line 3: expected an edge 'a b' or 'latents', "
+                        "got '1 x'",
+    "no_latents_line": "line 3: expected an edge 'a b' or 'latents', "
+                       "got '0.1'",
+    "non_numeric_latent": "line 5: expected a latent, got 'abc'",
 }
 
 

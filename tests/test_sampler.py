@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_motifs import (
@@ -20,7 +20,6 @@ from graphon_motifs import (
     sample,
     schedule_rho,
 )
-from graphon_motifs import seeding
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
     _bernoulli_positions,
@@ -29,13 +28,7 @@ from graphon_motifs.sampler import (
     _edge_layer_vectorized,
     replicate_seed,
 )
-from graphon_motifs.seeding import (
-    SEED_BLOCK,
-    _pcg64_states,
-    _SeedBlock,
-    _SeedCache,
-    child_rng,
-)
+from graphon_motifs.seeding import SEED_BLOCK, child_rng
 
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
@@ -145,6 +138,7 @@ def _dump_text(header, latents):
 @pytest.mark.parametrize("text,message", [
     ("", "empty graph dump"),
     ("\n  \n", "empty graph dump"),
+    ("3 0.5 1\n1 2\n", "dump has no latents line"),
     (_dump_text("0 0.5 1", []), "n = 0 must be at least 1"),
     (_dump_text("-2 0.5 1", []), "n = -2 must be at least 1"),
     (_dump_text("3 0.0 1", ["0.1", "0.2", "0.3"]), "rho = 0.0 must lie"),
@@ -387,25 +381,6 @@ def _numpy_replicate_seed(root, n, r):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(root=st.integers(0, 2 ** 96), n=st.integers(1, 2 ** 40),
-       r=st.integers(0, 2 ** 32 - 1))
-@example(root=0, n=1, r=SEED_BLOCK - 1)
-@example(root=0, n=1, r=SEED_BLOCK)
-@example(root=2 ** 32 + 7, n=2 ** 32, r=SEED_BLOCK - 1)
-@example(root=2 ** 64 - 1, n=2 ** 32 + 1, r=SEED_BLOCK)
-@example(root=2 ** 64 - 1, n=1, r=2 ** 32 - 1)
-@example(root=2 ** 70 + 3, n=6, r=SEED_BLOCK)
-@example(root=2 ** 70 + 3, n=2 ** 64, r=SEED_BLOCK - 1)
-def test_block_seeds_match_numpy_seed_sequence(root, n, r):
-    # the block derivation restates numpy's SeedSequence; if numpy ever
-    # changes its seeding, this fails first
-    blk = _SeedBlock(root, n, r // SEED_BLOCK)
-    assert blk.seeds[r % SEED_BLOCK] == _numpy_replicate_seed(root, n, r)
-    assert blk.seeds[0] == _numpy_replicate_seed(root, n, r - r % SEED_BLOCK)
-    assert replicate_seed(root, n, r) == _numpy_replicate_seed(root, n, r)
-
-
 @pytest.mark.parametrize("r", [2 ** 32, 2 ** 64 + 5])
 def test_replicate_seed_past_the_block_range_uses_numpy(r):
     assert replicate_seed(3, 6, r) == _numpy_replicate_seed(3, 6, r)
@@ -419,87 +394,13 @@ def test_replicate_seed_rejects_negative_arguments(args):
         replicate_seed(*args)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
-@example(seeds=[0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
-def test_pcg64_states_match_numpy(seeds):
-    for k in (0, 1):
-        states = _pcg64_states(np.array(seeds, dtype=np.uint64), k)
-        for i, seed in enumerate(seeds):
-            st_hi, st_lo, inc_hi, inc_lo = states[i].tolist()
-            ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
-            assert ref.state["state"] == {"state": st_hi << 64 | st_lo,
-                                          "inc": inc_hi << 64 | inc_lo}
-
-
-@pytest.mark.parametrize("k", [0, 1])
-def test_prefetched_generator_state_equals_numpy(k):
-    seeds = [replicate_seed(77, 6, r) for r in (5, 6)]
-    gen = child_rng(seeds[0], k)
-    # a hit reuses the thread's generator of stream k
-    assert child_rng(seeds[1], k) is gen
-    for seed in seeds:
-        ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
-        gen = child_rng(seed, k)
-        assert gen.bit_generator.state == ref.state
-        # a 32-bit draw leaves half a word buffered, which a hit must reset
-        draws = np.random.Generator(ref).random(7)
-        assert np.array_equal(gen.random(7), draws)
-        gen.integers(0, 2 ** 32, dtype=np.uint32)
-        np.random.Generator(ref).integers(0, 2 ** 32, dtype=np.uint32)
-        assert gen.bit_generator.state == ref.state
-        assert gen.bit_generator.state["has_uint32"] == 1
-    gen = child_rng(seeds[0], k)
-    assert gen.bit_generator.state == np.random.PCG64(
-        np.random.SeedSequence(seeds[0], spawn_key=(k,))).state
-
-
-def test_seed_cache_under_thread_contention(monkeypatch):
-    # more threads than cores, switching often, each walking its own range
-    # of blocks: every seed and generator state must still be numpy's
-    import sys
-    import threading
-    monkeypatch.setattr(seeding, "_SEEDS", _SeedCache())
-    errors = []
-
-    def work(t):
-        prev = None
-        try:
-            for r in range(t * 300, t * 300 + 3 * SEED_BLOCK, 97):
-                seed = replicate_seed(5, 6, r)
-                for s in (seed, prev):
-                    if s is None:
-                        continue
-                    ref = np.random.PCG64(
-                        np.random.SeedSequence(s, spawn_key=(1,)))
-                    if child_rng(s, 1).bit_generator.state != ref.state:
-                        errors.append((t, r, s))
-                if seed != _numpy_replicate_seed(5, 6, r):
-                    errors.append((t, r))
-                prev = seed
-        except Exception as exc:  # a worker's failure must fail the test
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
-    assert errors == []
-
-
 @pytest.mark.parametrize("n", [6, 40])
-def test_prefetch_hit_and_miss_sample_the_same_graph(monkeypatch, n):
+def test_prefetch_hit_and_miss_sample_the_same_graph(n):
     seed = replicate_seed(31, n, SEED_BLOCK + 3)
     hit = sample(W_ASYM, n, 0.3, seed)
     hit_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)
-    monkeypatch.setattr(seeding, "_SEEDS", _SeedCache())
+    # another seed handed out: the thread's note no longer names this one
+    replicate_seed(31, n, 0)
     assert child_rng(seed, 0) is not child_rng(seed, 0)
     miss = sample(W_ASYM, n, 0.3, seed)
     miss_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)

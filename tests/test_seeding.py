@@ -1,0 +1,155 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphon_motifs import (
+    ExperimentConfig,
+    SparsitySchedule,
+    named_graphon,
+    named_motif,
+)
+from graphon_motifs import experiments
+from graphon_motifs.seeding import (
+    SEED_BLOCK,
+    _pcg64_states,
+    _seed_block,
+    child_rng,
+    replicate_seed,
+)
+
+
+def _numpy_replicate_seed(root, n, r):
+    ss = np.random.SeedSequence((root, n, r))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _numpy_state(seed, k):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=st.integers(0, 2 ** 96), n=st.integers(1, 2 ** 40),
+       r=st.integers(0, 2 ** 32 - 1))
+@example(root=0, n=1, r=SEED_BLOCK - 1)
+@example(root=0, n=1, r=SEED_BLOCK)
+@example(root=2 ** 32 + 7, n=2 ** 32, r=SEED_BLOCK - 1)
+@example(root=2 ** 64 - 1, n=2 ** 32 + 1, r=SEED_BLOCK)
+@example(root=2 ** 64 - 1, n=1, r=2 ** 32 - 1)
+@example(root=2 ** 70 + 3, n=6, r=SEED_BLOCK)
+@example(root=2 ** 70 + 3, n=2 ** 64, r=SEED_BLOCK - 1)
+def test_block_seeds_match_numpy_seed_sequence(root, n, r):
+    # the block derivation restates numpy's SeedSequence; if numpy ever
+    # changes its seeding, this fails first
+    seeds, states = _seed_block(root, n, r // SEED_BLOCK)
+    assert seeds.shape == (SEED_BLOCK,)
+    assert states.shape == (2, SEED_BLOCK, 4)
+    assert seeds[r % SEED_BLOCK] == _numpy_replicate_seed(root, n, r)
+    assert seeds[0] == _numpy_replicate_seed(root, n, r - r % SEED_BLOCK)
+    assert replicate_seed(root, n, r) == _numpy_replicate_seed(root, n, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+@example(seeds=[0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_pcg64_states_match_numpy(seeds):
+    for k in (0, 1):
+        states = _pcg64_states(np.array(seeds, dtype=np.uint64), k)
+        for i, seed in enumerate(seeds):
+            st_hi, st_lo, inc_hi, inc_lo = states[i].tolist()
+            assert _numpy_state(seed, k)["state"] == {
+                "state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_prefetched_generator_state_equals_numpy(k):
+    seeds = [replicate_seed(77, 6, r) for r in (5, 6)]
+    gen = child_rng(seeds[1], k)
+    # the seed handed out last reuses the thread's generator of stream k;
+    # an earlier seed of the same block gets a fresh one from numpy
+    assert child_rng(seeds[1], k) is gen
+    assert child_rng(seeds[0], k) is not gen
+    assert child_rng(seeds[0], k) is not child_rng(seeds[0], k)
+    for r, seed in zip((5, 6), seeds):
+        assert replicate_seed(77, 6, r) == seed
+        ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+        gen = child_rng(seed, k)
+        assert gen.bit_generator.state == ref.state
+        # a 32-bit draw leaves half a word buffered, which a hit must reset
+        draws = np.random.Generator(ref).random(7)
+        assert np.array_equal(gen.random(7), draws)
+        gen.integers(0, 2 ** 32, dtype=np.uint32)
+        np.random.Generator(ref).integers(0, 2 ** 32, dtype=np.uint32)
+        assert gen.bit_generator.state == ref.state
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert child_rng(seed, k) is gen
+        assert gen.bit_generator.state == _numpy_state(seed, k)
+    # a miss builds its generator through numpy
+    assert child_rng(seeds[0], k).bit_generator.state == \
+        _numpy_state(seeds[0], k)
+
+
+def test_seed_cache_under_thread_contention():
+    # more threads than cores, switching often, each walking its own range
+    # of blocks: every seed and generator state must still be numpy's
+    _seed_block.cache_clear()
+    errors = []
+
+    def work(t):
+        prev = None
+        try:
+            for r in range(t * 300, t * 300 + 3 * SEED_BLOCK, 97):
+                seed = replicate_seed(5, 6, r)
+                for s in (seed, prev):
+                    if s is None:
+                        continue
+                    if child_rng(s, 1).bit_generator.state != \
+                            _numpy_state(s, 1):
+                        errors.append((t, r, s))
+                if seed != _numpy_replicate_seed(5, 6, r):
+                    errors.append((t, r))
+                prev = seed
+        except Exception as exc:  # a worker's failure must fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+
+
+def test_conditional_clt_cell_derives_no_block_for_its_latent_seed(
+        monkeypatch):
+    # the frozen latent seed goes through numpy: a cell of fewer than
+    # SEED_BLOCK replicates derives only the block of indices 0..R-1
+    handed = []
+    numpy_seed = experiments._numpy_replicate_seed
+
+    def recording(root, n, r):
+        seed = numpy_seed(root, n, r)
+        handed.append(((root, n, r), seed))
+        return seed
+
+    monkeypatch.setattr(experiments, "_numpy_replicate_seed", recording)
+    cfg = ExperimentConfig(
+        experiment_kind="conditional_clt", motif=named_motif("triangle"),
+        graphon=named_graphon("W_sym"), schedule=SparsitySchedule(1.0, 0.5),
+        n_values=(20,), replicates=60, seed=2718)
+    _seed_block.cache_clear()
+    cell = experiments._replicate_cell(cfg, 20, 1)
+    assert _seed_block.cache_info().misses == 1
+    assert handed == [((2718, 20, 0xFEED0000), np.random.SeedSequence(
+        (2718, 20, 0xFEED0000)).generate_state(1, np.uint64)[0])]
+    assert cell.seed.tolist() == [_numpy_replicate_seed(2718, 20, r)
+                                  for r in range(60)]
