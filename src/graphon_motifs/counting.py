@@ -50,7 +50,8 @@ def count(g: SampledGraph, m: Motif) -> int:
 
     Single edges and triangles take dedicated paths (edge total, forward
     triangle count); everything else goes through the level-wise counter on
-    the graph's cached CSR.  The fast paths agree with the generic path by
+    the graph's cached CSR, which counts its last level from degrees and
+    codegrees where it can.  The fast paths agree with the generic path by
     construction and by test.
     """
     key = canonical_key(m)

@@ -554,6 +554,7 @@ def _host_csr(host_n: int, host_edges) -> CSR:
     return csr_from_sorted_edges(host_n, edges)
 
 
+@lru_cache(maxsize=4096)
 def _embedding_plan(m: Motif) -> tuple:
     """Per level of the extension: (required degree, columns of the placed
     neighbors, columns of the other placed vertices)."""
@@ -579,6 +580,92 @@ def _embedding_plan(m: Motif) -> tuple:
     return tuple(plan)
 
 
+def _codegree_table(n: int, csr: CSR) -> np.ndarray:
+    """Common neighbors of every pair u < v, an int32 table keyed
+    ``u * (n + 1) + v`` like the pair table: each wedge u - w - v (a path
+    of length two, Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one
+    to its pair, summed one EXPANSION_CHUNK window at a time."""
+    indptr, indices = csr
+    src = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(indptr))
+    # neighbors after each entry in its own row: its wedge partners
+    later = indptr[src + 1] - np.arange(indices.size) - 1
+    table = np.zeros((n + 1) ** 2, dtype=np.int32)
+    for first, off in expansion_windows(later):
+        keys, hits = np.unique(
+            indices[first] * (n + 1) + indices[first + 1 + off],
+            return_counts=True)
+        table[keys] += hits
+    return table
+
+
+class _Host(NamedTuple):
+    """What the extension levels read of the host graph."""
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    deg: np.ndarray
+    keys: np.ndarray
+    codeg: np.ndarray | None
+
+
+def _count_last(host: _Host, cols: list, anchors: tuple, others: tuple) -> int:
+    """Images of the last motif vertex over the partial images ``cols``,
+    from degrees and codegrees.  Its required degree is its number of
+    anchors, so its candidates are all vertices (no anchor), the neighbors
+    of one anchor, or the common neighbors of two, less the placed other
+    vertices among them."""
+    if not anchors:
+        return cols[0].size * (host.n - len(others))
+    a = cols[anchors[0]]
+    if len(anchors) == 1:
+        total = int(host.deg[a].sum())
+    else:
+        b = cols[anchors[1]]
+        pair = np.minimum(a, b) * (host.n + 1) + np.maximum(a, b)
+        total = int(host.codeg[pair].sum())
+    for c in others:
+        inside = has_pair(host.keys, host.n, cols[c], a)
+        if len(anchors) == 2:
+            inside &= has_pair(host.keys, host.n, cols[c], b)
+        total -= int(np.count_nonzero(inside))
+    return total
+
+
+def _extend(host: _Host, plan: tuple, cols: list, depth: int) -> int:
+    """Injective extensions of the partial images ``cols`` (one column per
+    placed motif vertex, one row per image) to the motif vertices of
+    ``plan[depth:]``."""
+    need, anchors, others = plan[depth]
+    last = depth + 1 == len(plan)
+    if last and (len(anchors) < 2
+                 or len(anchors) == 2 and host.codeg is not None):
+        return _count_last(host, cols, anchors, others)
+    if anchors:
+        base = cols[anchors[0]]
+        counts = host.deg[base]
+        start = host.indptr[base]
+    else:
+        pool = np.flatnonzero(host.deg[1:] >= need) + 1
+        counts = np.full(cols[0].size, pool.size, dtype=np.int64)
+    found = 0
+    for row, off in expansion_windows(counts):
+        h = host.indices[start[row] + off] if anchors else pool[off]
+        keep = host.deg[h] >= need
+        for c in anchors[1:]:
+            keep &= has_pair(host.keys, host.n, cols[c][row], h)
+        for c in others:
+            keep &= cols[c][row] != h
+        if last:
+            found += int(np.count_nonzero(keep))
+        else:
+            row = row[keep]
+            found += _extend(host, plan,
+                             [col[row] for col in cols] + [h[keep]],
+                             depth + 1)
+    return found
+
+
 def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
     """Copies of m in a simple host graph on vertices 1..host_n.
 
@@ -587,8 +674,12 @@ def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
     are extended one motif vertex at a time, most-connected-first: each
     partial image grows by the neighbors of one placed anchor, pruned by
     degree, by adjacency to the other anchors and by injectivity, at most
-    EXPANSION_CHUNK candidates at once.  Their number, divided by the
-    automorphism count, is the copy count.
+    EXPANSION_CHUNK candidates at once.  The last motif vertex is counted,
+    not enumerated, when it has at most two anchors: from the host size,
+    an anchor's degree, or the two anchors' codegree, read from a table of
+    common-neighbor counts built from the host's wedges while it has at
+    most PAIR_TABLE_CELLS // 4 int32 cells.  The number of homomorphisms,
+    divided by the automorphism count, is the copy count.
     """
     csr = host_edges if isinstance(host_edges, CSR) else _host_csr(
         host_n, host_edges)
@@ -597,38 +688,19 @@ def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
         return 0
     if m.edge_count and csr.indices.size == 0:
         return 0
-    indptr, indices = csr
-    deg = np.diff(indptr)
-    keys = csr_pair_keys(host_n, csr)
     plan = _embedding_plan(m)
-
-    def extend(cols: list, depth: int) -> int:
-        need, anchors, others = plan[depth]
-        if anchors:
-            base = cols[anchors[0]]
-            counts = deg[base]
-            start = indptr[base]
-        else:
-            pool = np.flatnonzero(deg[1:] >= need) + 1
-            counts = np.full(cols[0].size, pool.size, dtype=np.int64)
-        found = 0
-        for row, off in expansion_windows(counts):
-            h = indices[start[row] + off] if anchors else pool[off]
-            keep = deg[h] >= need
-            for c in anchors[1:]:
-                keep &= has_pair(keys, host_n, cols[c][row], h)
-            for c in others:
-                keep &= cols[c][row] != h
-            if depth + 1 == k:
-                found += int(np.count_nonzero(keep))
-            else:
-                row = row[keep]
-                found += extend([col[row] for col in cols] + [h[keep]],
-                                depth + 1)
-        return found
-
+    deg = np.diff(csr.indptr)
     first = np.flatnonzero(deg[1:] >= plan[0][0]) + 1
-    total = first.size if k == 1 else extend([first], 1)
+    if k == 1:
+        total = first.size
+    else:
+        codeg = None
+        if (len(plan[-1][1]) == 2
+                and (host_n + 1) ** 2 <= PAIR_TABLE_CELLS // 4):
+            codeg = _codegree_table(host_n, csr)
+        host = _Host(host_n, csr.indptr, csr.indices, deg,
+                     csr_pair_keys(host_n, csr), codeg)
+        total = _extend(host, plan, [first], 1)
     aut = automorphism_count(m)
     assert total % aut == 0
     return total // aut

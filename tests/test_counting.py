@@ -153,6 +153,19 @@ def test_counts_with_sorted_pair_keys(monkeypatch):
     assert count_embeddings(16, k16, c4) == copies_in_complete(c4, 16)
 
 
+@pytest.mark.parametrize("cells", [0, 61 ** 2])
+def test_counts_without_the_tables(monkeypatch, cells):
+    # 0: no pair table and no codegree table; 61^2: a pair table but no
+    # codegree table, so two-anchor last levels are enumerated
+    g = sample(W_ASYM, 60, 0.3, 8)
+    with_tables = [(count(g, m), count_embeddings(60, g.adjacency(), m))
+                   for m in PROPERTY_MOTIFS]
+    assert (60 + 1) ** 2 <= motif.PAIR_TABLE_CELLS // 4
+    monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", cells)
+    assert with_tables == [(count(g, m), count_embeddings(60, g.adjacency(), m))
+                           for m in PROPERTY_MOTIFS]
+
+
 def test_expected_count_fixtures():
     w1 = StepGraphon.constant(1.0)
     assert expected_count(K2, w1, 10, 0.3) == pytest.approx(45 * 0.3)

@@ -1,3 +1,5 @@
+import gc
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_motifs import (
+    ExperimentConfig,
     Motif,
+    SparsitySchedule,
     automorphism_count,
     canonical_form,
     canonical_relabel,
@@ -16,7 +20,10 @@ from graphon_motifs import (
     density_exponents,
     is_isomorphic,
     join_catalog,
+    named_graphon,
     named_motif,
+    run_experiment,
+    sample,
     vertex_join,
 )
 from graphon_motifs.motif import EXPANSION_CHUNK
@@ -337,6 +344,62 @@ def test_count_embeddings_against_subset_oracle():
         edges = [e for e in pairs if rng.random() < 0.4]
         for m in motifs:
             assert count_embeddings(n, edges, m) == subset_count_oracle(n, edges, m)
+
+
+def _dense_adjacency(g):
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    a[g.edges[:, 0] - 1, g.edges[:, 1] - 1] = 1
+    return a + a.T
+
+
+@pytest.mark.parametrize("graphon", ["W_sym", "W_asym"])
+def test_count_embeddings_against_degree_identities(graphon):
+    # path3 and the 3-star from degrees, c4 from the codegrees of the dense
+    # adjacency matrix: each 4-cycle is two common neighbors of either of
+    # its two diagonals
+    n = 150
+    g = sample(named_graphon(graphon), n, 2 / math.sqrt(n), 31)
+    a = _dense_adjacency(g)
+    deg = a.sum(axis=1)
+    codeg = (a @ a)[np.triu_indices(n, 1)]
+    star3 = Motif(4, [(1, 2), (1, 3), (1, 4)])
+    c4 = named_motif("c4")
+    want = {P3: sum(math.comb(int(d), 2) for d in deg),
+            star3: sum(math.comb(int(d), 3) for d in deg),
+            c4: sum(math.comb(int(c), 2) for c in codeg) // 2}
+    assert want[c4] > 0
+    for m, expect in want.items():
+        assert count_embeddings(n, g.adjacency(), m) == expect
+
+
+def test_count_embeddings_five_vertex_classes_against_subset_oracle():
+    connected = [m for m in {canonical_form(m): m
+                             for m in all_graphs_on(5)}.values()
+                 if m.is_connected()]
+    assert len(connected) == 21
+    rng = np.random.default_rng(505)
+    for n, p in ((5, 0.9), (7, 0.6), (9, 0.5), (9, 0.8)):
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = [e for e in pairs if rng.random() < p]
+        for m in connected:
+            assert count_embeddings(n, edges, m) == subset_count_oracle(n, edges, m)
+
+
+def test_count_embeddings_leaves_no_reference_cycle():
+    # a cycle would keep the pair and codegree tables alive until the
+    # cyclic collector runs
+    g = sample(named_graphon("W_sym"), 150, 150 ** -0.5, 3)
+    cfg = ExperimentConfig("clt", named_motif("c4"), named_graphon("W_sym"),
+                           SparsitySchedule(1.0, 0.5), (150,), 60, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_embeddings(150, g.adjacency(), named_motif("c4")) > 0
+        assert gc.collect() == 0
+        run_experiment(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_relabel_is_isomorphic():
