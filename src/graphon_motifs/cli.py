@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -280,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-experiment", help="run a configured campaign")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="replicate threads per cell (default 1); the "
+                        "summaries are the same at any count")
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")
     p.set_defaults(func=cmd_run_experiment)

@@ -17,11 +17,17 @@ Reproducibility contract (pinned by a golden test):
   geometric gaps by inversion of uniforms;
 - strata are visited in a fixed order (same-block pairs by block index,
   then cross-block pairs in lexicographic order), and each stratum consumes
-  uniforms in batches of ``_batch_size`` until its pair stream is exhausted.
+  uniforms in batches of ``_batch_size`` until its pair stream is exhausted;
+- ``sample`` and ``resample_edges`` draw every stratum's positions, and so
+  consume every uniform of the graph, before they return; a graph decodes
+  the positions into its sorted edge array on the first read of ``edges``
+  and consumes no uniform doing so, so an undecoded graph stays valid after
+  the thread's reused generators move on to the next replicate.
 
-Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices decode the same
-uniforms on Python scalars instead of numpy arrays; the two edge paths
-give the same edges and leave the generator in the same state.
+Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
+same uniforms on Python scalars instead of numpy arrays; the two edge
+paths draw the same positions, decode them to the same edges and leave the
+generator in the same state.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and both child streams'
@@ -36,13 +42,14 @@ other seed builds one through numpy.  Either way the streams are the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
-from .graphon import StepGraphon, _arrays
+from .graphon import StepGraphon
 from .seeding import child_rng, replicate_seed
 
 # Graphs of at most this many vertices take the scalar edge path.  Edge
@@ -56,21 +63,53 @@ from .seeding import child_rng, replicate_seed
 SMALL_GRAPH_VERTICES = 30
 
 
-@dataclass
 class SampledGraph:
-    """One realization of the model, with its latent layer retained."""
+    """One realization of the model, with its latent layer retained.
 
-    n: int
-    rho: float
-    seed: int
-    latents: np.ndarray
-    blocks: np.ndarray
-    edges: np.ndarray  # shape (m, 2), 1-based, i < j, lexicographically sorted
-    _csr: CSR = field(default=None, repr=False, compare=False)
+    ``edges`` is the (m, 2) int64 array of 1-based pairs i < j in
+    lexicographic order.  A graph from ``sample`` or ``resample_edges``
+    keeps its edge layer as drawn, the Bernoulli positions of every
+    block-pair stratum and their total, and decodes them into ``edges`` on
+    the first read; the positions are dropped then.  ``edge_count`` is the
+    drawn total and never decodes, so a count of single edges reads no pair.
+    Decoding consumes no random numbers and gives the same array from any
+    thread.  A graph built from an edge array (``from_dump``) holds it.
+    """
+
+    def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
+                 blocks: np.ndarray, edges):
+        """``edges`` is the (m, 2) edge array or an ``_edge_layer`` draw."""
+        self.n = n
+        self.rho = rho
+        self.seed = seed
+        self.latents = latents
+        self.blocks = blocks
+        self._csr = None
+        if isinstance(edges, np.ndarray):
+            self._edges, self._strata = edges, None
+            self._edge_count = int(edges.shape[0])
+        else:
+            self._edges = None
+            self._strata, self._edge_count = edges
+
+    @property
+    def edges(self) -> np.ndarray:
+        edges = self._edges
+        if edges is None:
+            # two threads may decode at once: each reads the draw into a
+            # local and stores an equal array before dropping the draw, so
+            # a dropped draw means the array is already stored
+            strata = self._strata
+            if strata is None:
+                return self._edges
+            edges = _decode_edges(strata, self.n)
+            self._edges = edges
+            self._strata = None
+        return edges
 
     @property
     def edge_count(self) -> int:
-        return int(self.edges.shape[0])
+        return self._edge_count
 
     def adjacency(self) -> CSR:
         """Neighbor arrays of vertices 1..n as a CSR; built on demand."""
@@ -215,49 +254,70 @@ def _decode_within(idx: np.ndarray, nb: int):
     return i, idx - starts[i] + i + 1
 
 
-def _stratum_keys(rng, verts_b, verts_c, p: float, stride: int) -> np.ndarray:
-    """Edges drawn inside one block-pair stratum, as global pair keys
-    lo*stride + hi."""
-    if verts_c is None:
-        nb = verts_b.size
-        i, j = _decode_within(
-            _bernoulli_positions(rng, nb * (nb - 1) // 2, p), nb)
-        # block vertex arrays ascend, so i < j gives lo, hi
-        return verts_b[i] * stride + verts_b[j]
-    nc = verts_c.size
-    i, j = np.divmod(_bernoulli_positions(rng, verts_b.size * nc, p), nc)
-    x, y = verts_b[i], verts_c[j]
-    return np.minimum(x, y) * stride + np.maximum(x, y)
+def _draw_strata(w: StepGraphon, verts: list, rho: float, rng,
+                 positions) -> tuple:
+    """Draw every block-pair stratum's Bernoulli positions with
+    ``positions``, in the fixed stratum order: same-block pairs by block
+    index, then cross-block pairs in lexicographic order.  Returns the
+    strata as (block b vertices, block c vertices or None within a block,
+    positions) and the total count of positions, the graph's edge count."""
+    K = w.block_count
+    strata = []
+    total = 0
+    for b, c in [(b, b) for b in range(K)] + list(combinations(range(K), 2)):
+        vb, vc = verts[b], verts[c]
+        nb = len(vb)
+        slots = nb * (nb - 1) // 2 if b == c else nb * len(vc)
+        pos = positions(rng, slots, rho * w.values[b][c])
+        strata.append((vb, None if b == c else vc, pos))
+        total += len(pos)
+    return strata, total
 
 
 def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
-                       rng) -> np.ndarray:
-    """``_edge_layer`` on Python scalars: strata in the same order, each
-    pair packed into one key lo*(n+1)+hi, the keys sorted once."""
-    vals = w.values
-    K = w.block_count
-    stride = blocks.size + 1
-    verts = [[] for _ in range(K)]
+                       rng) -> tuple:
+    """The draw of the scalar edge path: vertex and position lists."""
+    verts = [[] for _ in range(w.block_count)]
     for v, b in enumerate(blocks.tolist(), 1):
         verts[b].append(v)
+    return _draw_strata(w, verts, rho, rng, _bernoulli_positions_scalar)
+
+
+def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
+                           rng) -> tuple:
+    """The draw of the vectorized edge path: int64 vertex and position
+    arrays."""
+    verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
+             for b in range(w.block_count)]
+    return _draw_strata(w, verts, rho, rng, _bernoulli_positions)
+
+
+def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> tuple:
+    """(strata, edge count) of one graph's edge layer; both paths consume
+    the same uniforms and draw the same positions."""
+    if blocks.size <= SMALL_GRAPH_VERTICES:
+        return _edge_layer_scalar(w, blocks, rho, rng)
+    return _edge_layer_vectorized(w, blocks, rho, rng)
+
+
+def _decode_scalar(strata: list, n: int) -> np.ndarray:
+    """Sorted (m, 2) edges of a scalar draw: each pair packed into one key
+    lo*(n+1)+hi, the keys sorted once."""
+    stride = n + 1
     keys = []
-    for b in range(K):
-        vb = verts[b]
-        nb = len(vb)
-        # positions ascend, so walk the rows: row i holds slots [start, end)
-        i, start, end = 0, 0, nb - 1
-        for t in _bernoulli_positions_scalar(rng, nb * (nb - 1) // 2,
-                                             rho * vals[b][b]):
-            while t >= end:
-                i += 1
-                start, end = end, end + nb - 1 - i
-            keys.append(vb[i] * stride + vb[t - start + i + 1])
-    for b in range(K):
-        for c in range(b + 1, K):
-            vb, vc = verts[b], verts[c]
+    for vb, vc, positions in strata:
+        if vc is None:
+            nb = len(vb)
+            # positions ascend, so walk the rows: row i holds slots [start, end)
+            i, start, end = 0, 0, nb - 1
+            for t in positions:
+                while t >= end:
+                    i += 1
+                    start, end = end, end + nb - 1 - i
+                keys.append(vb[i] * stride + vb[t - start + i + 1])
+        else:
             nc = len(vc)
-            for t in _bernoulli_positions_scalar(rng, len(vb) * nc,
-                                                 rho * vals[b][c]):
+            for t in positions:
                 x, y = vb[t // nc], vc[t % nc]
                 keys.append(x * stride + y if x < y else y * stride + x)
     keys.sort()
@@ -265,31 +325,34 @@ def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
     return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
-def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
-                           rng) -> np.ndarray:
-    _, vals, _ = _arrays(w)
-    K = w.block_count
-    stride = blocks.size + 1
-    verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1 for b in range(K)]
-    parts = [_stratum_keys(rng, verts[b], None, rho * vals[b, b], stride)
-             for b in range(K)]
-    for b in range(K):
-        for c in range(b + 1, K):
-            parts.append(_stratum_keys(rng, verts[b], verts[c],
-                                       rho * vals[b, c], stride))
+def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
+    """Edges of one block-pair stratum as global pair keys lo*stride + hi."""
+    if verts_c is None:
+        i, j = _decode_within(positions, verts_b.size)
+        # block vertex arrays ascend, so i < j gives lo, hi
+        return verts_b[i] * stride + verts_b[j]
+    i, j = np.divmod(positions, verts_c.size)
+    x, y = verts_b[i], verts_c[j]
+    return np.minimum(x, y) * stride + np.maximum(x, y)
+
+
+def _decode_vectorized(strata: list, n: int) -> np.ndarray:
+    """Sorted (m, 2) edges of a vectorized draw."""
+    stride = n + 1
     # the keys are distinct, so sorting them gives the lexicographic order
-    keys = np.concatenate(parts)
+    keys = np.concatenate([_stratum_keys(vb, vc, pos, stride)
+                           for vb, vc, pos in strata])
     keys.sort()
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, stride, out=(edges[:, 0], edges[:, 1]))
     return edges
 
 
-def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> np.ndarray:
-    """Sorted (m, 2) edge array of one graph; both paths give the same."""
-    if blocks.size <= SMALL_GRAPH_VERTICES:
-        return _edge_layer_scalar(w, blocks, rho, rng)
-    return _edge_layer_vectorized(w, blocks, rho, rng)
+def _decode_edges(strata: list, n: int) -> np.ndarray:
+    """Decode an ``_edge_layer`` draw of an n-vertex graph; no uniforms."""
+    if n <= SMALL_GRAPH_VERTICES:
+        return _decode_scalar(strata, n)
+    return _decode_vectorized(strata, n)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
@@ -308,9 +371,8 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
         raise ValueError("rho must lie in (0, 1]")
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
-    edges = _edge_layer(w, blocks, rho, child_rng(seed, 1))
     return SampledGraph(latents.size, float(rho), int(seed), latents, blocks,
-                        edges)
+                        _edge_layer(w, blocks, rho, child_rng(seed, 1)))
 
 
 # ---------------------------------------------------------------------------

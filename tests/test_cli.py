@@ -1,10 +1,15 @@
 import csv
 import json
 import re
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from graphon_motifs.cli import main
+from graphon_motifs import SampledGraph
+from graphon_motifs.cli import build_parser, main
+from graphon_motifs.motif import _NAMED
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +157,70 @@ def test_count_rejects_malformed_dump(capsys, tmp_path, dump, motif):
     assert MALFORMED_DUMP_REASONS[dump] in err
 
 
+@st.composite
+def _dump_with_one_fault(draw):
+    """A valid dump, and the same dump with one malformation injected: a
+    self-loop, an out-of-range vertex, a duplicate or reversed duplicate
+    edge, a wrong latent count or a non-integer token in an edge line."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1),
+                                                             2))),
+                          unique=True, max_size=8))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+    latents = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                            min_size=n, max_size=n))
+    fault = draw(st.sampled_from(["self_loop", "out_of_range", "duplicate",
+                                  "reversed_duplicate", "latent_count",
+                                  "non_integer"]))
+    bad_edges, bad_latents = list(edges), list(latents)
+    if fault == "self_loop":
+        v = draw(st.integers(1, n))
+        bad_edges.insert(draw(st.integers(0, len(edges))), (v, v))
+    elif fault == "out_of_range":
+        v = draw(st.one_of(st.integers(-3, 0), st.integers(n + 1, n + 4)))
+        e = (draw(st.integers(1, n)), v)
+        bad_edges.insert(draw(st.integers(0, len(edges))),
+                         e[::-1] if draw(st.booleans()) else e)
+    elif fault in ("duplicate", "reversed_duplicate"):
+        if not edges:
+            edges.append((1, 2))
+            bad_edges.append((1, 2))
+        a, b = draw(st.sampled_from(edges))
+        e = (b, a) if fault == "reversed_duplicate" else (a, b)
+        bad_edges.insert(draw(st.integers(0, len(bad_edges))), e)
+    elif fault == "latent_count":
+        size = draw(st.integers(0, n + 3).filter(lambda k: k != n))
+        bad_latents = (latents + [0.5] * 3)[:size]
+    else:
+        token = draw(st.sampled_from(["x", "1.5", "2e0", "nan", "0x1", "--1"]))
+        k = draw(st.integers(0, len(edges)))
+        e = list(edges[k]) if k < len(edges) else [1, 2]
+        e[draw(st.integers(0, 1))] = token
+        bad_edges[k:k + (k < len(edges))] = [tuple(e)]
+
+    def text(es, us):
+        return "\n".join([f"{n} 0.5 3", *(f"{a} {b}" for a, b in es),
+                          "latents", *map(repr, us)]) + "\n"
+
+    return text(edges, latents), text(bad_edges, bad_latents)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_dump_with_one_fault())
+def test_count_rejects_any_malformed_dump(capsys, tmp_path, dumps):
+    valid, bad = dumps
+    SampledGraph.from_dump(valid)
+    path = tmp_path / "g.txt"
+    path.write_text(bad)
+    for motif in sorted(_NAMED):
+        code, out, err = run_cli(capsys, "count", "--graph", str(path),
+                                 "--motif", motif)
+        assert code == 2, (motif, bad)
+        assert out == ""
+        assert "malformed graph dump" in err
+
+
 def test_sample_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli(capsys, "sample", "--graphon", "W_sym", "--n", "50",
@@ -257,6 +326,12 @@ def test_run_experiment_has_no_format_flag(capsys, tmp_path):
                            "--format", "json")
     assert code == 2
     assert "--format" in err
+
+
+def test_run_experiment_defaults_to_one_thread():
+    args = build_parser().parse_args(
+        ["run-experiment", "--config", "c.json", "--out-dir", "o"])
+    assert args.threads == 1
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

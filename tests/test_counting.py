@@ -25,7 +25,7 @@ from graphon_motifs import (
     named_motif,
     sample,
 )
-from graphon_motifs import motif
+from graphon_motifs import motif, sampler
 from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
@@ -55,6 +55,22 @@ def test_count_empty_graph():
     g = sample(StepGraphon.constant(1e-9), 8, 1e-6, 3)
     assert g.edge_count == 0
     assert count(g, K3) == 0
+
+
+@pytest.mark.parametrize("n", [6, 200, 2000])
+def test_edge_count_does_not_decode(monkeypatch, n):
+    def refuse(strata, n):
+        raise AssertionError("decoded")
+
+    rho = 2 / math.sqrt(n)
+    g = sample(W_ASYM, n, rho, replicate_seed(9, n, 0))
+    h = resample_edges(W_ASYM, g.latents, rho, replicate_seed(9, n, 1))
+    monkeypatch.setattr(sampler, "_decode_edges", refuse)
+    got = [count(g, K2), count(h, K2)]
+    with pytest.raises(AssertionError, match="decoded"):
+        g.edges
+    monkeypatch.undo()
+    assert got == [g.edges.shape[0], h.edges.shape[0]]
 
 
 def test_count_matches_subset_oracle_on_random_graphs():

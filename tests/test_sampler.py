@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,12 +25,15 @@ from graphon_motifs import (
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
     _bernoulli_positions,
+    _decode_scalar,
+    _decode_vectorized,
     _decode_within,
     _edge_layer_scalar,
     _edge_layer_vectorized,
     replicate_seed,
 )
-from graphon_motifs.seeding import SEED_BLOCK, child_rng
+from graphon_motifs import seeding
+from graphon_motifs.seeding import SEED_BLOCK, _pcg64_states, child_rng
 
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
@@ -180,6 +185,82 @@ def test_resample_edges_keeps_latents():
 
 
 # ---------------------------------------------------------------------------
+# the deferred decode
+
+
+def _hand_out(monkeypatch, seed):
+    """Note ``seed`` as the thread's last handed-out replicate seed, so
+    that ``sample`` draws it on the thread's reused generators."""
+    states = np.stack([_pcg64_states(np.array([seed], dtype=np.uint64), k)
+                       for k in (0, 1)])
+    monkeypatch.setattr(seeding._LOCAL, "note", (seed, states, 0),
+                        raising=False)
+
+
+# the digests of test_sample_golden_output_small_graph and _large_graph
+@pytest.mark.parametrize("n,rho,seed,digest", [
+    (6, 0.3, 5001, "e1cce918fbf667e247e7a595814dc36d54f6c38d"
+                   "4ed6f5e305920a2a4abb80f2"),
+    (2000, 2 / math.sqrt(2000), 2024, "cde9c475091aa95f2a73e6f727364baedf54ff5c"
+                                      "57d15154cd4cf17aabea150f"),
+], ids=["n6", "n2000"])
+def test_decode_consumes_no_uniforms(monkeypatch, n, rho, seed, digest):
+    _hand_out(monkeypatch, seed)
+    g1 = sample(W_ASYM, n, rho, seed)
+    assert child_rng(seed, 1) is child_rng(seed, 1)
+    # the next replicate resets the thread's generators under g1
+    g2 = sample(W_ASYM, n, rho, replicate_seed(77, n, 5))
+    assert child_rng(seed, 1) is not child_rng(seed, 1)
+    assert g1._edges is None and g2._edges is None
+    assert hashlib.sha256(g1.to_dump().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 30, 31, 200, 2000])
+def test_edge_count_is_the_same_before_and_after_decode(n):
+    rho = min(1.0, 3 / math.sqrt(n))
+    g = sample(W_ASYM, n, rho, replicate_seed(5, n, 0))
+    h = resample_edges(W_ASYM, g.latents, rho, replicate_seed(5, n, 1))
+    for graph in (g, h):
+        before = graph.edge_count
+        assert graph._edges is None
+        edges = graph.edges
+        assert graph._strata is None
+        assert graph.edge_count == before == edges.shape[0]
+        back = SampledGraph.from_dump(graph.to_dump(), W_ASYM)
+        assert back.edge_count == before
+        assert np.array_equal(back.edges, edges)
+
+
+def test_threads_decoding_one_graph_get_equal_arrays():
+    # four threads read one list of undecoded graphs, two forward and two
+    # backward, so a graph is often read while another thread decodes it
+    seeds = range(150)
+    shapes = [(40 + seed % 3 * 100, seed) for seed in seeds]
+    graphs = [sample(W_ASYM, n, 0.3, seed) for n, seed in shapes]
+    out = [[None] * len(graphs) for _ in range(4)]
+
+    def read(k):
+        order = range(len(graphs)) if k % 2 else range(len(graphs))[::-1]
+        for i in order:
+            out[k][i] = graphs[i].edges
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for (n, seed), *got in zip(shapes, *out):
+        want = sample(W_ASYM, n, 0.3, seed).edges
+        assert all(np.array_equal(x, want) for x in got)
+
+
+# ---------------------------------------------------------------------------
 # edge-stream internals
 
 
@@ -224,10 +305,14 @@ class _LowUniforms:
 
 def _assert_paths_agree(w, blocks, rho, make_rng):
     rng_v, rng_s = make_rng(), make_rng()
-    vec = _edge_layer_vectorized(w, blocks, rho, rng_v)
-    sca = _edge_layer_scalar(w, blocks, rho, rng_s)
+    strata_v, total_v = _edge_layer_vectorized(w, blocks, rho, rng_v)
+    strata_s, total_s = _edge_layer_scalar(w, blocks, rho, rng_s)
+    assert total_s == total_v
+    vec = _decode_vectorized(strata_v, blocks.size)
+    sca = _decode_scalar(strata_s, blocks.size)
+    assert vec.shape[0] == total_v
     assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
-    assert vec.flags["C_CONTIGUOUS"]
+    assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
     assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random()
