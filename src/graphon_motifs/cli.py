@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="replicate threads per cell (default 1); the "
+                   help="replicate threads per cell (default 1), each "
+                        "taking one contiguous range of replicates; the "
                         "summaries are the same at any count")
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - unexpected runtime failure
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,9 @@ replicate rows are that same table.
 Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
 replicate order, and serialized outputs carry no timing, so reruns are
-byte-identical regardless of thread count.
+byte-identical regardless of thread count.  With several threads each
+takes one contiguous range of a cell's replicate indices and writes its
+results by index.
 
 The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
 and ``count`` once per replicate, on one thread, so the sampler finds the
@@ -282,12 +284,20 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
             g = resample_edges(w, frozen, rho, seed)
         xs[r] = count(g, m)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(R)))
-    else:
-        for r in range(R):
+    def work_range(lo: int, hi: int):
+        # each graph is freed when its work(r) returns, before the next
+        # one is drawn
+        for r in range(lo, hi):
             work(r)
+
+    threads = min(threads, R)
+    if threads > 1:
+        # one contiguous replicate range per thread
+        bounds = [R * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work_range, bounds[:-1], bounds[1:]))
+    else:
+        work_range(0, R)
     if frozen is None:
         # E[X | latents] depends on the latents through the occupancy
         # counts alone, so each distinct row is evaluated once
@@ -347,7 +357,11 @@ def run_containment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
 
 
 def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """KS distance of the standardized count, plus both components."""
+    """KS distance of the standardized count, plus both components.
+
+    A valid config can still sample a count that never varies (a complete
+    graph at rho = 1, say); that raises RuntimeError after sampling.
+    """
     _require_kind(cfg, "clt")
     regime = classify_regime(cfg.motif, cfg.schedule.gamma)
     if regime in ("below_containment", "at_containment"):
@@ -358,7 +372,7 @@ def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         xs, d1, d2 = cell.x, cell.delta1, cell.delta2
         sd = float(np.std(xs, ddof=1))
         if sd == 0.0:
-            raise ValueError("zero empirical variance of the count")
+            raise RuntimeError("zero empirical variance of the count")
         rec.ks_x = ks_test(standardize(xs, float(np.mean(xs)), sd))
         rec.ks_delta1 = _ks_or_none(d1)
         rec.ks_delta2 = _ks_or_none(d2)

@@ -27,7 +27,12 @@ Reproducibility contract (pinned by a golden test):
 Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
 same uniforms on Python scalars instead of numpy arrays; the two edge
 paths draw the same positions, decode them to the same edges and leave the
-generator in the same state.
+generator in the same state.  The vectorized path inverts each batch of
+uniforms in place, in a per-thread scratch array of at most
+``SCRATCH_UNIFORMS`` doubles (a larger batch draws into a one-off array),
+and builds the batch's positions in one new int64 array; the positions a
+graph keeps never alias the scratch, so an undecoded graph stays valid
+while its thread draws the next one.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and both child streams'
@@ -42,6 +47,7 @@ other seed builds one through numpy.  Either way the streams are the same.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -61,6 +67,12 @@ from .seeding import child_rng, replicate_seed
 # numpy's fixed cost per call decides small graphs, Python's cost per
 # uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
+
+# Most uniforms a thread's scratch array holds (1 MiB of doubles); a batch
+# above it draws into a one-off array.  The largest batch of an n = 2000
+# W_asym graph at rho = 2/sqrt(n) is about 21k uniforms.
+SCRATCH_UNIFORMS = 1 << 17
+_scratch = threading.local()
 
 
 class SampledGraph:
@@ -197,27 +209,54 @@ def _batch_size(remaining: int, p: float) -> int:
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
 
+def _uniforms(rng, size: int) -> np.ndarray:
+    """``size`` uniforms from ``rng``, drawn into the calling thread's
+    scratch array (a prefix view of it) when ``size`` is at most
+    ``SCRATCH_UNIFORMS``, else into a one-off array.  The view is
+    overwritten by the thread's next draw."""
+    if size > SCRATCH_UNIFORMS:
+        u = np.empty(size)
+    else:
+        buf = getattr(_scratch, "u", None)
+        if buf is None or buf.size < size:
+            buf = _scratch.u = np.empty(
+                min(SCRATCH_UNIFORMS, 1 << (size - 1).bit_length()))
+        u = buf[:size]
+    rng.random(out=u)
+    return u
+
+
 def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """Success indices of an iid Bernoulli(p) stream of length n_slots.
 
     Gaps between successes are Geometric(p), drawn by inverting uniform
     doubles; the stream ends at the first position falling past the end.
+    Each batch of uniforms goes through ``log1p(-u) / log(1 - p)`` in place
+    on the thread's scratch array (``_uniforms``); only the int64 positions
+    are new arrays, so what this returns never aliases the scratch.
     """
     if n_slots <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n_slots, dtype=np.int64)
     log_q = math.log1p(-p)
+    cap = float(n_slots) + 1.0
     chunks = []
     last = -1
     while True:
-        u = rng.random(_batch_size(n_slots - last, p))
-        gaps = np.log1p(-u) / log_q
-        np.minimum(gaps, float(n_slots) + 1.0, out=gaps)
-        pos = last + np.cumsum(gaps.astype(np.int64) + 1)
-        over = pos >= n_slots
-        if over.any():
-            chunks.append(pos[: int(np.argmax(over))])
+        u = _uniforms(rng, _batch_size(n_slots - last, p))
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, log_q, out=u)
+        np.minimum(u, cap, out=u)
+        pos = u.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        # positions strictly ascend: k is the first one at or past the end
+        k = int(np.searchsorted(pos, n_slots))
+        if k < pos.size:
+            chunks.append(pos[:k])
             break
         chunks.append(pos)
         last = int(pos[-1])

@@ -364,6 +364,22 @@ def test_run_experiment_rejects_replicates_at_the_latent_tag(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_run_experiment_degenerate_campaign_is_a_runtime_failure(
+        capsys, tmp_path):
+    # a valid config whose count never varies: K5 at rho = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "clt", "motif": "edge", "graphon": "const:1.0",
+        "schedule": {"a": 1.0, "gamma": 0.0}, "n_values": [5],
+        "replicates": 50, "seed": 7}))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "run-experiment", "--config",
+                           str(cfg_path), "--out-dir", str(out))
+    assert code == 1
+    assert "zero empirical variance of the count" in err
+    assert not out.exists()
+
+
 def test_run_experiment_invalid_config(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

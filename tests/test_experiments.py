@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from graphon_motifs import (
     run_experiment,
     run_variance_ratio,
 )
+from graphon_motifs import experiments
 from graphon_motifs.experiments import replicate_rows, write_result
+from graphon_motifs.seeding import SEED_BLOCK
 
 K2 = named_motif("edge")
 K3 = named_motif("triangle")
@@ -380,3 +383,47 @@ def test_replicate_cell_equals_reference_loop(cfg):
         if cfg.graphon.block_count == 1:
             # one block: E[X | latents] is the unconditional mean, exactly
             assert set(conds) == {expected}
+
+
+@pytest.mark.parametrize("R", [5, 2 * SEED_BLOCK + 3],
+                         ids=["R5", "R2blocks3"])
+@pytest.mark.parametrize("cfg", [
+    small_cfg("clt"),
+    small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym")),
+], ids=["clt", "conditional_clt"])
+def test_replicate_cell_threads_take_contiguous_ranges(
+        monkeypatch, cfg, R):
+    # each thread runs one range [R*i // t, R*(i+1) // t), and at most R
+    # threads start; the table equals the reference loop's either way
+    from dataclasses import replace
+    cfg = replace(cfg, n_values=(8, 40), replicates=R)
+    seen = {}
+    inner = experiments.replicate_seed
+
+    def logged(seed, n, r):
+        seen.setdefault(threading.get_ident(), []).append(r)
+        return inner(seed, n, r)
+
+    monkeypatch.setattr(experiments, "replicate_seed", logged)
+    for n in cfg.n_values:
+        rho, expected, seeds, xs, conds = _reference_cell(cfg, n)
+        for threads in (2, 7):
+            seen.clear()
+            cell = experiments._replicate_cell(cfg, n, threads)
+            assert cell.seed.tolist() == seeds
+            assert cell.x.tolist() == xs
+            assert cell.cond.tolist() == conds
+            t = min(threads, R)
+            bounds = [R * i // t for i in range(t + 1)]
+            assert len(seen) <= t
+            # a pool thread may run a second range after its first, but
+            # never part of one
+            ranges = []
+            for rs in seen.values():
+                while rs:
+                    i = bounds.index(rs[0])
+                    size = bounds[i + 1] - bounds[i]
+                    assert rs[:size] == list(range(bounds[i], bounds[i + 1]))
+                    ranges.append(i)
+                    rs = rs[size:]
+            assert sorted(ranges) == list(range(t))

@@ -22,6 +22,7 @@ from graphon_motifs import (
     sample,
     schedule_rho,
 )
+from graphon_motifs import sampler
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
     _bernoulli_positions,
@@ -34,6 +35,8 @@ from graphon_motifs.sampler import (
 )
 from graphon_motifs import seeding
 from graphon_motifs.seeding import SEED_BLOCK, _pcg64_states, child_rng
+
+from util import reference_bernoulli_positions
 
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
@@ -298,7 +301,11 @@ class _LowUniforms:
         self._scale = scale
         self.sizes = []
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            self.sizes.append(out.size)
+            out[...] = self._gen.random(out.size) * self._scale
+            return out
         self.sizes.append(size)
         return self._gen.random(size) * self._scale
 
@@ -384,6 +391,85 @@ def test_bernoulli_positions_edge_cases():
     assert _bernoulli_positions(rng, 0, 0.5).size == 0
     assert _bernoulli_positions(rng, 10, 0.0).size == 0
     assert _bernoulli_positions(rng, 7, 1.0).tolist() == list(range(7))
+
+
+def _assert_kernel_matches_reference(n_slots, p, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _bernoulli_positions(rng, n_slots, p)
+    want = reference_bernoulli_positions(ref, n_slots, p)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the same next uniform shows the same generator state
+    assert rng.random() == ref.random()
+    return got
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.999])
+@pytest.mark.parametrize("n_slots", [1, 15, 16, 17, 10 ** 3, 5 * 10 ** 5,
+                                     10 ** 6])
+def test_bernoulli_positions_match_the_allocating_kernel(n_slots, p):
+    for seed in (0, 1, 2024):
+        _assert_kernel_matches_reference(n_slots, p, seed)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.999])
+def test_bernoulli_positions_match_across_continuation_batches(
+        monkeypatch, p):
+    # 16 uniforms a batch: every stream of more than a few successes
+    # continues past its first batch, on both kernels
+    monkeypatch.setattr(sampler, "_batch_size", lambda remaining, p: 16)
+    for n_slots in (17, 10 ** 3, 2 * 10 ** 4):
+        for seed in (3, 4):
+            got = _assert_kernel_matches_reference(n_slots, p, seed)
+            assert got.size > 16 or n_slots * p < 16
+
+
+def test_bernoulli_positions_batch_above_the_scratch_cap(monkeypatch):
+    monkeypatch.setattr(sampler, "SCRATCH_UNIFORMS", 64)
+    seen = {}
+
+    def run():
+        # on a fresh thread: a first batch within the cap, then one far
+        # above it (373 uniforms), then the scratch again
+        _assert_kernel_matches_reference(100, 0.05, 1)
+        seen["positions"] = _assert_kernel_matches_reference(1000, 0.3, 1)
+        _assert_kernel_matches_reference(100, 0.05, 2)
+        seen["scratch"] = sampler._scratch.u.size
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert seen["positions"].size > 64 and seen["scratch"] <= 64
+
+
+def test_sampling_threads_never_share_the_scratch():
+    # four threads draw n = 2000 graphs and leave them undecoded while the
+    # others draw into their own scratch; a kept position that aliased a
+    # scratch array would be overwritten before the decode below
+    rho = 2 / math.sqrt(2000)
+    seeds = [[100 * k + i for i in range(6)] for k in range(4)]
+    graphs = [[None] * 6 for _ in range(4)]
+
+    def draw(k):
+        for i, seed in enumerate(seeds[k]):
+            graphs[k][i] = sample(W_ASYM, 2000, rho, seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for k in range(4):
+        for seed, g in zip(seeds[k], graphs[k]):
+            assert g._edges is None
+            assert g.to_dump() == sample(W_ASYM, 2000, rho, seed).to_dump()
 
 
 def test_bernoulli_positions_marginals_and_independence():

@@ -7,9 +7,13 @@ and total enumeration of small sample spaces.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from graphon_motifs import Motif, StepGraphon
+from graphon_motifs import sampler
 
 
 def brute_isomorphic(m1: Motif, m2: Motif) -> bool:
@@ -174,3 +178,29 @@ def connected_classes_up_to(max_vertices: int):
             if key not in seen:
                 seen[key] = canonical_relabel(g)
     return list(seen.values())
+
+
+def reference_bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
+    """The geometric-gap kernel with a fresh array at every step and the
+    end found by a mask: what ``sampler._bernoulli_positions`` computes in
+    place, from the same batches of uniforms (``sampler._batch_size`` is
+    looked up on each call, so a test that patches it patches both)."""
+    if n_slots <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n_slots, dtype=np.int64)
+    log_q = math.log1p(-p)
+    chunks = []
+    last = -1
+    while True:
+        u = rng.random(sampler._batch_size(n_slots - last, p))
+        gaps = np.log1p(-u) / log_q
+        np.minimum(gaps, float(n_slots) + 1.0, out=gaps)
+        pos = last + np.cumsum(gaps.astype(np.int64) + 1)
+        over = pos >= n_slots
+        if over.any():
+            chunks.append(pos[: int(np.argmax(over))])
+            break
+        chunks.append(pos)
+        last = int(pos[-1])
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
