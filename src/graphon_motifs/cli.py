@@ -161,10 +161,6 @@ def cmd_analyze_graphon(args) -> int:
 
 def cmd_sample(args) -> int:
     w = _load_graphon(args.graphon)
-    if not (0.0 < args.rho <= 1.0):
-        raise UsageError("rho must lie in (0, 1]")
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
     g = sample(w, args.n, args.rho, args.seed)
     dump = g.to_dump()
     if args.out:
@@ -191,10 +187,6 @@ def cmd_count(args) -> int:
 def cmd_decompose(args) -> int:
     w = _load_graphon(args.graphon)
     m = _load_motif(args.motif)
-    if not (0.0 < args.rho <= 1.0):
-        raise UsageError("rho must lie in (0, 1]")
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
     g = sample(w, args.n, args.rho, args.seed)
     d = decompose(g, m, w)
     lines = [

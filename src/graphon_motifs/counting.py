@@ -83,9 +83,8 @@ def triangle_count(g: SampledGraph) -> int:
     csr = g.adjacency()
     deg = np.diff(csr.indptr)
     rank = deg * (n + 1) + np.arange(n + 1)
-    src = np.repeat(np.arange(n + 1), deg)
-    up = rank[csr.indices] > rank[src]
-    tail, head = src[up], csr.indices[up]
+    up = rank[csr.indices] > rank[csr.rows]
+    tail, head = csr.rows[up], csr.indices[up]
     # out-neighbors after each entry in its own row: its wedge partners
     row_end = np.cumsum(np.bincount(tail, minlength=n + 1))[tail]
     later = row_end - np.arange(tail.size) - 1

@@ -67,7 +67,7 @@ from .stats import (
     ks_test,
     mean_and_se,
     standardize,
-    variance_ratio,
+    variance_shares,
 )
 
 EXPERIMENT_KINDS = ("containment", "clt", "variance_ratio", "critical_kappa",
@@ -90,8 +90,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment_kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.experiment_kind!r}")
-        object.__setattr__(self, "n_values",
-                           tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(
+            _integer(n, "n value") for n in self.n_values))
+        object.__setattr__(self, "replicates",
+                           _integer(self.replicates, "replicates"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -127,9 +130,17 @@ class ExperimentConfig:
             schedule=SparsitySchedule(float(d["schedule"]["a"]),
                                       float(d["schedule"]["gamma"])),
             n_values=tuple(d["n_values"]),
-            replicates=int(d["replicates"]),
-            seed=int(d["seed"]),
+            replicates=d["replicates"],
+            seed=d["seed"],
         )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; only Python and numpy integers (not
+    bools) are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def resolve_motif(source) -> Motif:
@@ -460,8 +471,7 @@ def _fill_component_stats(rec: CellRecord, d1, d2):
     denom = math.sqrt(rec.var_delta1 * rec.var_delta2)
     rec.corr_delta12 = cov / denom if denom > 0 else 0.0
     if rec.var_delta1 + rec.var_delta2 > 0:
-        rec.r1 = rec.var_delta1 / (rec.var_delta1 + rec.var_delta2)
-        rec.r2 = 1.0 - rec.r1
+        rec.r1, rec.r2 = variance_shares(rec.var_delta1, rec.var_delta2)
 
 
 def _require_kind(cfg: ExperimentConfig, kind: str):

@@ -45,8 +45,9 @@ class StepGraphon:
         k = len(pi)
         if k == 0:
             raise ValueError("graphon needs at least one block")
-        if any(p <= 0 for p in pi):
-            raise ValueError("block widths must be positive")
+        if not all(0 < p < math.inf for p in pi):
+            raise ValueError(f"block widths {list(pi)} must be positive and "
+                             f"finite")
         if abs(sum(pi) - 1.0) > 1e-12:
             raise ValueError(f"block widths sum to {sum(pi)!r}, not 1")
         if len(values) != k or any(len(row) != k for row in values):

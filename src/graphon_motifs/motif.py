@@ -482,29 +482,33 @@ class CSR(NamedTuple):
 
     The neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
     increasing order; row 0 is empty, so ``indptr`` has n + 2 entries.
+    ``rows`` holds the row vertex of every entry of ``indices``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    rows: np.ndarray
 
 
-def csr_from_sorted_edges(n: int, edges: np.ndarray) -> CSR:
-    """CSR of a lexicographically sorted, duplicate-free (m, 2) int64 array
-    of pairs a < b in 1..n."""
-    src = np.concatenate((edges[:, 1], edges[:, 0]))
-    dst = np.concatenate((edges[:, 0], edges[:, 1]))
+def csr_from_keys(n: int, keys: np.ndarray) -> CSR:
+    """CSR of distinct int64 pair keys ``lo * (n + 1) + hi`` of pairs
+    lo < hi in 1..n, in any order: both orientations of every key, sorted
+    once, are the directed pairs in row order."""
+    stride = n + 1
+    lo, hi = np.divmod(keys, stride)
+    both = np.concatenate((keys, hi * stride + lo))
+    both.sort()
+    rows, indices = np.divmod(both, stride)
     indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
-    order = np.argsort(src * (n + 1) + dst, kind="stable")
-    return CSR(indptr, dst[order])
+    np.cumsum(np.bincount(rows, minlength=stride), out=indptr[1:])
+    return CSR(indptr, indices, rows)
 
 
 def csr_pair_keys(n: int, csr: CSR) -> np.ndarray:
     """Adjacency of every ordered pair, keyed ``u * (n + 1) + v``: a boolean
     table indexed by the key while it has at most PAIR_TABLE_CELLS cells,
     else the sorted keys of the adjacent pairs."""
-    src = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(csr.indptr))
-    keys = src * (n + 1) + csr.indices
+    keys = csr.rows * (n + 1) + csr.indices
     if (n + 1) ** 2 > PAIR_TABLE_CELLS:
         return keys
     table = np.zeros((n + 1) ** 2, dtype=bool)
@@ -546,12 +550,7 @@ def _host_csr(host_n: int, host_edges) -> CSR:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"bad host edge ({a[i]},{b[i]})")
-    keys = np.sort(lo * (host_n + 1) + hi)
-    keep = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys[keep]
-    edges = np.column_stack((keys // (host_n + 1), keys % (host_n + 1)))
-    return csr_from_sorted_edges(host_n, edges)
+    return csr_from_keys(host_n, np.unique(lo * (host_n + 1) + hi))
 
 
 @lru_cache(maxsize=4096)
@@ -585,10 +584,9 @@ def _codegree_table(n: int, csr: CSR) -> np.ndarray:
     ``u * (n + 1) + v`` like the pair table: each wedge u - w - v (a path
     of length two, Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one
     to its pair, summed one EXPANSION_CHUNK window at a time."""
-    indptr, indices = csr
-    src = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(indptr))
+    indptr, indices, rows = csr
     # neighbors after each entry in its own row: its wedge partners
-    later = indptr[src + 1] - np.arange(indices.size) - 1
+    later = indptr[rows + 1] - np.arange(indices.size) - 1
     table = np.zeros((n + 1) ** 2, dtype=np.int32)
     for first, off in expansion_windows(later):
         keys, hits = np.unique(

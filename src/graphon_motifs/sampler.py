@@ -20,13 +20,15 @@ Reproducibility contract (pinned by a golden test):
   uniforms in batches of ``_batch_size`` until its pair stream is exhausted;
 - ``sample`` and ``resample_edges`` draw every stratum's positions, and so
   consume every uniform of the graph, before they return; a graph decodes
-  the positions into its sorted edge array on the first read of ``edges``
-  and consumes no uniform doing so, so an undecoded graph stays valid after
-  the thread's reused generators move on to the next replicate.
+  the positions into its int64 pair keys ``lo * (n + 1) + hi`` on first
+  use and consumes no uniform doing so, so an undecoded graph stays valid
+  after the thread's reused generators move on to the next replicate.
+  The keys are the graph's one edge format: its sorted ``edges`` array and
+  its CSR adjacency are both derived from them.
 
 Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
 same uniforms on Python scalars instead of numpy arrays; the two edge
-paths draw the same positions, decode them to the same edges and leave the
+paths draw the same positions, decode them to the same keys and leave the
 generator in the same state.  The vectorized path inverts each batch of
 uniforms in place, in a per-thread scratch array of at most
 ``SCRATCH_UNIFORMS`` doubles (a larger batch draws into a one-off array),
@@ -54,7 +56,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .motif import CSR, Motif, csr_from_sorted_edges, density_exponents
+from .motif import CSR, Motif, csr_from_keys, density_exponents
 from .graphon import StepGraphon
 from .seeding import child_rng, replicate_seed
 
@@ -78,19 +80,18 @@ _scratch = threading.local()
 class SampledGraph:
     """One realization of the model, with its latent layer retained.
 
-    ``edges`` is the (m, 2) int64 array of 1-based pairs i < j in
-    lexicographic order.  A graph from ``sample`` or ``resample_edges``
-    keeps its edge layer as drawn, the Bernoulli positions of every
-    block-pair stratum and their total, and decodes them into ``edges`` on
-    the first read; the positions are dropped then.  ``edge_count`` is the
-    drawn total and never decodes, so a count of single edges reads no pair.
-    Decoding consumes no random numbers and gives the same array from any
-    thread.  A graph built from an edge array (``from_dump``) holds it.
+    The edges are int64 pair keys ``lo * (n + 1) + hi``, in no set order.
+    A graph from ``sample`` or ``resample_edges`` keeps its edge layer as
+    drawn (every block-pair stratum's Bernoulli positions and their total),
+    decodes it into keys on first use and then drops it.  ``edge_count`` is
+    the drawn total and never decodes.  Decoding consumes no random numbers
+    and gives equal keys from any thread.  ``edges``, lexicographic, and
+    ``adjacency`` are derived from the keys.
     """
 
     def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
                  blocks: np.ndarray, edges):
-        """``edges`` is the (m, 2) edge array or an ``_edge_layer`` draw."""
+        """``edges`` holds distinct pair keys or an ``_edge_layer`` draw."""
         self.n = n
         self.rho = rho
         self.seed = seed
@@ -98,25 +99,33 @@ class SampledGraph:
         self.blocks = blocks
         self._csr = None
         if isinstance(edges, np.ndarray):
-            self._edges, self._strata = edges, None
-            self._edge_count = int(edges.shape[0])
+            self._keys, self._strata = edges, None
+            self._edge_count = int(edges.size)
         else:
-            self._edges = None
+            self._keys = None
             self._strata, self._edge_count = edges
+
+    def _pair_keys(self) -> np.ndarray:
+        keys = self._keys
+        if keys is None:
+            # two threads may decode at once: each reads the draw into a
+            # local and stores equal keys before dropping the draw, so a
+            # dropped draw means the keys are already stored
+            strata = self._strata
+            if strata is None:
+                return self._keys
+            keys = _decode_edges(strata, self.n)
+            self._keys = keys
+            self._strata = None
+        return keys
 
     @property
     def edges(self) -> np.ndarray:
-        edges = self._edges
-        if edges is None:
-            # two threads may decode at once: each reads the draw into a
-            # local and stores an equal array before dropping the draw, so
-            # a dropped draw means the array is already stored
-            strata = self._strata
-            if strata is None:
-                return self._edges
-            edges = _decode_edges(strata, self.n)
-            self._edges = edges
-            self._strata = None
+        """The (m, 2) int64 array of 1-based pairs i < j in lexicographic
+        order: the sorted keys, split."""
+        keys = np.sort(self._pair_keys())
+        edges = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, self.n + 1, out=(edges[:, 0], edges[:, 1]))
         return edges
 
     @property
@@ -126,11 +135,11 @@ class SampledGraph:
     def adjacency(self) -> CSR:
         """Neighbor arrays of vertices 1..n as a CSR; built on demand."""
         if self._csr is None:
-            self._csr = csr_from_sorted_edges(self.n, self.edges)
+            self._csr = csr_from_keys(self.n, self._pair_keys())
         return self._csr
 
     def edge_list(self) -> list:
-        return [(int(a), int(b)) for a, b in self.edges]
+        return list(map(tuple, self.edges.tolist()))
 
     def to_dump(self) -> str:
         lines = [f"{self.n} {self.rho!r} {self.seed}"]
@@ -180,8 +189,8 @@ class SampledGraph:
                 raise ValueError(f"duplicate edge {a} {b}")
         blocks = (w.blocks_of(latents) if w is not None
                   else np.zeros(n, dtype=np.int64))
-        earr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return SampledGraph(n, rho, seed, latents, blocks, earr)
+        keys = np.array([a * (n + 1) + b for a, b in pairs], dtype=np.int64)
+        return SampledGraph(n, rho, seed, latents, blocks, keys)
 
 
 def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
@@ -340,8 +349,7 @@ def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> tuple:
 
 
 def _decode_scalar(strata: list, n: int) -> np.ndarray:
-    """Sorted (m, 2) edges of a scalar draw: each pair packed into one key
-    lo*(n+1)+hi, the keys sorted once."""
+    """Pair keys lo*(n+1)+hi of a scalar draw."""
     stride = n + 1
     keys = []
     for vb, vc, positions in strata:
@@ -359,9 +367,7 @@ def _decode_scalar(strata: list, n: int) -> np.ndarray:
             for t in positions:
                 x, y = vb[t // nc], vc[t % nc]
                 keys.append(x * stride + y if x < y else y * stride + x)
-    keys.sort()
-    flat = [v for k in keys for v in divmod(k, stride)]
-    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    return np.array(keys, dtype=np.int64)
 
 
 def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
@@ -376,19 +382,13 @@ def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
 
 
 def _decode_vectorized(strata: list, n: int) -> np.ndarray:
-    """Sorted (m, 2) edges of a vectorized draw."""
-    stride = n + 1
-    # the keys are distinct, so sorting them gives the lexicographic order
-    keys = np.concatenate([_stratum_keys(vb, vc, pos, stride)
+    """Pair keys of a vectorized draw."""
+    return np.concatenate([_stratum_keys(vb, vc, pos, n + 1)
                            for vb, vc, pos in strata])
-    keys.sort()
-    edges = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, stride, out=(edges[:, 0], edges[:, 1]))
-    return edges
 
 
 def _decode_edges(strata: list, n: int) -> np.ndarray:
-    """Decode an ``_edge_layer`` draw of an n-vertex graph; no uniforms."""
+    """Pair keys of an n-vertex ``_edge_layer`` draw; no uniforms."""
     if n <= SMALL_GRAPH_VERTICES:
         return _decode_scalar(strata, n)
     return _decode_vectorized(strata, n)
@@ -426,10 +426,13 @@ class SparsitySchedule:
     gamma: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.gamma < 0:
-            raise ValueError("exponent must be nonnegative")
+        # written so that NaN fails both tests
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"amplitude {self.a!r} must be positive and "
+                             f"finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"exponent {self.gamma!r} must be nonnegative "
+                             f"and finite")
 
 
 def schedule_rho(s: SparsitySchedule, n: int) -> float:

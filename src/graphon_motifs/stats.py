@@ -81,6 +81,12 @@ def variance_ratio(delta1s, delta2s) -> tuple:
     v2 = float(np.var(d2, ddof=1))
     if v1 + v2 <= 0.0:
         raise ValueError("total variance is zero")
+    return variance_shares(v1, v2)
+
+
+def variance_shares(v1: float, v2: float) -> tuple:
+    """(r1, r2) = (v1, v2) / (v1 + v2) for a positive total, with
+    r2 = 1 - r1 so that r1 + r2 = 1 exactly."""
     r1 = v1 / (v1 + v2)
     return r1, 1.0 - r1
 

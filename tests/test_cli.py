@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from itertools import combinations
 
@@ -236,6 +237,28 @@ def test_sample_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n,rho,message", [
+    ("0", "0.5", "n must be at least 1"),
+    ("5", "0", r"rho must lie in (0, 1]"),
+    ("5", "1.5", r"rho must lie in (0, 1]"),
+], ids=["n0", "rho0", "rho1.5"])
+@pytest.mark.parametrize("command", ["sample", "sample_out", "decompose"])
+def test_sample_and_decompose_reject_bad_n_and_rho(capsys, tmp_path, command,
+                                                   n, rho, message):
+    out = tmp_path / "g.txt"
+    argv = ["sample" if command.startswith("sample") else command,
+            "--graphon", "W_sym", "--n", n, "--rho", rho, "--seed", "1"]
+    if command == "sample_out":
+        argv += ["--out", str(out)]
+    elif command == "decompose":
+        argv += ["--motif", "triangle", "--output", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decompose(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--graphon", "W_asym",
                            "--motif", "triangle", "--n", "30",
@@ -361,6 +384,39 @@ def test_run_experiment_rejects_replicates_at_the_latent_tag(capsys, tmp_path):
                            str(cfg_path), "--out-dir", str(out))
     assert code == 2
     assert "replicates must be below 0xfeed0000" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("over,message", [
+    (dict(n_values=[20.7]), "n value 20.7 is not an integer"),
+    (dict(replicates=10.9), "replicates 10.9 is not an integer"),
+    (dict(replicates=True), "replicates True is not an integer"),
+    (dict(seed=1.5), "seed 1.5 is not an integer"),
+    (dict(schedule={"a": math.nan, "gamma": 0.5}),
+     "amplitude nan must be positive and finite"),
+    (dict(schedule={"a": math.inf, "gamma": 0.5}),
+     "amplitude inf must be positive and finite"),
+    (dict(schedule={"a": 1.0, "gamma": math.nan}),
+     "exponent nan must be nonnegative and finite"),
+    (dict(graphon={"pi": [math.nan, 1.0],
+                   "values": [[0.5, 0.5], [0.5, 0.5]]}),
+     "block widths [nan, 1.0] must be positive and finite"),
+], ids=["n_float", "replicates_float", "replicates_bool", "seed_float",
+        "a_nan", "a_inf", "gamma_nan", "widths_nan"])
+def test_run_experiment_rejects_invalid_numbers(capsys, tmp_path, over,
+                                                message):
+    cfg = {"experiment_kind": "containment", "motif": "edge",
+           "graphon": "W_asym", "schedule": {"a": 1.0, "gamma": 1.2},
+           "n_values": [20], "replicates": 10, "seed": 7}
+    cfg.update(over)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "run-experiment", "--config",
+                                str(cfg_path), "--out-dir", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
     assert not out.exists()
 
 

@@ -61,6 +61,31 @@ def test_config_rejects_replicates_reaching_the_latent_tag():
         _LATENT_TAG - 1
 
 
+@pytest.mark.parametrize("over,message", [
+    (dict(n_values=(20.7,)), "n value 20.7 is not an integer"),
+    (dict(n_values=(60, True)), "n value True is not an integer"),
+    (dict(replicates=10.9), "replicates 10.9 is not an integer"),
+    (dict(replicates=True), "replicates True is not an integer"),
+    (dict(replicates="10"), "replicates '10' is not an integer"),
+    (dict(seed=1.5), "seed 1.5 is not an integer"),
+    (dict(seed=np.float64(2.0)),
+     r"seed np.float64\(2.0\) is not an integer"),
+], ids=["n_float", "n_bool", "replicates_float", "replicates_bool",
+        "replicates_str", "seed_float", "seed_numpy_float"])
+def test_config_rejects_non_integers(over, message):
+    with pytest.raises(ValueError, match=message):
+        small_cfg("clt", **over)
+
+
+def test_config_accepts_numpy_integers_as_python_ints():
+    cfg = small_cfg("clt", n_values=np.array([60, 120]),
+                    replicates=np.int32(150), seed=np.uint64(2718))
+    assert cfg == small_cfg("clt")
+    assert [type(v) for v in (*cfg.n_values, cfg.replicates, cfg.seed)] \
+        == [int] * 4
+    json.dumps(cfg.to_json_dict())
+
+
 def test_config_json_round_trip():
     cfg = small_cfg("variance_ratio")
     back = ExperimentConfig.from_json_dict(cfg.to_json_dict())

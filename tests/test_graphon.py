@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 
@@ -38,6 +39,13 @@ def test_graphon_validation():
         StepGraphon((1.0,), ((0.0,),))  # degenerate edge density
     with pytest.raises(ValueError):
         StepGraphon((1.0, -0.0), ((0.5, 0.5), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("pi", [(math.nan, 1.0), (0.5, math.nan),
+                                (math.inf, 1.0)], ids=["nan", "nan2", "inf"])
+def test_graphon_rejects_nan_and_infinite_widths(pi):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        StepGraphon(pi, ((0.5, 0.5), (0.5, 0.5)))
 
 
 def test_named_graphons():

@@ -26,7 +26,7 @@ from graphon_motifs import (
     sample,
     vertex_join,
 )
-from graphon_motifs.motif import EXPANSION_CHUNK
+from graphon_motifs.motif import EXPANSION_CHUNK, csr_from_keys
 from util import (
     all_graphs_on,
     all_subgraph_ratios,
@@ -316,6 +316,64 @@ def test_join_catalog_size_cap():
 
 # ---------------------------------------------------------------------------
 # embedding counts
+
+
+def _assert_csr_of(n, pairs, csr):
+    """``csr`` against neighbor lists and row ids built pair by pair."""
+    nbrs = [[] for _ in range(n + 1)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    indptr, indices, rows = csr
+    assert indptr.tolist() == [0] + np.cumsum(
+        [len(x) for x in nbrs]).tolist()
+    assert indices.tolist() == [v for x in nbrs for v in sorted(x)]
+    assert rows.tolist() == [v for v in range(n + 1) for _ in nbrs[v]]
+    assert indptr.dtype == indices.dtype == rows.dtype == np.int64
+
+
+@st.composite
+def _key_sets(draw):
+    """(n, distinct pairs a < b, their keys in a shuffled order)."""
+    n = draw(st.integers(1, 14))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+    chosen = draw(st.permutations(chosen))
+    keys = np.array([a * (n + 1) + b for a, b in chosen], dtype=np.int64)
+    return n, chosen, keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_sets())
+def test_csr_from_keys_matches_neighbor_lists(case):
+    n, pairs, keys = case
+    _assert_csr_of(n, pairs, csr_from_keys(n, keys))
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (5, []),
+    (1, []),
+    (6, [(1, 2), (2, 5), (1, 5), (3, 4)]),  # vertex n = 6 isolated
+    (7, [(1, v) for v in range(7, 1, -1)]),  # star at vertex 1
+    (7, [(v, 7) for v in range(1, 7)]),  # star at vertex n
+], ids=["m0", "n1", "isolated_n", "star_first", "star_last"])
+def test_csr_from_keys_edge_cases(n, pairs):
+    keys = np.array([a * (n + 1) + b for a, b in pairs], dtype=np.int64)
+    _assert_csr_of(n, pairs, csr_from_keys(n, keys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_key_sets(), st.data())
+def test_count_embeddings_collapses_reversed_and_repeated_pairs(case, data):
+    n, pairs, _ = case
+    noisy = [(b, a) if data.draw(st.booleans()) else (a, b)
+             for a, b in pairs]
+    noisy += data.draw(st.lists(st.sampled_from(noisy), max_size=8)
+                       if noisy else st.just([]))
+    noisy = data.draw(st.permutations(noisy))
+    for m in (K2, P3, K3, named_motif("c4")):
+        assert count_embeddings(n, noisy, m) == count_embeddings(n, pairs, m)
 
 
 def test_count_embeddings_fixtures():

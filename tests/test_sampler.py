@@ -117,6 +117,25 @@ def test_dump_round_trip():
     assert np.array_equal(back.blocks, g.blocks)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, SMALL_GRAPH_VERTICES, SMALL_GRAPH_VERTICES + 1,
+                        120]),
+       st.floats(0.05, 1.0), st.integers(0, 2 ** 32))
+def test_edges_are_sorted_and_survive_from_dump(n, rho, seed):
+    g = sample(W_ASYM, n, rho, seed)
+    edges = g.edges
+    assert edges.dtype == np.int64 and edges.shape == (g.edge_count, 2)
+    assert np.all((1 <= edges[:, 0]) & (edges[:, 0] < edges[:, 1])
+                  & (edges[:, 1] <= n))
+    keys = edges[:, 0] * (n + 1) + edges[:, 1]
+    assert np.all(keys[1:] > keys[:-1])
+    back = SampledGraph.from_dump(g.to_dump(), W_ASYM)
+    assert np.array_equal(back.edges, edges)
+    assert back.edge_count == g.edge_count
+    for a, b in zip(back.adjacency(), g.adjacency()):
+        assert np.array_equal(a, b)
+
+
 def _dump(n, edge_lines):
     return "\n".join([f"{n} 0.5 1", *edge_lines, "latents",
                       *(str(0.1 * (i + 1)) for i in range(n))]) + "\n"
@@ -168,7 +187,7 @@ def test_from_dump_rejects_bad_header_and_latents(text, message):
 
 def test_adjacency_is_sorted_symmetric_csr():
     g = sample(W_ASYM, 60, 0.2, 8)
-    indptr, indices = g.adjacency()
+    indptr, indices, rows = g.adjacency()
     assert indptr.size == g.n + 2 and indptr[1] == 0
     assert indptr[-1] == indices.size == 2 * g.edge_count
     nbrs = [set() for _ in range(g.n + 1)]
@@ -214,7 +233,7 @@ def test_decode_consumes_no_uniforms(monkeypatch, n, rho, seed, digest):
     # the next replicate resets the thread's generators under g1
     g2 = sample(W_ASYM, n, rho, replicate_seed(77, n, 5))
     assert child_rng(seed, 1) is not child_rng(seed, 1)
-    assert g1._edges is None and g2._edges is None
+    assert g1._keys is None and g2._keys is None
     assert hashlib.sha256(g1.to_dump().encode()).hexdigest() == digest
 
 
@@ -225,7 +244,7 @@ def test_edge_count_is_the_same_before_and_after_decode(n):
     h = resample_edges(W_ASYM, g.latents, rho, replicate_seed(5, n, 1))
     for graph in (g, h):
         before = graph.edge_count
-        assert graph._edges is None
+        assert graph._keys is None
         edges = graph.edges
         assert graph._strata is None
         assert graph.edge_count == before == edges.shape[0]
@@ -468,7 +487,7 @@ def test_sampling_threads_never_share_the_scratch():
         sys.setswitchinterval(old)
     for k in range(4):
         for seed, g in zip(seeds[k], graphs[k]):
-            assert g._edges is None
+            assert g._keys is None
             assert g.to_dump() == sample(W_ASYM, 2000, rho, seed).to_dump()
 
 
@@ -597,6 +616,17 @@ def test_schedule_validation():
         SparsitySchedule(1.0, -0.1)
     with pytest.raises(ValueError):
         schedule_rho(SparsitySchedule(1.0, 0.5), 0)
+
+
+@pytest.mark.parametrize("a,gamma,message", [
+    (math.nan, 0.5, "amplitude nan must be positive and finite"),
+    (math.inf, 0.5, "amplitude inf must be positive and finite"),
+    (1.0, math.nan, "exponent nan must be nonnegative and finite"),
+    (1.0, math.inf, "exponent inf must be nonnegative and finite"),
+], ids=["a_nan", "a_inf", "gamma_nan", "gamma_inf"])
+def test_schedule_rejects_nan_and_infinity(a, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        SparsitySchedule(a, gamma)
 
 
 def test_classify_regime_triangle():

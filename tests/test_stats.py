@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
-from graphon_motifs import ks_test, normal_cdf, standardize, variance_ratio
+from graphon_motifs import (
+    ExperimentConfig,
+    SparsitySchedule,
+    ks_test,
+    named_graphon,
+    named_motif,
+    normal_cdf,
+    run_variance_ratio,
+    standardize,
+    variance_ratio,
+)
 from graphon_motifs.stats import (
     covariance_and_se,
     mean_and_se,
     sample_skewness,
     variance_and_se,
+    variance_shares,
 )
 
 
@@ -99,6 +112,24 @@ def test_variance_ratio_synthetic_normals():
     d2 = rng.normal(0.0, 1.0, size=100000)
     r1, _ = variance_ratio(d1, d2)
     assert abs(r1 - 0.75) < 0.01
+
+
+@given(st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+def test_variance_shares_sum_to_one_exactly(v1, v2):
+    if v1 + v2 > 0:
+        r1, r2 = variance_shares(v1, v2)
+        assert r1 == v1 / (v1 + v2)
+        assert r1 + r2 == 1.0
+
+
+def test_variance_ratio_and_summary_shares_agree():
+    # run_variance_ratio's records and variance_ratio read one rule
+    res = run_variance_ratio(ExperimentConfig(
+        "variance_ratio", named_motif("edge"), named_graphon("W_asym"),
+        SparsitySchedule(1.0, 0.5), (40,), 120, 3))
+    rec, cell = res.records[0], res.table[0]
+    assert (rec.r1, rec.r2) == variance_ratio(cell.delta1, cell.delta2)
+    assert rec.r1 + rec.r2 == 1.0
 
 
 def test_variance_ratio_validation():
