@@ -1,5 +1,8 @@
 """Subgraph counts and the edge/label decomposition of their fluctuations.
 
+Counts take one of three fast paths (edge total, triangles, 4-cycles) or
+the generic level-wise counter of ``motif``.
+
 The observed count X is centered two ways: against the closed-form
 expectation and against the exact conditional expectation given the latent
 layer.  The difference splits the fluctuation into an edge-randomness part
@@ -16,8 +19,10 @@ from itertools import combinations, product
 
 import numpy as np
 
+from . import motif as _motif
 from .motif import (
     Motif,
+    _codegree_table,
     _copies_on,
     automorphism_count,
     canonical_key,
@@ -43,15 +48,17 @@ SMALL_TRIANGLE_EDGES = 20
 
 _K2_KEY = canonical_key(named_motif("edge"))
 _K3_KEY = canonical_key(named_motif("triangle"))
+_C4_KEY = canonical_key(named_motif("c4"))
 
 
 def count(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of the motif in the sampled graph.
 
-    Single edges and triangles take dedicated paths (edge total, forward
-    triangle count); everything else goes through the level-wise counter on
-    the graph's cached CSR, which counts its last level from degrees and
-    codegrees where it can.  The fast paths agree with the generic path by
+    Three motifs take dedicated paths: single edges (the edge total),
+    triangles (forward triangle count) and 4-cycles (pair codegrees).
+    Everything else goes through the level-wise counter on the graph's
+    cached CSR, which counts its last level from degrees and codegrees
+    where it can.  The fast paths agree with the generic path by
     construction and by test.
     """
     key = canonical_key(m)
@@ -59,6 +66,8 @@ def count(g: SampledGraph, m: Motif) -> int:
         return g.edge_count
     if key == _K3_KEY:
         return triangle_count(g)
+    if key == _C4_KEY:
+        return four_cycle_count(g)
     return count_embeddings(g.n, g.adjacency(), m)
 
 
@@ -94,6 +103,31 @@ def triangle_count(g: SampledGraph) -> int:
         total += int(np.count_nonzero(
             has_pair(keys, n, head[first], head[first + 1 + off])))
     return total
+
+
+def four_cycle_count(g: SampledGraph) -> int:
+    """4-cycles as half the sum of C(codeg(u, v), 2) over pairs u < v
+    (Alon, Yuster and Zwick, Algorithmica 17, 1997): each cycle is two
+    common neighbors of either of its two diagonals.
+
+    The codegrees come from the CSR's wedges, one range of lower
+    endpoints u at a time, in tables of at most PAIR_TABLE_CELLS // 4
+    int32 cells (always at least one row), so memory stays bounded at any
+    n.  The sum of c (c - 1) over every table's codegrees c is four times
+    the cycle count.
+    """
+    if g.edge_count < 4:
+        return 0
+    n = g.n
+    csr = g.adjacency()
+    step = max(1, _motif.PAIR_TABLE_CELLS // 4 // (n + 1))
+    total = 0
+    for lo in range(0, n + 1, step):
+        codeg = _codegree_table(n, csr, lo, min(lo + step, n + 1))
+        c = codeg[codeg > 1]
+        total += int(np.einsum("i,i->", c, c - 1, dtype=np.int64))
+        del codeg, c  # so that one block is alive at a time
+    return total // 4
 
 
 def expected_count(m: Motif, w: StepGraphon, n: int, rho: float) -> float:

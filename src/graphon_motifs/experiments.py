@@ -38,9 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .motif import Motif, density_exponents, named_motif
+from .motif import Motif, _integer, density_exponents, named_motif
 from .graphon import (
     StepGraphon,
+    _real,
     critical_edge_variance_share,
     is_motif_regular,
     named_graphon,
@@ -127,20 +128,13 @@ class ExperimentConfig:
             experiment_kind=d["experiment_kind"],
             motif=resolve_motif(d["motif"]),
             graphon=resolve_graphon(d["graphon"]),
-            schedule=SparsitySchedule(float(d["schedule"]["a"]),
-                                      float(d["schedule"]["gamma"])),
+            schedule=SparsitySchedule(
+                _real(d["schedule"]["a"], "schedule a"),
+                _real(d["schedule"]["gamma"], "schedule gamma")),
             n_values=tuple(d["n_values"]),
             replicates=d["replicates"],
             seed=d["seed"],
         )
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int; only Python and numpy integers (not
-    bools) are accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
 
 
 def resolve_motif(source) -> Motif:

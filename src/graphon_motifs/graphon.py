@@ -40,8 +40,9 @@ class StepGraphon:
     values: tuple
 
     def __init__(self, pi, values):
-        pi = tuple(float(p) for p in pi)
-        values = tuple(tuple(float(v) for v in row) for row in values)
+        pi = tuple(_real(p, "block width") for p in pi)
+        values = tuple(tuple(_real(v, "graphon value") for v in row)
+                       for row in values)
         k = len(pi)
         if k == 0:
             raise ValueError("graphon needs at least one block")
@@ -90,6 +91,15 @@ class StepGraphon:
     @staticmethod
     def from_json_dict(d: dict) -> "StepGraphon":
         return StepGraphon(d["pi"], d["values"])
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a Python float; only Python and numpy reals (not bools
+    or strings) are accepted."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} {value!r} is not a real number")
+    return float(value)
 
 
 @lru_cache(maxsize=256)

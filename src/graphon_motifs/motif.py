@@ -102,7 +102,17 @@ class Motif:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Motif":
-        return Motif(int(d["vertices"]), [tuple(e) for e in d["edges"]])
+        return Motif(_integer(d["vertices"], "motif vertex count"),
+                     [tuple(_integer(v, "motif edge endpoint") for v in e)
+                      for e in d["edges"]])
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; only Python and numpy integers (not
+    bools) are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def named_motif(name: str) -> Motif:
@@ -579,19 +589,31 @@ def _embedding_plan(m: Motif) -> tuple:
     return tuple(plan)
 
 
-def _codegree_table(n: int, csr: CSR) -> np.ndarray:
-    """Common neighbors of every pair u < v, an int32 table keyed
-    ``u * (n + 1) + v`` like the pair table: each wedge u - w - v (a path
-    of length two, Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one
-    to its pair, summed one EXPANSION_CHUNK window at a time."""
+def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
+    """Common neighbors of every pair u < v with lo <= u < hi, an int32
+    table keyed ``(u - lo) * (n + 1) + v``, so that the full range 0..n is
+    keyed like the pair table: each wedge u - w - v (a path of length two,
+    Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one to its pair,
+    summed one EXPANSION_CHUNK window at a time."""
     indptr, indices, rows = csr
-    # neighbors after each entry in its own row: its wedge partners
-    later = indptr[rows + 1] - np.arange(indices.size) - 1
-    table = np.zeros((n + 1) ** 2, dtype=np.int32)
-    for first, off in expansion_windows(later):
-        keys, hits = np.unique(
-            indices[first] * (n + 1) + indices[first + 1 + off],
-            return_counts=True)
+    if lo == 0 and hi == n + 1:
+        # every entry u of every row w
+        u, w = indices, rows
+        start = np.arange(1, indices.size + 1)
+    else:
+        # the entries u of rows w for u in lo..hi-1 (held as u - lo): the
+        # transposes of rows lo..hi-1, found among the sorted keys of all
+        # entries
+        a, b = indptr[lo], indptr[hi]
+        u, w = rows[a:b] - lo, indices[a:b]
+        start = np.searchsorted(rows * (n + 1) + indices,
+                                w * (n + 1) + rows[a:b]) + 1
+    # the neighbors after u in row w are its wedge partners
+    later = indptr[w + 1] - start
+    table = np.zeros((hi - lo) * (n + 1), dtype=np.int32)
+    for row, off in expansion_windows(later):
+        keys, hits = np.unique(u[row] * (n + 1) + indices[start[row] + off],
+                               return_counts=True)
         table[keys] += hits
     return table
 
@@ -695,7 +717,7 @@ def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
         codeg = None
         if (len(plan[-1][1]) == 2
                 and (host_n + 1) ** 2 <= PAIR_TABLE_CELLS // 4):
-            codeg = _codegree_table(host_n, csr)
+            codeg = _codegree_table(host_n, csr, 0, host_n + 1)
         host = _Host(host_n, csr.indptr, csr.indices, deg,
                      csr_pair_keys(host_n, csr), codeg)
         total = _extend(host, plan, [first], 1)

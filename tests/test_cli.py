@@ -67,6 +67,30 @@ def test_analyze_motif_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"vertices": 3.9, "edges": [[1, 2], [2, 3], [1, 3]]},
+     "motif vertex count 3.9 is not an integer"),
+    ({"vertices": True, "edges": []}, "motif vertex count True is not"),
+    ({"vertices": 3, "edges": [[1, 2.5]]}, "motif edge endpoint 2.5 is not"),
+], ids=["float_count", "bool_count", "float_end"])
+@pytest.mark.parametrize("command", ["analyze-motif", "count", "decompose"])
+def test_bad_motif_file_gives_the_reason(capsys, tmp_path, doc, message,
+                                         command):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    graph = tmp_path / "g.txt"
+    graph.write_text("4 0.5 1\n1 2\nlatents\n0.1\n0.2\n0.3\n0.4\n")
+    argv = {"analyze-motif": [str(path)],
+            "count": ["--graph", str(graph), "--motif", str(path)],
+            "decompose": ["--graphon", "W_asym", "--motif", str(path),
+                          "--n", "20", "--rho", "0.3", "--seed", "1"]}
+    code, out, err = run_cli(capsys, command, *argv[command])
+    assert code == 2
+    assert out == ""
+    assert "malformed motif file" in err
+    assert message in err
+
+
 def test_analyze_graphon(capsys):
     code, out, _ = run_cli(capsys, "analyze-graphon",
                            "--graphon", "W_asym", "--motif", "edge")
@@ -401,8 +425,21 @@ def test_run_experiment_rejects_replicates_at_the_latent_tag(capsys, tmp_path):
     (dict(graphon={"pi": [math.nan, 1.0],
                    "values": [[0.5, 0.5], [0.5, 0.5]]}),
      "block widths [nan, 1.0] must be positive and finite"),
+    (dict(schedule={"a": True, "gamma": 0.5}),
+     "schedule a True is not a real number"),
+    (dict(schedule={"a": 1.0, "gamma": "0.5"}),
+     "schedule gamma '0.5' is not a real number"),
+    (dict(graphon={"pi": ["1.0"], "values": [[0.5]]}),
+     "block width '1.0' is not a real number"),
+    (dict(graphon={"pi": [1.0], "values": [[False]]}),
+     "graphon value False is not a real number"),
+    (dict(motif={"vertices": 3.9, "edges": [[1, 2], [2, 3], [1, 3]]}),
+     "motif vertex count 3.9 is not an integer"),
+    (dict(motif={"vertices": 3, "edges": [[1, True]]}),
+     "motif edge endpoint True is not an integer"),
 ], ids=["n_float", "replicates_float", "replicates_bool", "seed_float",
-        "a_nan", "a_inf", "gamma_nan", "widths_nan"])
+        "a_nan", "a_inf", "gamma_nan", "widths_nan", "a_bool", "gamma_str",
+        "width_str", "value_bool", "motif_float_count", "motif_bool_end"])
 def test_run_experiment_rejects_invalid_numbers(capsys, tmp_path, over,
                                                 message):
     cfg = {"experiment_kind": "containment", "motif": "edge",

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from graphon_motifs import (
     named_motif,
     sample,
 )
-from graphon_motifs import motif, sampler
-from graphon_motifs.counting import triangle_count
+from graphon_motifs import counting, motif, sampler
+from graphon_motifs.counting import four_cycle_count, triangle_count
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
     all_graphs_on,
+    four_cycle_oracle,
     random_graphon,
     random_motif,
     subset_count_oracle,
@@ -40,6 +42,7 @@ from util import (
 K2 = named_motif("edge")
 P3 = named_motif("path3")
 K3 = named_motif("triangle")
+C4 = named_motif("c4")
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
 
@@ -93,10 +96,12 @@ def test_fast_paths_agree_with_generic_counter():
                    replicate_seed(9, n, i))
         assert count(g, K2) == count_embeddings(n, g.edge_list(), K2)
         assert triangle_count(g) == count_embeddings(n, g.edge_list(), K3)
+        assert four_cycle_count(g) == count_embeddings(n, g.edge_list(), C4)
 
 
-# one motif per isomorphism class on 3 and 4 vertices, disconnected and
-# isolated-vertex classes included, plus the two fast-path motifs
+# the edge and the triangle, then one motif per isomorphism class on 3 and
+# 4 vertices, disconnected and isolated-vertex classes included: the three
+# fast-path motifs (edge, triangle, c4) and the generic counter's
 PROPERTY_MOTIFS = [K2, K3] + list({
     canonical_form(m): m for k in (3, 4) for m in all_graphs_on(k)}.values())
 PAIRS_9 = list(combinations(range(1, 10), 2))
@@ -107,6 +112,13 @@ def _host(n, bits):
             and e[1] <= n]
 
 
+def _graph(n, edges):
+    """A graph on 1..n with the given edges, through the dump parser."""
+    lines = [f"{a} {b}" for a, b in edges]
+    return SampledGraph.from_dump("\n".join(
+        [f"{n} 0.5 1", *lines, "latents", *["0.5"] * n]) + "\n")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2 ** len(PAIRS_9) - 1))
 @example(1, 0)
@@ -115,9 +127,7 @@ def _host(n, bits):
 @example(9, 2 ** len(PAIRS_9) - 1)
 def test_count_paths_agree_with_oracle(n, bits):
     edges = _host(n, bits)
-    lines = [f"{a} {b}" for a, b in edges]
-    g = SampledGraph.from_dump("\n".join(
-        [f"{n} 0.5 1", *lines, "latents", *["0.5"] * n]) + "\n")
+    g = _graph(n, edges)
     for m in PROPERTY_MOTIFS:
         expect = subset_count_oracle(n, edges, m)
         assert count(g, m) == expect
@@ -180,6 +190,104 @@ def test_counts_without_the_tables(monkeypatch, cells):
     monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", cells)
     assert with_tables == [(count(g, m), count_embeddings(60, g.adjacency(), m))
                            for m in PROPERTY_MOTIFS]
+
+
+def _k(n):
+    return list(combinations(range(1, n + 1), 2))
+
+
+@pytest.mark.parametrize("n,edges,cycles", [
+    (1, [], 0),
+    (8, [], 0),
+    (2, [(1, 2)], 0),
+    (3, _k(3), 0),
+    (9, [(1, v) for v in range(2, 10)], 0),
+    (12, [(v // 2, v) for v in range(2, 13)], 0),
+    (9, [(u, v) for u in (1, 2) for v in range(3, 10)], math.comb(7, 2)),
+    (4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1),
+    (9, _k(9), 3 * math.comb(9, 4)),
+], ids=["k1", "empty", "k2", "k3", "star", "tree", "k2_7", "c4", "k9"])
+def test_four_cycle_count_against_generic_counter_and_oracles(n, edges,
+                                                              cycles):
+    g = _graph(n, edges)
+    assert four_cycle_count(g) == cycles
+    assert count_embeddings(n, edges, C4) == cycles
+    assert subset_count_oracle(n, edges, C4) == cycles
+    assert four_cycle_oracle(n, edges) == cycles
+
+
+@pytest.mark.parametrize("cells,chunk", [
+    (None, 64), (0, None), (0, 64), (4 * 3 * 61, 64),
+    (4 * (5 * 61 + 30), 200)])
+def test_four_cycle_count_across_blocks_and_windows(monkeypatch, cells,
+                                                    chunk):
+    # blocks of one row of lower endpoints (cells 0), of three, and of
+    # five with a shorter last block; chunk is the wedges a window sums
+    g = sample(W_ASYM, 60, 0.3, 8)
+    want = four_cycle_oracle(60, g.edges)
+    assert want > 0
+    assert count_embeddings(60, g.adjacency(), C4) == want
+    if cells is not None:
+        monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", cells)
+    if chunk is not None:
+        monkeypatch.setattr(motif, "EXPANSION_CHUNK", chunk)
+    assert four_cycle_count(g) == want
+    assert count(g, C4) == want
+
+
+def test_four_cycle_count_when_one_block_holds_every_edge(monkeypatch):
+    # blocks of 20 lower endpoints, and every edge inside 20..39: the
+    # second block holds every CSR entry
+    edges = [(u, v) for u, v in combinations(range(20, 40), 2) if (u + v) % 3]
+    g = _graph(60, edges)
+    want = four_cycle_oracle(60, edges)
+    assert want > 0
+    monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", 4 * 20 * 61)
+    assert four_cycle_count(g) == want
+
+
+def test_only_four_cycles_bypass_the_generic_counter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generic counter")
+
+    g = sample(W_SYM, 40, 0.4, 3)
+    want = four_cycle_oracle(40, g.edges)
+    assert want > 0
+    others = [named_motif("triangle_pendant"), named_motif("k4"),
+              Motif(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+              Motif(4, [(1, 2), (2, 3), (3, 4)]),
+              Motif(4, [(1, 2), (1, 3), (1, 4)])]
+    monkeypatch.setattr(counting, "count_embeddings", refuse)
+    relabelled = {m.edges: m for m in (
+        C4.relabel(dict(zip(range(1, 5), p)))
+        for p in permutations(range(1, 5)))}
+    assert len(relabelled) == 3
+    for m in relabelled.values():
+        assert count(g, m) == want
+    for m in others:
+        with pytest.raises(AssertionError, match="generic counter"):
+            count(g, m)
+
+
+def test_four_cycle_count_at_scale_in_bounded_memory():
+    # one codegree block of PAIR_TABLE_CELLS // 4 int32 cells (4 MiB), a
+    # boolean mask of it for the codegrees above one, and a few arrays of
+    # one int64 per CSR entry; the table of all (n + 1)^2 pairs would take
+    # 16 MB as int32
+    n = 2000
+    g = sample(W_ASYM, n, 2 / math.sqrt(n), replicate_seed(3, n, 0))
+    csr = g.adjacency()
+    cells = motif.PAIR_TABLE_CELLS // 4
+    bound = 4 * cells + cells + 4 * 8 * csr.indices.size
+    assert bound < 4 * (n + 1) ** 2
+    tracemalloc.start()
+    try:
+        got = four_cycle_count(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert got == count_embeddings(n, csr, C4)
 
 
 def test_expected_count_fixtures():

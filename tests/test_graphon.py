@@ -48,6 +48,29 @@ def test_graphon_rejects_nan_and_infinite_widths(pi):
         StepGraphon(pi, ((0.5, 0.5), (0.5, 0.5)))
 
 
+@pytest.mark.parametrize("pi,values,message", [
+    (("0.5", 0.5), ((0.5, 0.5), (0.5, 0.5)), "block width '0.5' is not"),
+    ((True,), ((0.5,),), "block width True is not a real number"),
+    ((1.0,), ((True,),), "graphon value True is not a real number"),
+    ((1.0,), (("0.5",),), "graphon value '0.5' is not a real number"),
+    ((1.0,), ((np.bool_(True),),), "graphon value np.True_ is not"),
+], ids=["str_width", "bool_width", "bool_value", "str_value",
+        "numpy_bool_value"])
+def test_graphon_needs_real_numbers(pi, values, message):
+    with pytest.raises(ValueError, match=message):
+        StepGraphon(pi, values)
+    with pytest.raises(ValueError, match=message):
+        StepGraphon.from_json_dict({"pi": list(pi),
+                                    "values": [list(r) for r in values]})
+
+
+def test_graphon_accepts_integers_and_numpy_reals():
+    w = StepGraphon(np.array([0.5, 0.5]),
+                    ((np.float32(0.5), 1), (np.int64(1), np.float64(0.25))))
+    assert w == StepGraphon((0.5, 0.5), ((0.5, 1.0), (1.0, 0.25)))
+    assert all(type(v) is float for v in (*w.pi, *w.values[0], *w.values[1]))
+
+
 def test_named_graphons():
     assert named_graphon("const:0.25").values == ((0.25,),)
     with pytest.raises(ValueError):

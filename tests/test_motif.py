@@ -16,6 +16,7 @@ from graphon_motifs import (
     canonical_form,
     canonical_relabel,
     copies_in_complete,
+    count,
     count_embeddings,
     density_exponents,
     is_isomorphic,
@@ -33,6 +34,7 @@ from util import (
     brute_automorphisms,
     brute_isomorphic,
     copies_on_labels,
+    four_cycle_oracle,
     random_motif,
     subset_count_oracle,
 )
@@ -49,6 +51,32 @@ def test_motif_validation():
         Motif(3, [(1, 4)])
     m = Motif(3, [(2, 1), (1, 2), (3, 1)])
     assert m.edges == frozenset({(1, 2), (1, 3)})
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"vertices": 3.9, "edges": [[1, 2], [2, 3], [1, 3]]},
+     "motif vertex count 3.9 is not an integer"),
+    ({"vertices": True, "edges": []}, "motif vertex count True is not"),
+    ({"vertices": "3", "edges": []}, "motif vertex count '3' is not"),
+    ({"vertices": 3, "edges": [[1, 2.0]]},
+     "motif edge endpoint 2.0 is not an integer"),
+    ({"vertices": 3, "edges": [[True, 2]]},
+     "motif edge endpoint True is not an integer"),
+    ({"vertices": 3, "edges": ["12"]},
+     "motif edge endpoint '1' is not an integer"),
+], ids=["float_count", "bool_count", "str_count", "float_end", "bool_end",
+        "str_edge"])
+def test_motif_json_needs_integers(doc, message):
+    with pytest.raises(ValueError, match=message):
+        Motif.from_json_dict(doc)
+
+
+def test_motif_json_accepts_numpy_integers():
+    m = Motif.from_json_dict({"vertices": np.int64(3),
+                              "edges": [[np.int32(1), np.uint8(2)], [2, 3]]})
+    assert m == Motif(3, [(1, 2), (2, 3)])
+    assert type(m.vertex_count) is int
+    assert all(type(v) is int for e in m.edges for v in e)
 
 
 def test_canonical_relabelings_of_triangle_match():
@@ -413,21 +441,19 @@ def _dense_adjacency(g):
 @pytest.mark.parametrize("graphon", ["W_sym", "W_asym"])
 def test_count_embeddings_against_degree_identities(graphon):
     # path3 and the 3-star from degrees, c4 from the codegrees of the dense
-    # adjacency matrix: each 4-cycle is two common neighbors of either of
-    # its two diagonals
+    # adjacency matrix, through the generic counter and count's fast path
     n = 150
     g = sample(named_graphon(graphon), n, 2 / math.sqrt(n), 31)
-    a = _dense_adjacency(g)
-    deg = a.sum(axis=1)
-    codeg = (a @ a)[np.triu_indices(n, 1)]
+    deg = _dense_adjacency(g).sum(axis=1)
     star3 = Motif(4, [(1, 2), (1, 3), (1, 4)])
     c4 = named_motif("c4")
     want = {P3: sum(math.comb(int(d), 2) for d in deg),
             star3: sum(math.comb(int(d), 3) for d in deg),
-            c4: sum(math.comb(int(c), 2) for c in codeg) // 2}
+            c4: four_cycle_oracle(n, g.edges)}
     assert want[c4] > 0
     for m, expect in want.items():
         assert count_embeddings(n, g.adjacency(), m) == expect
+    assert count(g, c4) == want[c4]
 
 
 def test_count_embeddings_five_vertex_classes_against_subset_oracle():

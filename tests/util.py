@@ -64,6 +64,18 @@ def subset_count_oracle(host_n: int, host_edges, m: Motif) -> int:
     return total
 
 
+def four_cycle_oracle(n: int, edges) -> int:
+    """4-cycles of a host on 1..n as half the sum of C((A^2)_uv, 2) over
+    pairs u < v, from its dense int64 adjacency matrix A: each cycle is
+    two common neighbors of either of its two diagonals."""
+    a = np.zeros((n, n), dtype=np.int64)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
+    a[pairs[:, 0], pairs[:, 1]] = 1
+    a[pairs[:, 1], pairs[:, 0]] = 1
+    codeg = (a @ a)[np.triu_indices(n, 1)]
+    return sum(math.comb(int(c), 2) for c in codeg) // 2
+
+
 def all_graphs_on(k: int):
     """Every labeled simple graph on vertices 1..k."""
     pairs = list(combinations(range(1, k + 1), 2))
