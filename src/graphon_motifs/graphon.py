@@ -2,9 +2,11 @@
 
 A step graphon is a block kernel: block widths pi summing to 1 and a
 symmetric K x K value matrix.  Homomorphism densities, rooted densities,
-the degree function, regularity checks, the kernel projection variance,
-and the critical variance share are all finite block sums, evaluated
-exactly (up to roundoff) with no quadrature or Monte Carlo.
+the degree function, regularity checks and the critical variance share are
+all finite block sums, evaluated exactly (up to roundoff) with no
+quadrature or Monte Carlo.  The kernel projection variance is a pi-weighted
+sum of squares of the per-block mean rooted densities that the regularity
+check already computes.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .motif import (
-    Motif,
-    automorphism_count,
-    canonical_key,
-    canonical_relabel,
-    density_exponents,
-    join_catalog,
-    vertex_join,
-)
+from .motif import Motif, automorphism_count, density_exponents, join_catalog
 
 # Density sums enumerate K^{|V|} block assignments.
 MAX_ASSIGNMENTS = 10_000_000
@@ -235,36 +229,21 @@ def is_motif_regular(m: Motif, w: StepGraphon,
 def projection_variance(m: Motif, w: StepGraphon) -> float:
     """Variance of the one-vertex projection of the centered copy kernel.
 
-    Computed through the densities of the one-vertex joins of two motif
-    copies; zero exactly when the graphon is regular for the motif.  As a
-    covariance of identically distributed evaluations it is nonnegative up
-    to roundoff.
+    On a step graphon the projection is constant on each block b, equal to
+    copies * (g_b - t) with copies = k!/|Aut| and g, t from
+    ``regularity_report``.  So the variance is copies^2 sum_b pi_b (g_b - t)^2:
+    the same as summing the densities of the k^2 one-vertex joins J_ab of two
+    copies, since t(J_ab) = sum_b pi_b t_a(b) t_b(b) for the rooted densities
+    t_a.  A sum of squares, it is nonnegative and zero exactly when every g_b
+    equals t.
     """
     if m.edge_count < 1:
         raise ValueError("projection variance needs at least one edge")
-    k = m.vertex_count
-    join_classes = _join_class_multiplicities(canonical_relabel(m))
-    t = hom_density(m, w)
-    total = 0.0
-    for rep, mult in join_classes:
-        total += mult * hom_density(rep, w)
-    copies = math.factorial(k) // automorphism_count(m)
-    return (copies * copies) / (k * k) * (total - k * k * t * t)
-
-
-@lru_cache(maxsize=512)
-def _join_class_multiplicities(m: Motif) -> tuple:
-    """One-vertex joins of two copies, grouped by isomorphism class."""
-    k = m.vertex_count
-    reps = {}
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            j = vertex_join(m, a, b)
-            key = canonical_key(j)
-            if key not in reps:
-                reps[key] = [canonical_relabel(j), 0]
-            reps[key][1] += 1
-    return tuple((rep, mult) for rep, mult in reps.values())
+    rep = regularity_report(m, w)
+    pi, _, _ = _arrays(w)
+    dev = np.array(rep.per_block_mean_rooted) - rep.t
+    copies = math.factorial(m.vertex_count) // automorphism_count(m)
+    return copies * copies * float(pi @ (dev * dev))
 
 
 def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
@@ -272,14 +251,14 @@ def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
     when the sparsity is pinned so that n * rho^{m1} stays equal to c.
 
     Uses the full catalog of overlap classes attaining the m1 maximum;
-    requires an irregular graphon (otherwise the share degenerates to 1
-    trivially and this constant is undefined).
+    requires a graphon that ``is_motif_regular`` calls irregular (otherwise
+    the share degenerates to 1 trivially and this constant is undefined).
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    xi = projection_variance(m, w)
-    if xi <= 1e-12:
+    if is_motif_regular(m, w):
         raise ValueError("critical constant undefined in regular case")
+    xi = projection_variance(m, w)
     k = m.vertex_count
     label_term = (k * k) / (math.factorial(k) ** 2) * xi
     edge_term = 0.0
@@ -300,9 +279,9 @@ def critical_edge_variance_share_closed_form(m: Motif, w: StepGraphon,
         raise ValueError("c must be positive")
     if not density_exponents(m).strictly_strongly_balanced:
         raise ValueError("closed form requires a strictly strongly balanced motif")
-    xi = projection_variance(m, w)
-    if xi <= 1e-12:
+    if is_motif_regular(m, w):
         raise ValueError("critical constant undefined in regular case")
+    xi = projection_variance(m, w)
     k = m.vertex_count
     t = hom_density(m, w)
     aut = automorphism_count(m)

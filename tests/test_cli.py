@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphon_motifs import SampledGraph
+from graphon_motifs import SampledGraph, named_graphon
 from graphon_motifs.cli import build_parser, main
 from graphon_motifs.motif import _NAMED
+from util import split_blocks
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,31 @@ def test_analyze_graphon(capsys):
     assert "regular for this motif: False" in out
     assert "projection variance = 0.039999" in out
     assert "critical share at c=1: 0.8333" in out
+
+
+def test_analyze_graphon_barely_irregular_case(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"pi": [0.5, 0.5],
+                                "values": [[0.5, 0.5], [0.5, 0.5000002]]}))
+    code, out, err = run_cli(capsys, "analyze-graphon",
+                             "--graphon", str(path), "--motif", "edge")
+    assert code == 0, err
+    assert "regular for this motif: False" in out
+    shares = re.findall(r"critical share at c=\S+: (\S+)", out)
+    assert len(shares) == 3
+    assert all(0.0 < float(v) <= 1.0 for v in shares), shares
+
+
+def test_analyze_graphon_c5_on_six_blocks(capsys, tmp_path):
+    path = tmp_path / "w6.json"
+    path.write_text(json.dumps(
+        split_blocks(named_graphon("W_asym"), 3).to_json_dict()))
+    code, out, err = run_cli(capsys, "analyze-graphon",
+                             "--graphon", str(path), "--motif", "c5")
+    assert code == 0, err
+    assert "graphon: 6 blocks" in out
+    assert "regular for this motif: False" in out
+    assert len(re.findall(r"critical share at c=", out)) == 3
 
 
 def test_analyze_graphon_regular_case(capsys):

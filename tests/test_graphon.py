@@ -18,14 +18,21 @@ from graphon_motifs import (
     regularity_report,
     rooted_density,
 )
-from graphon_motifs.graphon import _join_class_multiplicities
-from util import copies_on_labels, naive_hom_density, random_graphon, random_motif
+from util import (
+    copies_on_labels,
+    naive_hom_density,
+    random_graphon,
+    random_motif,
+    split_blocks,
+)
 
 K2 = named_motif("edge")
 P3 = named_motif("path3")
 K3 = named_motif("triangle")
 W_SYM = named_graphon("W_sym")
 W_ASYM = named_graphon("W_asym")
+# Irregular for the edge by 5e-8 in one block's degree, so its xi is 2.5e-15.
+W_NEARLY_FLAT = StepGraphon((0.5, 0.5), ((0.5, 0.5), (0.5, 0.5000002)))
 
 
 def test_graphon_validation():
@@ -242,9 +249,13 @@ def test_projection_variance_fixture():
 
 def test_projection_variance_against_pair_enumeration():
     rng = np.random.default_rng(19)
-    for _ in range(20):
-        w = random_graphon(rng, blocks=2)
-        m = random_motif(rng, max_vertices=4)
+    cases = [(random_graphon(rng, blocks=2), random_motif(rng, max_vertices=4))
+             for _ in range(20)]
+    cases += [(random_graphon(rng, blocks=3), random_motif(rng, max_vertices=4))
+              for _ in range(8)]
+    cases += [(random_graphon(rng, blocks=3), m)
+              for m in (named_motif("c5"), Motif(5, [(1, b) for b in range(2, 6)]))]
+    for w, m in cases:
         assert projection_variance(m, w) == pytest.approx(
             brute_projection_variance(m, w), abs=1e-10)
 
@@ -254,7 +265,7 @@ def test_projection_variance_nonnegative():
     for _ in range(30):
         w = random_graphon(rng)
         m = random_motif(rng, max_vertices=4)
-        assert projection_variance(m, w) >= -1e-12
+        assert projection_variance(m, w) >= 0.0
 
 
 def test_projection_variance_zero_iff_regular():
@@ -270,12 +281,23 @@ def test_projection_variance_zero_iff_regular():
             assert regular == (xi <= 1e-10), (m, w.pi, xi)
 
 
-def test_join_class_multiplicities_cover_all_pairs():
-    rng = np.random.default_rng(22)
-    for _ in range(10):
-        m = random_motif(rng, max_vertices=5)
-        classes = _join_class_multiplicities(m)
-        assert sum(mult for _, mult in classes) == m.vertex_count ** 2
+def test_split_blocks_leave_every_analytic_value_unchanged():
+    w6 = split_blocks(W_ASYM, 3)
+    assert w6.block_count == 6
+    rel = dict(rel=1e-12, abs=0.0)
+    for name in ("edge", "triangle", "c4", "c5", "fig2a"):
+        m = named_motif(name)
+        assert hom_density(m, w6) == pytest.approx(hom_density(m, W_ASYM), **rel)
+        assert projection_variance(m, w6) == pytest.approx(
+            projection_variance(m, W_ASYM), **rel)
+        rep6, rep2 = regularity_report(m, w6), regularity_report(m, W_ASYM)
+        assert rep6.is_regular == rep2.is_regular
+        assert rep6.max_deviation == pytest.approx(rep2.max_deviation, **rel)
+        assert rep6.per_block_mean_rooted == pytest.approx(
+            [g for g in rep2.per_block_mean_rooted for _ in range(3)], **rel)
+    c5 = named_motif("c5")
+    assert critical_edge_variance_share(c5, w6, 1.0) == pytest.approx(
+        critical_edge_variance_share(c5, W_ASYM, 1.0), **rel)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +337,22 @@ def test_critical_share_regular_case_rejected():
         critical_edge_variance_share(K2, W_SYM, 1.0)
     with pytest.raises(ValueError):
         critical_edge_variance_share(K2, W_ASYM, 0.0)
+
+
+def test_critical_share_follows_the_regularity_test():
+    rep = regularity_report(K2, W_NEARLY_FLAT)
+    assert not rep.is_regular
+    assert rep.max_deviation == pytest.approx(5e-8, rel=1e-6)
+    assert 0.0 < projection_variance(K2, W_NEARLY_FLAT) < 1e-12
+    shares = [critical_edge_variance_share(K2, W_NEARLY_FLAT, c)
+              for c in (0.5, 1.0, 2.0)]
+    shares.append(critical_edge_variance_share_closed_form(
+        K2, W_NEARLY_FLAT, 1.0))
+    assert all(0.0 < v <= 1.0 for v in shares), shares
+    for share in (critical_edge_variance_share,
+                  critical_edge_variance_share_closed_form):
+        with pytest.raises(ValueError, match="undefined in regular case"):
+            share(K2, W_SYM, 1.0)
 
 
 def test_closed_form_requires_strictly_strongly_balanced():

@@ -116,6 +116,15 @@ def random_graphon(rng, blocks=None) -> StepGraphon:
     return StepGraphon(pi, tuple(tuple(float(v) for v in row) for row in vals))
 
 
+def split_blocks(w: StepGraphon, r: int) -> StepGraphon:
+    """The same kernel on K*r blocks: each width split r ways, each value
+    copied to the r x r sub-blocks it covers."""
+    blocks = [b for b in range(w.block_count) for _ in range(r)]
+    return StepGraphon(tuple(w.pi[b] / r for b in blocks),
+                       tuple(tuple(w.values[a][b] for b in blocks)
+                             for a in blocks))
+
+
 def total_enumeration_variance(m: Motif, w: StepGraphon, n: int, rho: float):
     """Exact Var[X] by enumerating every block assignment and edge pattern."""
     from graphon_motifs import count_embeddings
