@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="replicate threads per cell (default 1), each "
-                        "taking one contiguous range of replicates; the "
+                   help="contiguous replicate ranges per cell (default "
+                        "1), run on at most one thread per CPU; the "
                         "summaries are the same at any count")
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")

@@ -34,7 +34,7 @@ from .motif import (
     has_pair,
     named_motif,
 )
-from .graphon import StepGraphon, _arrays, hom_density
+from .graphon import StepGraphon, _arrays, _assignment_products, hom_density
 from .sampler import SampledGraph
 
 # Exact (co)variance oracles enumerate all ordered copy pairs.
@@ -147,20 +147,17 @@ def _occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
     Grouping injective vertex placements by their block assignment turns
     E[X | latents] into sum_beta (edge value product) * prod_b (n_b)_{c_b},
     where c is beta's per-block multiplicity; assignments with equal c
-    collapse into one coefficient.
+    collapse into one coefficient.  The edge value products are
+    ``graphon._assignment_products`` at unit vertex weights (capped at
+    MAX_ASSIGNMENTS), walked in C order, which is the order of
+    ``product(range(K), repeat=k)``.
     """
-    K = w.block_count
-    k = m.vertex_count
-    vals = w.values
+    K, k = w.block_count, m.vertex_count
+    weights = _assignment_products(m, w, [np.ones(K)] * k)
     coeff = {}
-    for beta in product(range(K), repeat=k):
-        weight = 1.0
-        for a, b in m.sorted_edges():
-            weight *= vals[beta[a - 1]][beta[b - 1]]
-        counts = [0] * K
-        for b in beta:
-            counts[b] += 1
-        key = tuple(counts)
+    for beta, weight in zip(product(range(K), repeat=k),
+                            map(float, weights.flat)):
+        key = tuple(map(beta.count, range(K)))
         coeff[key] = coeff.get(key, 0.0) + weight
     return tuple(sorted(coeff.items()))
 

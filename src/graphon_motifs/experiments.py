@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,7 @@ from .graphon import (
     StepGraphon,
     _real,
     critical_edge_variance_share,
+    hom_density,
     is_motif_regular,
     named_graphon,
 )
@@ -110,6 +112,9 @@ class ExperimentConfig:
                              f"the index reserved for the frozen latent draw")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
+        # every kind needs the expected count, so a (motif, graphon) pair
+        # over the block-assignment cap is refused here, before sampling
+        hom_density(self.motif, self.graphon)
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,9 +302,11 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
 
     threads = min(threads, R)
     if threads > 1:
-        # one contiguous replicate range per thread
+        # one contiguous replicate range per task, run by at most one OS
+        # thread per CPU
         bounds = [R * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(
+                max_workers=min(threads, os.cpu_count() or 1)) as pool:
             list(pool.map(work_range, bounds[:-1], bounds[1:]))
     else:
         work_range(0, R)

@@ -4,9 +4,11 @@ A step graphon is a block kernel: block widths pi summing to 1 and a
 symmetric K x K value matrix.  Homomorphism densities, rooted densities,
 the degree function, regularity checks and the critical variance share are
 all finite block sums, evaluated exactly (up to roundoff) with no
-quadrature or Monte Carlo.  The kernel projection variance is a pi-weighted
-sum of squares of the per-block mean rooted densities that the regularity
-check already computes.
+quadrature or Monte Carlo.  Every such sum, and the conditional-mean
+polynomial of ``counting``, reads one array: the weight of each block
+assignment of the motif's vertices (``_assignment_products``).  The kernel
+projection variance is a pi-weighted sum of squares of the per-block mean
+rooted densities that the regularity check already computes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .motif import Motif, automorphism_count, density_exponents, join_catalog
 
-# Density sums enumerate K^{|V|} block assignments.
+# Densities and the conditional-mean polynomial enumerate all K^{|V|}
+# block assignments, pinned vertices included; larger pairs are refused.
 MAX_ASSIGNMENTS = 10_000_000
 
 REGULARITY_TOL = 1e-10
@@ -119,54 +122,45 @@ def named_graphon(name: str) -> StepGraphon:
 # densities
 
 
-def _assignment_sum(m: Motif, w: StepGraphon, pins: dict) -> float:
-    """Sum over block assignments of pi-weights times edge-value products,
-    with pinned vertices held at fixed blocks (and carrying no pi weight)."""
-    pi, vals, _ = _arrays(w)
-    K = w.block_count
-    free = [v for v in range(1, m.vertex_count + 1) if v not in pins]
-    if K ** len(free) > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"{K}^{len(free)} block assignments exceed cap {MAX_ASSIGNMENTS}")
-    axis = {v: i for i, v in enumerate(free)}
-    nfree = len(free)
+def _assignment_products(m: Motif, w: StepGraphon,
+                         vertex_weights) -> np.ndarray:
+    """Weight of every block assignment beta, as a K^k array whose axis
+    v - 1 holds the block of vertex v: prod_v vertex_weights[v - 1][beta_v]
+    times prod over edges ab of W(beta_a, beta_b).
 
-    arr = np.ones((K,) * nfree) if nfree else np.ones(())
-    for v in free:
-        shape = [1] * nfree
-        shape[axis[v]] = K
-        arr = arr * pi.reshape(shape)
-    scalar = 1.0
+    Every density and the conditional-mean polynomial read this one array.
+    The factors are applied from ones, the vertex weights in vertex order
+    and then W over ``sorted_edges``, so each caller's sums are
+    reproducible bit for bit.
+    """
+    _, vals, _ = _arrays(w)
+    K, k = w.block_count, m.vertex_count
+    if K ** k > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"{K}^{k} block assignments exceed cap {MAX_ASSIGNMENTS}")
+    arr = np.ones((K,) * k)
+    for v, weight in enumerate(vertex_weights):
+        shape = [1] * k
+        shape[v] = K
+        arr = arr * weight.reshape(shape)
     for a, b in m.sorted_edges():
-        pa, pb = pins.get(a), pins.get(b)
-        if pa is not None and pb is not None:
-            scalar *= vals[pa, pb]
-        elif pa is not None:
-            shape = [1] * nfree
-            shape[axis[b]] = K
-            arr = arr * vals[pa].reshape(shape)
-        elif pb is not None:
-            shape = [1] * nfree
-            shape[axis[a]] = K
-            arr = arr * vals[pb].reshape(shape)
-        else:
-            ia, ib = axis[a], axis[b]
-            shape = [1] * nfree
-            shape[min(ia, ib)] = K
-            shape[max(ia, ib)] = K
-            arr = arr * vals.reshape(shape)
-    return float(arr.sum() * scalar)
+        shape = [1] * k
+        shape[a - 1] = shape[b - 1] = K
+        arr = arr * vals.reshape(shape)
+    return arr
 
 
 def hom_density(m: Motif, w: StepGraphon) -> float:
     """Homomorphism density of the motif in the kernel: an exact block sum."""
-    return _assignment_sum(m, w, {})
+    pi, _, _ = _arrays(w)
+    return float(_assignment_products(m, w, [pi] * m.vertex_count).sum())
 
 
 def multipoint_density(m: Motif, pins: dict, w: StepGraphon) -> float:
     """Conditional density with the pinned vertices fixed to blocks (0-based).
 
     No pins recovers ``hom_density``; one pin recovers ``rooted_density``.
+    A pinned vertex carries a one-hot row in place of its pi weight.
     """
     K = w.block_count
     for v, b in pins.items():
@@ -174,7 +168,11 @@ def multipoint_density(m: Motif, pins: dict, w: StepGraphon) -> float:
             raise ValueError(f"pinned vertex {v} outside motif")
         if not (0 <= b < K):
             raise ValueError(f"block index {b} outside 0..{K - 1}")
-    return _assignment_sum(m, w, dict(pins))
+    pi, _, _ = _arrays(w)
+    rows = np.eye(K)
+    weights = [rows[pins[v]] if v in pins else pi
+               for v in range(1, m.vertex_count + 1)]
+    return float(_assignment_products(m, w, weights).sum())
 
 
 def rooted_density(m: Motif, a: int, block: int, w: StepGraphon) -> float:

@@ -407,22 +407,6 @@ def _copies_on(m: Motif, labels: tuple) -> set:
     return out
 
 
-def embeds_in(f: Motif, m: Motif) -> bool:
-    """True when f is isomorphic to a subgraph of m (same or fewer vertices)."""
-    if f.vertex_count > m.vertex_count:
-        return False
-    for subset in combinations(range(1, m.vertex_count + 1), f.vertex_count):
-        host_edges = {(a, b) for a, b in m.edges if a in subset and b in subset}
-        pos = {v: i for i, v in enumerate(subset)}
-        host = frozenset((min(pos[a], pos[b]), max(pos[a], pos[b]))
-                         for a, b in host_edges)
-        for perm in permutations(range(f.vertex_count)):
-            if all((min(perm[a - 1], perm[b - 1]),
-                    max(perm[a - 1], perm[b - 1])) in host for a, b in f.edges):
-                return True
-    return False
-
-
 @lru_cache(maxsize=1024)
 def _join_catalog_canonical(m: Motif, f: Motif) -> JoinCatalog:
     k = m.vertex_count
@@ -469,7 +453,7 @@ def join_catalog(m: Motif, f: Motif) -> JoinCatalog:
         raise ValueError("intersection class needs at least one edge")
     if m.vertex_count > MAX_JOIN_VERTICES:
         raise ValueError(f"join catalog capped at {MAX_JOIN_VERTICES} vertices")
-    if not embeds_in(f, m):
+    if count_embeddings(m.vertex_count, m.edges, f) == 0:
         raise ValueError("intersection class does not embed in the motif")
     return _join_catalog_canonical(canonical_relabel(m), canonical_relabel(f))
 

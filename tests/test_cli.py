@@ -483,6 +483,28 @@ def test_run_experiment_rejects_invalid_numbers(capsys, tmp_path, over,
     assert not out.exists()
 
 
+def test_run_experiment_refuses_a_pair_over_the_assignment_cap(
+        capsys, tmp_path):
+    # 4^12 block assignments: exit 2 before any sampling, no output
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "clt",
+        "motif": {"vertices": 12,
+                  "edges": [[v, v + 1] for v in range(1, 12)]},
+        "graphon": {"pi": [0.25] * 4,
+                    "values": [[0.6 if a == b else 0.3 for b in range(4)]
+                               for a in range(4)]},
+        "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [20],
+        "replicates": 30, "seed": 7}))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "run-experiment", "--config",
+                                str(cfg_path), "--out-dir", str(out))
+    assert code == 2
+    assert "4^12 block assignments exceed cap 10000000" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_run_experiment_degenerate_campaign_is_a_runtime_failure(
         capsys, tmp_path):
     # a valid config whose count never varies: K5 at rho = 1

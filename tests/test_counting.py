@@ -34,6 +34,7 @@ from util import (
     four_cycle_oracle,
     random_graphon,
     random_motif,
+    reference_occupancy_polynomial,
     subset_count_oracle,
     total_enumeration_conditional_variance,
     total_enumeration_variance,
@@ -334,6 +335,34 @@ def test_conditional_brute_force_over_copies():
                 total += term
         got = conditional_expected_count(lat, m, w, rho)
         assert got == pytest.approx(total, rel=1e-10)
+
+
+def test_occupancy_polynomial_matches_the_reference_loop_bit_for_bit():
+    # every summary's cond_expected is read from these coefficients, so
+    # they must equal the plain loop's exactly, not just to roundoff
+    rng = np.random.default_rng(65)
+    graphons = [W_SYM, W_ASYM] + [random_graphon(rng, blocks=K)
+                                  for K in (2, 3, 4)]
+    checked = 0
+    for w in graphons:
+        for name in sorted(motif._NAMED):
+            m = named_motif(name)
+            if w.block_count ** m.vertex_count > 4096:
+                continue
+            assert (counting._occupancy_polynomial(m, w)
+                    == reference_occupancy_polynomial(m, w))
+            checked += 1
+    assert checked >= 40
+
+
+def test_conditional_mean_refuses_over_the_assignment_cap():
+    # 4^12 block assignments: refused at once, like hom_density
+    path12 = Motif(12, [(v, v + 1) for v in range(1, 12)])
+    w = random_graphon(np.random.default_rng(66), blocks=4)
+    lat = np.random.default_rng(67).random(20)
+    with pytest.raises(ValueError,
+                       match=r"4\^12 block assignments exceed cap"):
+        conditional_expected_count(lat, path12, w, 0.5)
 
 
 def test_conditional_tower_property():

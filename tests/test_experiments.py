@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from graphon_motifs import (
     ExperimentConfig,
+    Motif,
     SparsitySchedule,
     StepGraphon,
     critical_schedule,
@@ -59,6 +61,17 @@ def test_config_rejects_replicates_reaching_the_latent_tag():
         small_cfg("clt", replicates=_LATENT_TAG + 1)
     assert small_cfg("clt", replicates=_LATENT_TAG - 1).replicates == \
         _LATENT_TAG - 1
+
+
+def test_config_refuses_a_pair_over_the_assignment_cap():
+    # a 12-vertex path on 4 blocks has 4^12 block assignments: refused when
+    # the config is built, before any replicate is sampled
+    path12 = Motif(12, [(v, v + 1) for v in range(1, 12)])
+    w4 = StepGraphon((0.25,) * 4, tuple(
+        tuple(0.5 + 0.1 * (a == b) for b in range(4)) for a in range(4)))
+    with pytest.raises(ValueError,
+                       match=r"4\^12 block assignments exceed cap"):
+        small_cfg("clt", motif=path12, graphon=w4)
 
 
 @pytest.mark.parametrize("over,message", [
@@ -408,6 +421,32 @@ def test_replicate_cell_equals_reference_loop(cfg):
         if cfg.graphon.block_count == 1:
             # one block: E[X | latents] is the unconditional mean, exactly
             assert set(conds) == {expected}
+
+
+def test_replicate_pool_is_clamped_to_the_cpu_count(monkeypatch):
+    # a serial stand-in for the pool records its size and starts no thread
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = small_cfg("clt", replicates=200)
+    serial = run_experiment(cfg, threads=1)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    clamped = run_experiment(cfg, threads=10_000)
+    assert len(sizes) == len(cfg.n_values)
+    assert max(sizes) <= (os.cpu_count() or 1)
+    assert clamped.to_json() == serial.to_json()
 
 
 @pytest.mark.parametrize("R", [5, 2 * SEED_BLOCK + 3],

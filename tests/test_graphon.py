@@ -31,6 +31,10 @@ P3 = named_motif("path3")
 K3 = named_motif("triangle")
 W_SYM = named_graphon("W_sym")
 W_ASYM = named_graphon("W_asym")
+# Three blocks with non-dyadic widths, on which multiplying the edge values
+# before the pi factors moves the last bit of c5's and fig2a's densities.
+W_3 = StepGraphon((0.05, 0.4, 0.55), ((0.35, 0.85, 0.25), (0.85, 0.35, 0.05),
+                                      (0.25, 0.05, 0.8)))
 # Irregular for the edge by 5e-8 in one block's degree, so its xi is 2.5e-15.
 W_NEARLY_FLAT = StepGraphon((0.5, 0.5), ((0.5, 0.5), (0.5, 0.5000002)))
 
@@ -106,6 +110,19 @@ def test_hom_density_fixtures():
     assert hom_density(P3, W_ASYM) == pytest.approx(0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("name,w,value", [
+    ("edge", W_ASYM, 0.4),
+    ("triangle", W_SYM, 0.15200000000000005),
+    ("c4", W_SYM, 0.07060000000000002),
+    ("c5", W_3, 0.01850993154482423),
+    ("fig2a", W_3, 0.0062813946549296696),
+], ids=["edge", "triangle", "c4", "c5", "fig2a"])
+def test_hom_density_bits(name, w, value):
+    # expected_count, and so every summary, is read from these bits:
+    # pi factors first, then the edges, then one sum in C order
+    assert hom_density(named_motif(name), w) == value
+
+
 def test_hom_density_against_naive_sum():
     rng = np.random.default_rng(12)
     for _ in range(25):
@@ -129,6 +146,9 @@ def test_hom_density_cap():
     w = random_graphon(np.random.default_rng(0), blocks=4)
     with pytest.raises(ValueError):
         hom_density(big, w)  # 4^12 > cap
+    # a pinned vertex still counts toward the cap
+    with pytest.raises(ValueError, match=r"4\^12 block assignments"):
+        multipoint_density(big, {1: 0}, w)
 
 
 def test_rooted_density_fixtures():

@@ -186,6 +186,25 @@ def naive_hom_density(m: Motif, w: StepGraphon) -> float:
     return total
 
 
+def reference_occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
+    """Occupancy coefficients of the conditional mean by a plain loop over
+    block assignments in ``product`` order, each edge value product built
+    from 1.0 in ``sorted_edges`` order: the bits that
+    ``counting._occupancy_polynomial`` must reproduce."""
+    K = w.block_count
+    coeff = {}
+    for beta in product(range(K), repeat=m.vertex_count):
+        weight = 1.0
+        for a, b in m.sorted_edges():
+            weight *= w.values[beta[a - 1]][beta[b - 1]]
+        counts = [0] * K
+        for b in beta:
+            counts[b] += 1
+        key = tuple(counts)
+        coeff[key] = coeff.get(key, 0.0) + weight
+    return tuple(sorted(coeff.items()))
+
+
 def connected_classes_up_to(max_vertices: int):
     """One canonical representative per connected isomorphism class."""
     from graphon_motifs import canonical_form, canonical_relabel
