@@ -11,7 +11,9 @@ Library layout:
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance ratios
-- ``experiments`` Monte Carlo campaigns over the above
+- ``experiments`` Monte Carlo campaigns over the above: a config is checked
+                  once when built, and ``run_experiment`` runs every kind
+                  through one replicate loop and a per-kind aggregation
 - ``cli``         command-line front end
 """
 
@@ -77,11 +79,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
-    run_containment,
-    run_clt,
-    run_variance_ratio,
-    run_critical_kappa,
-    run_conditional_clt,
 )
 
 __version__ = "0.1.0"

@@ -4,9 +4,13 @@ Five experiment kinds: containment fractions across the appearance
 threshold, normality of the standardized count, the split of the variance
 between the edge and label components, the critical pinned-sparsity regime
 against its predicted share, and the conditional normality of the edge
-component at frozen latents.  One engine samples and counts each
-replicate once; every kind aggregates its per-replicate table, and the
-replicate rows are that same table.
+component at frozen latents.  A config is checked once, when it is built:
+its fields, the block-assignment cap, and the conditions that make its
+kind's aggregate meaningful (a CLT or a variance split above the
+containment threshold, a KS floor on the replicates, a critical share on
+an irregular graphon pinned at n rho^{m1} = c).  ``run_experiment`` then
+samples and counts each replicate once, and every kind fills its record
+from that per-replicate table; the replicate rows are that same table.
 
 Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
@@ -34,7 +38,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +77,12 @@ from .stats import (
     variance_shares,
 )
 
-EXPERIMENT_KINDS = ("containment", "clt", "variance_ratio", "critical_kappa",
-                    "conditional_clt")
+# kinds whose aggregate needs gamma above the containment threshold, and
+# how their refusal names the run
+_ABOVE_CONTAINMENT = {"clt": "normality run",
+                      "variance_ratio": "variance ratios"}
+# kinds that KS-test a component of every cell
+_KS_KINDS = ("clt", "critical_kappa", "conditional_clt")
 
 # replicate-index namespace reserved for the frozen latent draw
 _LATENT_TAG = 0xFEED0000
@@ -115,6 +123,26 @@ class ExperimentConfig:
         # every kind needs the expected count, so a (motif, graphon) pair
         # over the block-assignment cap is refused here, before sampling
         hom_density(self.motif, self.graphon)
+        kind = self.experiment_kind
+        if kind in _ABOVE_CONTAINMENT:
+            regime = classify_regime(self.motif, self.schedule.gamma)
+            if regime in ("below_containment", "at_containment"):
+                raise ValueError(f"{_ABOVE_CONTAINMENT[kind]} not meaningful "
+                                 f"in regime {regime!r}")
+        if kind == "critical_kappa":
+            if is_motif_regular(self.motif, self.graphon):
+                raise ValueError("critical share undefined for a regular "
+                                 "graphon")
+            m1, c = _pinned_constant(self)
+            if abs(self.schedule.gamma * m1 - 1.0) > 1e-9:
+                raise ValueError("schedule exponent must equal 1/m1 for a "
+                                 "pinned run")
+            for n in self.n_values:
+                if abs(n * schedule_rho(self.schedule, n) ** m1 - c) > 1e-9 * c:
+                    raise ValueError(f"pinning broken at n={n}: "
+                                     f"n rho^m1 != c")
+        if kind in _KS_KINDS and self.replicates < KS_MIN_SAMPLES:
+            raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,6 +168,12 @@ class ExperimentConfig:
             replicates=d["replicates"],
             seed=d["seed"],
         )
+
+
+def _pinned_constant(cfg: ExperimentConfig) -> tuple:
+    """(m1, c) of a pinned schedule: n rho^{m1} = c = a^{m1}."""
+    m1 = float(density_exponents(cfg.motif).m1)
+    return m1, cfg.schedule.a ** m1
 
 
 def resolve_motif(source) -> Motif:
@@ -321,27 +355,14 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
                          seed=seeds, x=xs, cond=conds)
 
 
-def _aggregate(cfg: ExperimentConfig, threads: int, fill) -> ExperimentResult:
-    """Fill one record per n cell from that cell's replicate table."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, not {threads}")
-    table = []
-    records = []
-    for n in cfg.n_values:
-        cell = _replicate_cell(cfg, n, threads)
-        rec = _base_record(cfg, cell)
-        fill(rec, cell)
-        table.append(cell)
-        records.append(rec)
-    return ExperimentResult(experiment_kind=cfg.experiment_kind,
-                            config=cfg.to_json_dict(),
-                            records=records, table=table)
-
-
 def _base_record(cfg, cell: ReplicateCell) -> CellRecord:
     xs, exp = cell.x, cell.expected
+    # under frozen latents the replicate mean tracks the conditional
+    # expectation, not the unconditional one
+    centre = (float(cell.cond[0]) if cfg.experiment_kind == "conditional_clt"
+              else exp)
     mean_x, se_x = mean_and_se(xs)
-    ok = abs(mean_x - exp) <= 4.0 * se_x if se_x > 0 else mean_x == exp
+    ok = abs(mean_x - centre) <= 4.0 * se_x if se_x > 0 else mean_x == centre
     return CellRecord(n=cell.n, rho=cell.rho, replicates=cfg.replicates,
                       expected_count=exp, mean_x=mean_x, se_x=se_x,
                       var_x=float(np.var(xs, ddof=1)), mean_within_4se=ok)
@@ -355,116 +376,33 @@ def _ks_or_none(values) -> NormalityReport:
 
 
 # ---------------------------------------------------------------------------
-# runners: aggregations over the replicate table
+# one aggregation of the replicate table per experiment kind
 
 
-def run_containment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _fill_containment(cfg, rec: CellRecord, cell: ReplicateCell):
     """Fraction of replicates containing the motif, against the mean bound."""
-    _require_kind(cfg, "containment")
-
-    def fill(rec, cell):
-        rec.containment_fraction = float(np.mean(cell.x > 0))
-
-    return _aggregate(cfg, threads, fill)
+    rec.containment_fraction = float(np.mean(cell.x > 0))
 
 
-def run_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _fill_clt(cfg, rec: CellRecord, cell: ReplicateCell):
     """KS distance of the standardized count, plus both components.
 
     A valid config can still sample a count that never varies (a complete
     graph at rho = 1, say); that raises RuntimeError after sampling.
     """
-    _require_kind(cfg, "clt")
-    regime = classify_regime(cfg.motif, cfg.schedule.gamma)
-    if regime in ("below_containment", "at_containment"):
-        raise ValueError(f"normality run not meaningful in regime {regime!r}")
-    _require_ks_sample(cfg)
-
-    def fill(rec, cell):
-        xs, d1, d2 = cell.x, cell.delta1, cell.delta2
-        sd = float(np.std(xs, ddof=1))
-        if sd == 0.0:
-            raise RuntimeError("zero empirical variance of the count")
-        rec.ks_x = ks_test(standardize(xs, float(np.mean(xs)), sd))
-        rec.ks_delta1 = _ks_or_none(d1)
-        rec.ks_delta2 = _ks_or_none(d2)
-        _fill_component_stats(rec, d1, d2)
-
-    return _aggregate(cfg, threads, fill)
+    xs = cell.x
+    sd = float(np.std(xs, ddof=1))
+    if sd == 0.0:
+        raise RuntimeError("zero empirical variance of the count")
+    rec.ks_x = ks_test(standardize(xs, float(np.mean(xs)), sd))
+    rec.ks_delta1 = _ks_or_none(cell.delta1)
+    rec.ks_delta2 = _ks_or_none(cell.delta2)
+    _fill_variance_ratio(cfg, rec, cell)
 
 
-def run_variance_ratio(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _fill_variance_ratio(cfg, rec: CellRecord, cell: ReplicateCell):
     """Empirical shares of the two components in the total variance."""
-    _require_kind(cfg, "variance_ratio")
-    regime = classify_regime(cfg.motif, cfg.schedule.gamma)
-    if regime in ("below_containment", "at_containment"):
-        raise ValueError(f"variance ratios not meaningful in regime {regime!r}")
-
-    def fill(rec, cell):
-        _fill_component_stats(rec, cell.delta1, cell.delta2)
-
-    return _aggregate(cfg, threads, fill)
-
-
-def run_critical_kappa(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Pinned-sparsity runs against the predicted critical share."""
-    _require_kind(cfg, "critical_kappa")
-    m, w = cfg.motif, cfg.graphon
-    if is_motif_regular(m, w):
-        raise ValueError("critical share undefined for a regular graphon")
-    m1 = float(density_exponents(m).m1)
-    if abs(cfg.schedule.gamma * m1 - 1.0) > 1e-9:
-        raise ValueError("schedule exponent must equal 1/m1 for a pinned run")
-    c = cfg.schedule.a ** m1
-    kappa = critical_edge_variance_share(m, w, c)
-    for n in cfg.n_values:
-        if abs(n * schedule_rho(cfg.schedule, n) ** m1 - c) > 1e-9 * c:
-            raise ValueError(f"pinning broken at n={n}: n rho^m1 != c")
-    _require_ks_sample(cfg)
-
-    def fill(rec, cell):
-        d1, d2 = cell.delta1, cell.delta2
-        _fill_component_stats(rec, d1, d2)
-        rec.c_value = c
-        rec.kappa_theory = kappa
-        rec.ks_delta1 = _ks_or_none(d1)
-        rec.ks_delta2 = _ks_or_none(d2)
-
-    return _aggregate(cfg, threads, fill)
-
-
-def run_conditional_clt(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Edge-component normality at one frozen latent draw per n."""
-    _require_kind(cfg, "conditional_clt")
-    _require_ks_sample(cfg)
-
-    def fill(rec, cell):
-        cond = float(cell.cond[0])
-        d1 = cell.delta1
-        # the latents are frozen, so the replicate mean tracks the
-        # conditional expectation, not the unconditional one
-        rec.mean_within_4se = (abs(rec.mean_x - cond) <= 4.0 * rec.se_x
-                               if rec.se_x > 0 else rec.mean_x == cond)
-        rec.cond_mean = cond
-        rec.cond_var_empirical = float(np.var(d1, ddof=1))
-        rec.cond_ks = _ks_or_none(d1)
-        rec.ks_delta1 = rec.cond_ks
-
-    return _aggregate(cfg, threads, fill)
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    runner = {
-        "containment": run_containment,
-        "clt": run_clt,
-        "variance_ratio": run_variance_ratio,
-        "critical_kappa": run_critical_kappa,
-        "conditional_clt": run_conditional_clt,
-    }[cfg.experiment_kind]
-    return runner(cfg, threads=threads)
-
-
-def _fill_component_stats(rec: CellRecord, d1, d2):
+    d1, d2 = cell.delta1, cell.delta2
     rec.var_delta1 = float(np.var(d1, ddof=1))
     rec.var_delta2 = float(np.var(d2, ddof=1))
     cov, _ = covariance_and_se(d1, d2)
@@ -475,27 +413,57 @@ def _fill_component_stats(rec: CellRecord, d1, d2):
         rec.r1, rec.r2 = variance_shares(rec.var_delta1, rec.var_delta2)
 
 
-def _require_kind(cfg: ExperimentConfig, kind: str):
-    if cfg.experiment_kind != kind:
-        raise ValueError(f"config kind {cfg.experiment_kind!r}, runner {kind!r}")
+def _fill_critical_kappa(cfg, rec: CellRecord, cell: ReplicateCell):
+    """Pinned-sparsity shares against the predicted critical share."""
+    _fill_variance_ratio(cfg, rec, cell)
+    _, rec.c_value = _pinned_constant(cfg)
+    rec.kappa_theory = critical_edge_variance_share(cfg.motif, cfg.graphon,
+                                                    rec.c_value)
+    rec.ks_delta1 = _ks_or_none(cell.delta1)
+    rec.ks_delta2 = _ks_or_none(cell.delta2)
 
 
-def _require_ks_sample(cfg: ExperimentConfig):
-    """Reject before any sampling a run whose KS tests would refuse it."""
-    if cfg.replicates < KS_MIN_SAMPLES:
-        raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
+def _fill_conditional_clt(cfg, rec: CellRecord, cell: ReplicateCell):
+    """Edge-component normality at one frozen latent draw per n."""
+    d1 = cell.delta1
+    rec.cond_mean = float(cell.cond[0])
+    rec.cond_var_empirical = float(np.var(d1, ddof=1))
+    rec.cond_ks = _ks_or_none(d1)
+    rec.ks_delta1 = rec.cond_ks
+
+
+_FILLS = {
+    "containment": _fill_containment,
+    "clt": _fill_clt,
+    "variance_ratio": _fill_variance_ratio,
+    "critical_kappa": _fill_critical_kappa,
+    "conditional_clt": _fill_conditional_clt,
+}
+EXPERIMENT_KINDS = tuple(_FILLS)
+
+
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Sample every n cell of a campaign and fill one record per cell."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
+    fill = _FILLS[cfg.experiment_kind]
+    table = []
+    records = []
+    for n in cfg.n_values:
+        cell = _replicate_cell(cfg, n, threads)
+        rec = _base_record(cfg, cell)
+        fill(cfg, rec, cell)
+        table.append(cell)
+        records.append(rec)
+    return ExperimentResult(experiment_kind=cfg.experiment_kind,
+                            config=cfg.to_json_dict(),
+                            records=records, table=table)
 
 
 # ---------------------------------------------------------------------------
 # per-replicate rows and file output
 
-SUMMARY_CSV_COLUMNS = (
-    "n", "rho", "replicates", "expected_count", "mean_x", "se_x", "var_x",
-    "mean_within_4se", "containment_fraction", "var_delta1", "var_delta2",
-    "cov_delta12", "corr_delta12", "r1", "r2", "ks_x", "ks_delta1",
-    "ks_delta2", "c_value", "kappa_theory", "cond_ks", "cond_mean",
-    "cond_var_empirical",
-)
+SUMMARY_CSV_COLUMNS = tuple(f.name for f in fields(CellRecord))
 
 REPLICATE_CSV_HEADER = ("seed", "n", "rho", "x", "expected", "cond_expected",
                         "delta", "delta1", "delta2")

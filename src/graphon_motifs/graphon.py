@@ -206,11 +206,19 @@ def regularity_report(m: Motif, w: StepGraphon,
 
     Exact for step graphons, so the default tolerance only absorbs roundoff.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    t = hom_density(m, w)
-    per_block = tuple(mean_rooted_density(m, b, w)
-                      for b in range(w.block_count))
+    # written so that NaN fails
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance {tol!r} must be positive and finite")
+    pi, _, _ = _arrays(w)
+    k = m.vertex_count
+    arr = _assignment_products(m, w, [pi] * k)
+    t = float(arr.sum())
+    # the axis-a marginal at b is pi_b times the rooted density t_a(b), so
+    # g_b = sum_a marginal_a(b) / (k pi_b), from the one array t sums
+    axes = range(k)
+    marginals = sum(arr.sum(axis=tuple(x for x in axes if x != a))
+                    for a in axes)
+    per_block = tuple((marginals / (k * pi)).tolist())
     dev = max(abs(x - t) for x in per_block)
     return RegularityReport(per_block, t, dev <= tol, dev)
 
@@ -244,6 +252,12 @@ def projection_variance(m: Motif, w: StepGraphon) -> float:
     return copies * copies * float(pi @ (dev * dev))
 
 
+def _check_pinned_c(c):
+    # written so that NaN fails
+    if not 0 < c < math.inf:
+        raise ValueError(f"c {c!r} must be positive and finite")
+
+
 def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
     """Limiting share of the count variance carried by the edge component
     when the sparsity is pinned so that n * rho^{m1} stays equal to c.
@@ -252,8 +266,7 @@ def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
     requires a graphon that ``is_motif_regular`` calls irregular (otherwise
     the share degenerates to 1 trivially and this constant is undefined).
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _check_pinned_c(c)
     if is_motif_regular(m, w):
         raise ValueError("critical constant undefined in regular case")
     xi = projection_variance(m, w)
@@ -273,8 +286,7 @@ def critical_edge_variance_share_closed_form(m: Motif, w: StepGraphon,
                                              c: float) -> float:
     """Closed form for the critical share, valid only for motifs whose m1
     maximum is attained by the motif alone (strictly strongly balanced)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _check_pinned_c(c)
     if not density_exponents(m).strictly_strongly_balanced:
         raise ValueError("closed form requires a strictly strongly balanced motif")
     if is_motif_regular(m, w):

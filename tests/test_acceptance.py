@@ -28,10 +28,7 @@ from graphon_motifs import (
     named_graphon,
     named_motif,
     projection_variance,
-    run_clt,
-    run_conditional_clt,
-    run_containment,
-    run_critical_kappa,
+    run_experiment,
     sample,
 )
 from graphon_motifs.experiments import write_result
@@ -215,8 +212,8 @@ def test_c08_containment_threshold():
                              SparsitySchedule(1.0, 0.8), (1000,), 1000, 8001)
     below = ExperimentConfig("containment", K3, w,
                              SparsitySchedule(1.0, 1.2), (1000,), 1000, 8002)
-    rec_b = run_containment(below).records[0]
-    rec_a = run_containment(above).records[0]
+    rec_b = run_experiment(below).records[0]
+    rec_a = run_experiment(above).records[0]
     ok = (rec_b.containment_fraction <= 0.02
           and rec_a.containment_fraction >= 0.9 and rec_a.mean_x >= 5.0)
     _report(8, "containment threshold", ok,
@@ -229,7 +226,7 @@ def test_c09_clt_regular_case():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("clt", K3, StepGraphon.constant(0.5),
                            SparsitySchedule(1.0, 0.5), (300,), 2000, 31415)
-    rec = run_clt(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     ks = rec.ks_x.ks_statistic
     _report(9, "normality in the regular case", ks < 0.05,
             f"KS={ks:.4f} at n=300, 2000 replicates", t0, 180.0)
@@ -241,8 +238,8 @@ def test_c10_variance_phase_transition():
                               SparsitySchedule(18.0, 1.5), (2000,), 2000, 1002)
     dense = ExperimentConfig("clt", K2, W_ASYM,
                              SparsitySchedule(2.0, 0.5), (2000,), 2000, 1002)
-    rec_s = run_clt(sparse).records[0]
-    rec_d = run_clt(dense).records[0]
+    rec_s = run_experiment(sparse).records[0]
+    rec_d = run_experiment(dense).records[0]
     ok = (rec_s.r2 <= 0.1 and rec_s.ks_x.ks_statistic < 0.05
           and rec_d.r2 >= 0.9 and rec_d.ks_x.ks_statistic < 0.05)
     _report(10, "variance phase transition", ok,
@@ -258,7 +255,7 @@ def test_c11_critical_share():
     for c, tol in ((1.0, 0.03), (5.0, 0.04)):
         cfg = ExperimentConfig("critical_kappa", K2, W_ASYM,
                                critical_schedule(K2, c), (2000,), 5000, 1003)
-        rec = run_critical_kappa(cfg).records[0]
+        rec = run_experiment(cfg).records[0]
         target = 1.0 - rec.kappa_theory
         dev = abs(rec.r2 - target)
         ok = (ok and dev <= tol and abs(rec.corr_delta12) <= 0.05
@@ -276,7 +273,7 @@ def test_c12_conditional_clt():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("conditional_clt", K3, W_SYM,
                            SparsitySchedule(1.0, 0.5), (200,), 2000, 2024)
-    rec = run_conditional_clt(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     ks = rec.cond_ks.ks_statistic
 
     # small-n cross-check: empirical conditional variance vs the exact oracle
@@ -301,8 +298,8 @@ def test_c13_determinism(tmp_path):
     cfg = ExperimentConfig("clt", K2, W_ASYM,
                            SparsitySchedule(1.0, 0.5), (150,), 300, 13001)
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
-    write_result(run_clt(cfg, threads=1), d1)
-    write_result(run_clt(cfg, threads=4), d2)
+    write_result(run_experiment(cfg, threads=1), d1)
+    write_result(run_experiment(cfg, threads=4), d2)
     same = all((d1 / f).read_bytes() == (d2 / f).read_bytes()
                for f in ("summary.json", "summary.csv"))
     _report(13, "byte-identical determinism", same,

@@ -505,6 +505,32 @@ def test_run_experiment_refuses_a_pair_over_the_assignment_cap(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("over,message", [
+    (dict(experiment_kind="clt", motif="triangle",
+          schedule={"a": 1.0, "gamma": 1.2}),
+     "normality run not meaningful in regime 'below_containment'"),
+    (dict(experiment_kind="critical_kappa", graphon="W_sym",
+          schedule={"a": 1.0, "gamma": 1.0}),
+     "critical share undefined for a regular graphon"),
+], ids=["clt_below_containment", "critical_regular"])
+def test_run_experiment_refuses_a_meaningless_campaign(capsys, tmp_path,
+                                                       over, message):
+    # refused when the config is read, before any sampling: exit 2, no output
+    cfg = {"experiment_kind": "clt", "motif": "edge", "graphon": "W_asym",
+           "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [20],
+           "replicates": 60, "seed": 7}
+    cfg.update(over)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "run-experiment", "--config",
+                                str(cfg_path), "--out-dir", str(out))
+    assert code == 2
+    assert f"invalid experiment config: {message}" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_run_experiment_degenerate_campaign_is_a_runtime_failure(
         capsys, tmp_path):
     # a valid config whose count never varies: K5 at rho = 1

@@ -14,12 +14,7 @@ from graphon_motifs import (
     critical_schedule,
     named_graphon,
     named_motif,
-    run_clt,
-    run_conditional_clt,
-    run_containment,
-    run_critical_kappa,
     run_experiment,
-    run_variance_ratio,
 )
 from graphon_motifs import experiments
 from graphon_motifs.experiments import replicate_rows, write_result
@@ -113,31 +108,24 @@ def test_config_json_round_trip():
 
 def test_record_count_matches_n_values():
     cfg = small_cfg("containment", schedule=SparsitySchedule(1.0, 1.5))
-    res = run_containment(cfg)
+    res = run_experiment(cfg)
     assert len(res.records) == 2
     assert [r.n for r in res.records] == [60, 120]
 
 
-def test_runner_kind_mismatch():
-    with pytest.raises(ValueError):
-        run_containment(small_cfg("clt"))
-
-
 def test_determinism_across_runs_and_threads():
     cfg = small_cfg("clt", n_values=(80,), replicates=200)
-    a = run_clt(cfg, threads=1)
-    b = run_clt(cfg, threads=4)
-    c = run_clt(cfg, threads=1)
+    a = run_experiment(cfg, threads=1)
+    b = run_experiment(cfg, threads=4)
+    c = run_experiment(cfg, threads=1)
     assert a.to_json() == b.to_json() == c.to_json()
 
 
 def test_mean_tracks_expectation_in_every_runner():
-    for kind, runner in (("containment", run_containment),
-                         ("clt", run_clt),
-                         ("variance_ratio", run_variance_ratio)):
+    for kind in ("containment", "clt", "variance_ratio"):
         cfg = small_cfg(kind, n_values=(100,), replicates=400,
                         schedule=SparsitySchedule(1.0, 0.7))
-        res = runner(cfg)
+        res = run_experiment(cfg)
         assert all(r.mean_within_4se for r in res.records)
 
 
@@ -148,7 +136,7 @@ def test_containment_monotone_in_rho():
     for a in (0.4, 0.8, 1.6):
         cfg = ExperimentConfig("containment", K3, StepGraphon.constant(1.0),
                                SparsitySchedule(a, 1.0), (80,), 300, 99)
-        rec = run_containment(cfg).records[0]
+        rec = run_experiment(cfg).records[0]
         f = rec.containment_fraction
         fracs.append(f)
         ses.append(math.sqrt(f * (1 - f) / 300 + 1e-12))
@@ -156,21 +144,8 @@ def test_containment_monotone_in_rho():
     assert fracs[2] >= fracs[1] - 4 * (ses[1] + ses[2])
 
 
-def test_clt_rejects_subcritical_regime():
-    cfg = small_cfg("clt", motif=K3, schedule=SparsitySchedule(1.0, 1.2))
-    with pytest.raises(ValueError):
-        run_clt(cfg)
-
-
-@pytest.mark.parametrize("kind,runner,over", [
-    ("clt", run_clt, dict(motif=named_motif("c4"), n_values=(50, 90))),
-    ("critical_kappa", run_critical_kappa,
-     dict(schedule=critical_schedule(K2, 1.0))),
-    ("conditional_clt", run_conditional_clt, dict(motif=K3)),
-], ids=["clt", "critical_kappa", "conditional_clt"])
-def test_ks_runners_reject_too_few_replicates_before_sampling(
-        monkeypatch, kind, runner, over):
-    import graphon_motifs.experiments as ex
+def _count_sampling(monkeypatch):
+    """Record every sample and resample_edges call the engine makes."""
     calls = []
 
     def counted(fn):
@@ -179,18 +154,51 @@ def test_ks_runners_reject_too_few_replicates_before_sampling(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ex, "sample", counted(ex.sample))
-    monkeypatch.setattr(ex, "resample_edges", counted(ex.resample_edges))
-    cfg = small_cfg(kind, replicates=40, **over)
-    with pytest.raises(ValueError, match="KS test needs at least 50 samples"):
-        runner(cfg)
+    monkeypatch.setattr(experiments, "sample", counted(experiments.sample))
+    monkeypatch.setattr(experiments, "resample_edges",
+                        counted(experiments.resample_edges))
+    return calls
+
+
+def test_clt_rejects_subcritical_regime(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="normality run not meaningful in "
+                                         "regime 'below_containment'"):
+        small_cfg("clt", motif=K3, schedule=SparsitySchedule(1.0, 1.2))
     assert calls == []
+
+
+def test_variance_ratio_rejects_the_containment_threshold(monkeypatch):
+    # gamma = 1/m(triangle) = 1 sits on the containment line
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="variance ratios not meaningful in "
+                                         "regime 'at_containment'"):
+        small_cfg("variance_ratio", motif=K3,
+                  schedule=SparsitySchedule(1.0, 1.0))
+    with pytest.raises(ValueError, match="regime 'below_containment'"):
+        small_cfg("variance_ratio", schedule=SparsitySchedule(1.0, 2.5))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind,over", [
+    ("clt", dict(motif=named_motif("c4"), n_values=(50, 90))),
+    ("critical_kappa", dict(schedule=critical_schedule(K2, 1.0))),
+    ("conditional_clt", dict(motif=K3)),
+], ids=["clt", "critical_kappa", "conditional_clt"])
+def test_ks_runners_reject_too_few_replicates_before_sampling(
+        monkeypatch, kind, over):
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="KS test needs at least 50 samples"):
+        small_cfg(kind, replicates=40, **over)
+    assert calls == []
+    # the floor is the KS test's own; variance_ratio runs no KS test
+    assert small_cfg("variance_ratio", replicates=40).replicates == 40
 
 
 def test_variance_ratio_constant_graphon_r2_zero():
     cfg = small_cfg("variance_ratio", graphon=StepGraphon.constant(0.7),
                     n_values=(60,), replicates=200)
-    rec = run_variance_ratio(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     assert rec.r2 == 0.0
     assert rec.var_delta2 == 0.0
 
@@ -199,7 +207,7 @@ def test_variance_ratio_direction_on_grid():
     # label share grows with n in the label-dominated regime
     cfg = small_cfg("variance_ratio", n_values=(50, 200, 800),
                     replicates=500, schedule=SparsitySchedule(1.0, 0.5))
-    recs = run_variance_ratio(cfg).records
+    recs = run_experiment(cfg).records
     r2s = [r.r2 for r in recs]
     assert r2s[2] > r2s[0]
 
@@ -209,7 +217,7 @@ def test_variance_ratio_decreases_in_edge_regime():
     cfg = small_cfg("variance_ratio", n_values=(500, 1000, 2000),
                     replicates=800, seed=54,
                     schedule=SparsitySchedule(18.0, 1.5))
-    r2s = [r.r2 for r in run_variance_ratio(cfg).records]
+    r2s = [r.r2 for r in run_experiment(cfg).records]
     assert r2s[0] > r2s[1] > r2s[2]
 
 
@@ -218,28 +226,45 @@ def test_conditional_clt_label_dominated_configuration():
     # law of the edge component is still close to normal
     cfg = ExperimentConfig("conditional_clt", K2, W_ASYM,
                            SparsitySchedule(1.0, 0.5), (500,), 2000, 51)
-    rec = run_conditional_clt(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     assert rec.cond_ks.ks_statistic < 0.05
 
 
-def test_critical_requires_irregular_graphon():
-    cfg = ExperimentConfig("critical_kappa", K2, named_graphon("W_sym"),
-                           critical_schedule(K2, 1.0), (100,), 200, 1)
-    with pytest.raises(ValueError):
-        run_critical_kappa(cfg)
+def test_critical_requires_irregular_graphon(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="critical share undefined for a "
+                                         "regular graphon"):
+        ExperimentConfig("critical_kappa", K2, named_graphon("W_sym"),
+                         critical_schedule(K2, 1.0), (100,), 200, 1)
+    assert calls == []
 
 
-def test_critical_requires_pinned_exponent():
-    cfg = ExperimentConfig("critical_kappa", K2, W_ASYM,
-                           SparsitySchedule(1.0, 0.5), (100,), 200, 1)
-    with pytest.raises(ValueError):
-        run_critical_kappa(cfg)
+def test_critical_requires_pinned_exponent(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="schedule exponent must equal 1/m1"):
+        ExperimentConfig("critical_kappa", K2, W_ASYM,
+                         SparsitySchedule(1.0, 0.5), (100,), 200, 1)
+    assert calls == []
+
+
+def test_critical_requires_pinning_at_every_n(monkeypatch):
+    # a = 4 with gamma = 1 clamps rho to 1 at n = 2, where n rho = 2 != 4;
+    # n = 5 and 8 are pinned, and the broken n is named
+    calls = _count_sampling(monkeypatch)
+    schedule = critical_schedule(K2, 4.0)
+    with pytest.raises(ValueError, match="pinning broken at n=2: "
+                                         r"n rho\^m1 != c"):
+        ExperimentConfig("critical_kappa", K2, W_ASYM, schedule,
+                         (2, 5, 8), 200, 1)
+    assert calls == []
+    assert ExperimentConfig("critical_kappa", K2, W_ASYM, schedule,
+                            (5, 8), 200, 1).n_values == (5, 8)
 
 
 def test_critical_smoke_share_near_theory():
     cfg = ExperimentConfig("critical_kappa", K2, W_ASYM,
                            critical_schedule(K2, 1.0), (600,), 1500, 31)
-    rec = run_critical_kappa(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     assert rec.c_value == pytest.approx(1.0)
     assert rec.kappa_theory == pytest.approx(5 / 6)
     assert rec.r1 + rec.r2 == 1.0
@@ -250,11 +275,11 @@ def test_critical_smoke_share_near_theory():
 def test_conditional_clt_smoke():
     cfg = ExperimentConfig("conditional_clt", K3, named_graphon("W_sym"),
                            SparsitySchedule(1.0, 0.5), (60,), 300, 41)
-    rec = run_conditional_clt(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     assert rec.cond_ks is not None
     assert rec.cond_var_empirical > 0
     # latent draw is frozen: reruns reproduce the conditional mean exactly
-    rec2 = run_conditional_clt(cfg).records[0]
+    rec2 = run_experiment(cfg).records[0]
     assert rec2.cond_mean == rec.cond_mean
 
 
@@ -266,8 +291,8 @@ def test_run_experiment_dispatch():
 
 def test_write_result_files_and_determinism(tmp_path):
     cfg = small_cfg("clt", n_values=(80,), replicates=150)
-    res = run_clt(cfg)
-    res3 = run_clt(cfg, threads=3)
+    res = run_experiment(cfg)
+    res3 = run_experiment(cfg, threads=3)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     write_result(res, d1, replicate_table=replicate_rows(res))
@@ -287,7 +312,7 @@ def test_tower_orthogonality_cov_within_4se():
     # the two components are uncorrelated by the tower property
     cfg = small_cfg("variance_ratio", n_values=(400,), replicates=5000,
                     schedule=SparsitySchedule(1.0, 0.75))
-    rec = run_variance_ratio(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     from graphon_motifs.counting import conditional_expected_count, count, expected_count
     from graphon_motifs.sampler import replicate_seed, sample
     from graphon_motifs.stats import covariance_and_se
@@ -310,7 +335,7 @@ def test_tower_orthogonality_cov_within_4se():
 def test_result_json_round_trip():
     from graphon_motifs.experiments import ExperimentResult
     cfg = small_cfg("clt", n_values=(80,), replicates=150)
-    res = run_clt(cfg)
+    res = run_experiment(cfg)
     back = ExperimentResult.from_json_dict(json.loads(res.to_json()))
     assert back.to_json() == res.to_json()
     assert ExperimentConfig.from_json_dict(back.config) == cfg
@@ -319,14 +344,14 @@ def test_result_json_round_trip():
 def test_conditional_clt_mean_guard_uses_conditional_mean():
     cfg = ExperimentConfig("conditional_clt", K3, named_graphon("W_sym"),
                            SparsitySchedule(1.0, 0.5), (60,), 400, 43)
-    rec = run_conditional_clt(cfg).records[0]
+    rec = run_experiment(cfg).records[0]
     assert rec.mean_within_4se
     assert abs(rec.mean_x - rec.cond_mean) <= 4 * rec.se_x
 
 
 def test_replicate_rows_identity():
     cfg = small_cfg("clt", n_values=(40,), replicates=50)
-    rows = replicate_rows(run_clt(cfg))
+    rows = replicate_rows(run_experiment(cfg))
     for seed, n, rho, x, exp, cond, delta, d1, d2 in rows:
         assert delta == pytest.approx(d1 + d2, abs=1e-9)
         assert x == int(x)
@@ -449,12 +474,12 @@ def test_replicate_pool_is_clamped_to_the_cpu_count(monkeypatch):
     assert clamped.to_json() == serial.to_json()
 
 
-@pytest.mark.parametrize("R", [5, 2 * SEED_BLOCK + 3],
-                         ids=["R5", "R2blocks3"])
-@pytest.mark.parametrize("cfg", [
-    small_cfg("clt"),
-    small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym")),
-], ids=["clt", "conditional_clt"])
+@pytest.mark.parametrize("cfg,R", [
+    (small_cfg("clt"), 2 * SEED_BLOCK + 3),
+    (small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym")),
+     2 * SEED_BLOCK + 3),
+    (small_cfg("variance_ratio"), 5),
+], ids=["clt-R2blocks3", "conditional_clt-R2blocks3", "variance_ratio-R5"])
 def test_replicate_cell_threads_take_contiguous_ranges(
         monkeypatch, cfg, R):
     # each thread runs one range [R*i // t, R*(i+1) // t), and at most R

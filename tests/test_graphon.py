@@ -222,6 +222,28 @@ def test_regularity_fixtures():
     assert is_motif_regular(K3, StepGraphon.constant(0.4))
 
 
+def test_regularity_report_matches_the_pinned_densities():
+    # t and every g_b come from one kernel array; they agree with
+    # hom_density bit for bit and with the one-hot rooted densities
+    rng = np.random.default_rng(19)
+    for w in (W_SYM, W_ASYM, W_3, random_graphon(rng), random_graphon(rng)):
+        for m in (K2, P3, K3, named_motif("c5"), random_motif(rng, 5)):
+            rep = regularity_report(m, w)
+            assert rep.t == hom_density(m, w)
+            assert rep.per_block_mean_rooted == pytest.approx(
+                [mean_rooted_density(m, b, w) for b in range(w.block_count)],
+                rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_regularity_tolerance_must_be_positive_and_finite(tol):
+    # NaN would compare False against every deviation and call W_sym
+    # irregular for the edge
+    for check in (regularity_report, is_motif_regular):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            check(K2, W_SYM, tol)
+
+
 def test_regularity_mixture_identity():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -357,6 +379,15 @@ def test_critical_share_regular_case_rejected():
         critical_edge_variance_share(K2, W_SYM, 1.0)
     with pytest.raises(ValueError):
         critical_edge_variance_share(K2, W_ASYM, 0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_critical_share_c_must_be_positive_and_finite(c):
+    # NaN would give a NaN share and infinity a share of 0.0
+    for share in (critical_edge_variance_share,
+                  critical_edge_variance_share_closed_form):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            share(K2, W_ASYM, c)
 
 
 def test_critical_share_follows_the_regularity_test():

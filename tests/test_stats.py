@@ -13,7 +13,7 @@ from graphon_motifs import (
     named_graphon,
     named_motif,
     normal_cdf,
-    run_variance_ratio,
+    run_experiment,
     standardize,
     variance_ratio,
 )
@@ -123,8 +123,8 @@ def test_variance_shares_sum_to_one_exactly(v1, v2):
 
 
 def test_variance_ratio_and_summary_shares_agree():
-    # run_variance_ratio's records and variance_ratio read one rule
-    res = run_variance_ratio(ExperimentConfig(
+    # a variance_ratio campaign's records and variance_ratio read one rule
+    res = run_experiment(ExperimentConfig(
         "variance_ratio", named_motif("edge"), named_graphon("W_asym"),
         SparsitySchedule(1.0, 0.5), (40,), 120, 3))
     rec, cell = res.records[0], res.table[0]
