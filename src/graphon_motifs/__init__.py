@@ -3,8 +3,10 @@
 Library layout:
 
 - ``motif``       exact motif combinatorics (isomorphism, density exponents,
-                  joins, embedding counts)
-- ``graphon``     step graphons and their exact density analytics
+                  embedding counts)
+- ``graphon``     step graphons and their exact density analytics; the
+                  critical share glues two pinned marginals of the motif on
+                  each shared vertex set, with no union graph built
 - ``seeding``     replicate seeds and child stream generators, derived in
                   cached blocks that match numpy's SeedSequence word for
                   word; each thread reuses the states of its last seed
@@ -20,7 +22,6 @@ Library layout:
 from .motif import (
     Motif,
     DensityProfile,
-    JoinCatalog,
     named_motif,
     canonical_form,
     canonical_relabel,
@@ -28,8 +29,6 @@ from .motif import (
     automorphism_count,
     copies_in_complete,
     density_exponents,
-    vertex_join,
-    join_catalog,
     count_embeddings,
 )
 from .graphon import (

@@ -8,9 +8,10 @@ component at frozen latents.  A config is checked once, when it is built:
 its fields, the block-assignment cap, and the conditions that make its
 kind's aggregate meaningful (a CLT or a variance split above the
 containment threshold, a KS floor on the replicates, a critical share on
-an irregular graphon pinned at n rho^{m1} = c).  ``run_experiment`` then
-samples and counts each replicate once, and every kind fills its record
-from that per-replicate table; the replicate rows are that same table.
+an irregular graphon pinned at n rho^{m1} = c, whose predicted value is
+computed then).  ``run_experiment`` then samples and counts each
+replicate once, and every kind fills its record from that per-replicate
+table; the replicate rows are that same table.
 
 Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
@@ -141,6 +142,9 @@ class ExperimentConfig:
                 if abs(n * schedule_rho(self.schedule, n) ** m1 - c) > 1e-9 * c:
                     raise ValueError(f"pinning broken at n={n}: "
                                      f"n rho^m1 != c")
+            # every record carries the predicted share, so one that cannot
+            # be computed is refused here, before sampling
+            critical_edge_variance_share(self.motif, self.graphon, c)
         if kind in _KS_KINDS and self.replicates < KS_MIN_SAMPLES:
             raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
 

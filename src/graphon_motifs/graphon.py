@@ -8,22 +8,31 @@ quadrature or Monte Carlo.  Every such sum, and the conditional-mean
 polynomial of ``counting``, reads one array: the weight of each block
 assignment of the motif's vertices (``_assignment_products``).  The kernel
 projection variance is a pi-weighted sum of squares of the per-block mean
-rooted densities that the regularity check already computes.
+rooted densities that the regularity check already computes.  The density
+of two overlapping copies is a product of two pinned marginals of that
+array glued on the shared vertices, so the critical share builds no union
+graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .motif import Motif, automorphism_count, density_exponents, join_catalog
+from .motif import Motif, automorphism_count, density_exponents
 
 # Densities and the conditional-mean polynomial enumerate all K^{|V|}
 # block assignments, pinned vertices included; larger pairs are refused.
 MAX_ASSIGNMENTS = 10_000_000
+
+# The critical share enumerates ordered overlaps of two copies, factorial
+# in the motif size; larger motifs are refused before any sum.
+MAX_CRITICAL_VERTICES = 6
 
 REGULARITY_TOL = 1e-10
 
@@ -258,27 +267,89 @@ def _check_pinned_c(c):
         raise ValueError(f"c {c!r} must be positive and finite")
 
 
+@lru_cache(maxsize=256)
+def _critical_overlap_sums(m: Motif, w: StepGraphon) -> tuple:
+    """(v, sum of t(A u B)) for each size v of a shared vertex set S, over
+    the motif A on 1..k and the placements of a second copy B whose
+    overlap with A attains m1.
+
+    That overlap is exactly a set S with e(A[S])/(v - 1) = m1 on which B
+    induces the same labelled edges.  B is placed by the tuple tau of its
+    motif vertices that land on S in order; its other vertices go to new
+    vertices, in (k - v)! ways that all give the same term.  Given the
+    blocks beta_S the rest of A and the rest of B are independent, so
+    t(A u B) = sum_{beta_S} prod_S pi prod_{A[S]} W * h(S) * h(tau), with
+    h(T) the motif less the edges inside T, T pinned with unit weight and
+    summed over the other vertices.
+    """
+    pi, _, _ = _arrays(w)
+    k = m.vertex_count
+    m1 = density_exponents(m).m1
+    adjacent = m.edges | {(b, a) for a, b in m.edges}
+    ones = np.ones(w.block_count)
+
+    @lru_cache(maxsize=None)
+    def marginal(pinned):
+        # a K^v array, axis i over the block of pinned[i] (increasing)
+        rest = Motif(k, [e for e in m.edges if not set(e) <= set(pinned)])
+        arr = _assignment_products(rest, w, [ones if v in pinned else pi
+                                             for v in range(1, k + 1)])
+        return arr.sum(axis=tuple(v - 1 for v in range(1, k + 1)
+                                  if v not in pinned))
+
+    sums = []
+    for v in range(2, k + 1):
+        slots = tuple(combinations(range(v), 2))
+
+        def induced_pairs(verts):
+            return [(verts[i], verts[j]) in adjacent for i, j in slots]
+
+        total = 0.0
+        for shared in combinations(range(1, k + 1), v):
+            core = m.induced(shared)
+            if Fraction(core.edge_count, v - 1) != m1:
+                continue
+            pairs = induced_pairs(shared)
+            glued = (_assignment_products(core, w, [pi] * v)
+                     * marginal(shared))
+            for tau in permutations(range(1, k + 1), v):
+                if induced_pairs(tau) != pairs:
+                    continue
+                pinned = tuple(sorted(tau))
+                h = marginal(pinned).transpose([pinned.index(t) for t in tau])
+                total += float((glued * h).sum())
+        sums.append((v, total))
+    return tuple(sums)
+
+
 def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
     """Limiting share of the count variance carried by the edge component
     when the sparsity is pinned so that n * rho^{m1} stays equal to c.
 
-    Uses the full catalog of overlap classes attaining the m1 maximum;
-    requires a graphon that ``is_motif_regular`` calls irregular (otherwise
-    the share degenerates to 1 trivially and this constant is undefined).
+    The edge term sums t(A u B) over the ordered pairs of copies whose
+    overlap attains the m1 maximum, each the product of two pinned
+    marginals of the motif glued on the v shared vertices
+    (``_critical_overlap_sums``; Lovasz, Large Networks and Graph Limits,
+    2012, ch. 6-7), so no union graph is built.  A placement of B counts
+    (k - v)!/|Aut| copies and each v weighs copies(m, 2k - v) /
+    (c^{v-1} (2k - v)!), so a placement weighs 1/(|Aut|^2 c^{v-1}).
+
+    Requires a graphon that ``is_motif_regular`` calls irregular (otherwise
+    the share degenerates to 1 trivially and this constant is undefined)
+    and a motif of at most MAX_CRITICAL_VERTICES vertices.
     """
     _check_pinned_c(c)
+    k = m.vertex_count
+    if k > MAX_CRITICAL_VERTICES:
+        raise ValueError(f"critical share capped at {MAX_CRITICAL_VERTICES} "
+                         f"motif vertices, not {k}")
     if is_motif_regular(m, w):
         raise ValueError("critical constant undefined in regular case")
     xi = projection_variance(m, w)
-    k = m.vertex_count
     label_term = (k * k) / (math.factorial(k) ** 2) * xi
-    edge_term = 0.0
-    for f in density_exponents(m).m1_maximizers:
-        fv = f.vertex_count
-        weight = 1.0 / (c ** (fv - 1) * math.factorial(2 * k - fv))
-        catalog = join_catalog(m, f)
-        edge_term += weight * sum(mult * hom_density(rep, w)
-                                  for rep, mult in catalog.union_classes)
+    aut = automorphism_count(m)
+    edge_term = sum(total / (aut * aut * c ** (v - 1))
+                    for v, total in _critical_overlap_sums(m, w))
     return 1.0 - label_term / (label_term + edge_term)
 
 

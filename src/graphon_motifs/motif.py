@@ -2,9 +2,8 @@
 
 A motif is a simple undirected graph on vertices 1..k given by an edge
 list.  Everything here is exact: isomorphism classes via canonical forms,
-automorphism counts, rational subgraph-density exponents with their
-maximizer classes, vertex joins, and the catalog of ways two motif copies
-can overlap in a given intersection class.
+automorphism counts, and rational subgraph-density exponents with their
+maximizer classes.
 
 All functions are pure; memoized helpers fill their caches idempotently,
 so concurrent use is safe.
@@ -20,10 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Enumeration over vertex subsets is exponential in the motif size, and the
-# pair catalog is factorial in it; these caps keep worst cases tractable.
+# Enumeration over vertex subsets is exponential in the motif size; this
+# cap keeps the worst case tractable.
 MAX_EXPONENT_VERTICES = 12
-MAX_JOIN_VERTICES = 6
 
 
 @dataclass(frozen=True)
@@ -355,48 +353,6 @@ def density_exponents(m: Motif) -> DensityProfile:
                           balanced, strictly, strongly, strictly_strongly)
 
 
-# ---------------------------------------------------------------------------
-# joins
-
-
-def vertex_join(m: Motif, a: int, b: int) -> Motif:
-    """Glue two copies of m, identifying vertex a of copy 1 with b of copy 2.
-
-    The result has 2k-1 vertices and exactly 2|E| edges: the copies share a
-    single vertex, so no edge of one can coincide with an edge of the other.
-    """
-    k = m.vertex_count
-    if not (1 <= a <= k and 1 <= b <= k):
-        raise ValueError(f"join vertices must lie in 1..{k}")
-    mapping = {}
-    nxt = k + 1
-    for v in range(1, k + 1):
-        if v == b:
-            mapping[v] = a
-        else:
-            mapping[v] = nxt
-            nxt += 1
-    edges = set(m.edges)
-    for u, v in m.edges:
-        x, y = mapping[u], mapping[v]
-        edges.add((min(x, y), max(x, y)))
-    return Motif(2 * k - 1, edges)
-
-
-@dataclass(frozen=True)
-class JoinCatalog:
-    """Union classes of two overlapping copies of a motif.
-
-    For a fixed intersection class F, ``union_classes`` lists each union
-    isomorphism class R with its multiplicity: the number of ordered pairs
-    of motif copies on the labeled vertex set {1..2k-|V(F)|} whose
-    intersection is isomorphic to F and whose union is isomorphic to R.
-    """
-
-    intersection_class: Motif
-    union_classes: tuple
-
-
 def _copies_on(m: Motif, labels: tuple) -> set:
     """Distinct copies of m with vertex set exactly ``labels``: edge frozensets."""
     out = set()
@@ -405,57 +361,6 @@ def _copies_on(m: Motif, labels: tuple) -> set:
                            max(perm[a - 1], perm[b - 1]))
                           for a, b in m.edges))
     return out
-
-
-@lru_cache(maxsize=1024)
-def _join_catalog_canonical(m: Motif, f: Motif) -> JoinCatalog:
-    k = m.vertex_count
-    fv = f.vertex_count
-    s = 2 * k - fv
-    f_key = canonical_key(f)
-
-    # Every admissible pair spans {1..s}, and the symmetric group on those
-    # labels acts transitively on the first copy, so it suffices to count
-    # second copies against one fixed first copy and scale by the number of
-    # placements of the first.
-    first_edges = set(m.edges)
-    new_vertices = tuple(range(k + 1, s + 1))
-    per_first = {}
-    for shared in combinations(range(1, k + 1), fv):
-        seen = set()
-        for perm in permutations(shared + new_vertices):
-            e2 = frozenset((min(perm[a - 1], perm[b - 1]),
-                            max(perm[a - 1], perm[b - 1]))
-                           for a, b in m.edges)
-            if e2 in seen:
-                continue
-            seen.add(e2)
-            inter_edges = [e for e in e2 if e in first_edges]
-            pos = {v: i + 1 for i, v in enumerate(shared)}
-            inter = Motif(fv, [(pos[a], pos[b]) for a, b in inter_edges])
-            if canonical_key(inter) != f_key:
-                continue
-            union = Motif(s, first_edges | e2)
-            key = canonical_key(union)
-            if key not in per_first:
-                per_first[key] = [canonical_relabel(union), 0]
-            per_first[key][1] += 1
-
-    scale = copies_in_complete(m, s)
-    classes = tuple(sorted(((rep, cnt * scale) for rep, cnt in per_first.values()),
-                           key=lambda rc: (rc[0].edge_count, rc[0].sorted_edges())))
-    return JoinCatalog(canonical_relabel(f), classes)
-
-
-def join_catalog(m: Motif, f: Motif) -> JoinCatalog:
-    """All union classes of ordered pairs of m-copies overlapping in class f."""
-    if f.edge_count < 1:
-        raise ValueError("intersection class needs at least one edge")
-    if m.vertex_count > MAX_JOIN_VERTICES:
-        raise ValueError(f"join catalog capped at {MAX_JOIN_VERTICES} vertices")
-    if count_embeddings(m.vertex_count, m.edges, f) == 0:
-        raise ValueError("intersection class does not embed in the motif")
-    return _join_catalog_canonical(canonical_relabel(m), canonical_relabel(f))
 
 
 # ---------------------------------------------------------------------------

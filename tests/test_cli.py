@@ -115,16 +115,33 @@ def test_analyze_graphon_barely_irregular_case(capsys, tmp_path):
     assert all(0.0 < float(v) <= 1.0 for v in shares), shares
 
 
+def _shares_on_six_blocks(capsys, tmp_path, motif):
+    """Three printed critical shares of ``motif`` on split_blocks(W_asym,
+    3), checked against the same shares on W_asym."""
+    shares = []
+    for graphon in (split_blocks(named_graphon("W_asym"), 3),
+                    named_graphon("W_asym")):
+        path = tmp_path / f"w{graphon.block_count}.json"
+        path.write_text(json.dumps(graphon.to_json_dict()))
+        code, out, err = run_cli(capsys, "analyze-graphon",
+                                 "--graphon", str(path), "--motif", motif)
+        assert code == 0, err
+        assert f"graphon: {graphon.block_count} blocks" in out
+        assert "regular for this motif: False" in out
+        shares.append([float(v) for v in re.findall(
+            r"critical share at c=\S+: (\S+)", out)])
+    six, two = shares
+    assert len(six) == 3
+    assert six == pytest.approx(two, rel=1e-12, abs=0.0)
+
+
 def test_analyze_graphon_c5_on_six_blocks(capsys, tmp_path):
-    path = tmp_path / "w6.json"
-    path.write_text(json.dumps(
-        split_blocks(named_graphon("W_asym"), 3).to_json_dict()))
-    code, out, err = run_cli(capsys, "analyze-graphon",
-                             "--graphon", str(path), "--motif", "c5")
-    assert code == 0, err
-    assert "graphon: 6 blocks" in out
-    assert "regular for this motif: False" in out
-    assert len(re.findall(r"critical share at c=", out)) == 3
+    _shares_on_six_blocks(capsys, tmp_path, "c5")
+
+
+def test_analyze_graphon_fig2a_on_six_blocks(capsys, tmp_path):
+    # its m1 maximum is the triangle, so overlaps share three vertices
+    _shares_on_six_blocks(capsys, tmp_path, "fig2a")
 
 
 def test_analyze_graphon_regular_case(capsys):

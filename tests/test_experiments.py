@@ -11,6 +11,7 @@ from graphon_motifs import (
     Motif,
     SparsitySchedule,
     StepGraphon,
+    critical_edge_variance_share,
     critical_schedule,
     named_graphon,
     named_motif,
@@ -19,6 +20,7 @@ from graphon_motifs import (
 from graphon_motifs import experiments
 from graphon_motifs.experiments import replicate_rows, write_result
 from graphon_motifs.seeding import SEED_BLOCK
+from util import split_blocks
 
 K2 = named_motif("edge")
 K3 = named_motif("triangle")
@@ -237,6 +239,24 @@ def test_critical_requires_irregular_graphon(monkeypatch):
         ExperimentConfig("critical_kappa", K2, named_graphon("W_sym"),
                          critical_schedule(K2, 1.0), (100,), 200, 1)
     assert calls == []
+
+
+def test_critical_refuses_an_uncomputable_share_before_sampling(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    path7 = Motif(7, [(i, i + 1) for i in range(1, 7)])
+    with pytest.raises(ValueError, match="critical share capped at 6"):
+        ExperimentConfig("critical_kappa", path7, W_ASYM,
+                         critical_schedule(path7, 1.0), (20,), 50, 1)
+    assert calls == []
+
+
+def test_critical_runs_fig2a_on_six_blocks():
+    fig2a = named_motif("fig2a")
+    cfg = ExperimentConfig("critical_kappa", fig2a, split_blocks(W_ASYM, 3),
+                           critical_schedule(fig2a, 1.0), (20,), 50, 5)
+    rec = run_experiment(cfg).records[0]
+    assert rec.kappa_theory == pytest.approx(
+        critical_edge_variance_share(fig2a, W_ASYM, 1.0), rel=1e-12, abs=0.0)
 
 
 def test_critical_requires_pinned_exponent(monkeypatch):

@@ -8,6 +8,7 @@ from graphon_motifs import (
     critical_edge_variance_share,
     critical_edge_variance_share_closed_form,
     degree_function,
+    density_exponents,
     hom_density,
     is_motif_regular,
     mean_rooted_density,
@@ -19,7 +20,9 @@ from graphon_motifs import (
     rooted_density,
 )
 from util import (
+    connected_classes_up_to,
     copies_on_labels,
+    join_catalog,
     naive_hom_density,
     random_graphon,
     random_motif,
@@ -337,9 +340,8 @@ def test_split_blocks_leave_every_analytic_value_unchanged():
         assert rep6.max_deviation == pytest.approx(rep2.max_deviation, **rel)
         assert rep6.per_block_mean_rooted == pytest.approx(
             [g for g in rep2.per_block_mean_rooted for _ in range(3)], **rel)
-    c5 = named_motif("c5")
-    assert critical_edge_variance_share(c5, w6, 1.0) == pytest.approx(
-        critical_edge_variance_share(c5, W_ASYM, 1.0), **rel)
+        assert critical_edge_variance_share(m, w6, 1.0) == pytest.approx(
+            critical_edge_variance_share(m, W_ASYM, 1.0), **rel)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +353,44 @@ def test_critical_share_fixture():
     assert critical_edge_variance_share(K2, W_ASYM, 5.0) == pytest.approx(0.5)
     assert critical_edge_variance_share_closed_form(K2, W_ASYM, 1.0) == \
         pytest.approx(5 / 6)
+
+
+def catalog_share(m, w, c):
+    """The critical share with the edge term summed over the union classes
+    of ``util.join_catalog``: each m1-maximizing intersection class f
+    weighs 1/(c^{|V(f)|-1} (2k - |V(f)|)!) times sum mult * t(union)."""
+    k = m.vertex_count
+    label = k * k / math.factorial(k) ** 2 * projection_variance(m, w)
+    edge = 0.0
+    for f in density_exponents(m).m1_maximizers:
+        fv = f.vertex_count
+        edge += sum(mult * hom_density(rep, w)
+                    for rep, mult in join_catalog(m, f)) / (
+            c ** (fv - 1) * math.factorial(2 * k - fv))
+    return 1.0 - label / (label + edge)
+
+
+def test_critical_share_equals_the_join_catalog_sum():
+    rng = np.random.default_rng(29)
+    graphons = [W_ASYM] + [random_graphon(rng, blocks=3) for _ in range(2)]
+    checked = 0
+    for w in graphons:
+        for m in connected_classes_up_to(5):
+            if is_motif_regular(m, w):
+                continue
+            for c in (0.5, 2.0):
+                assert critical_edge_variance_share(m, w, c) == \
+                    pytest.approx(catalog_share(m, w, c), rel=1e-12, abs=0.0)
+            checked += 1
+    assert checked == 3 * 30
+
+
+def test_critical_share_refuses_seven_vertices():
+    path7 = Motif(7, [(i, i + 1) for i in range(1, 7)])
+    assert not is_motif_regular(path7, W_ASYM)
+    with pytest.raises(ValueError, match="critical share capped at 6 motif "
+                                         "vertices, not 7"):
+        critical_edge_variance_share(path7, W_ASYM, 1.0)
 
 
 def test_critical_share_closed_form_agreement():

@@ -51,6 +51,45 @@ def copies_on_labels(m: Motif, labels) -> set:
     return out
 
 
+def join_catalog(m: Motif, f: Motif) -> tuple:
+    """Union classes of ordered pairs of m-copies overlapping in class f.
+
+    Each entry is (canonical union, multiplicity): the number of ordered
+    pairs of copies on the labelled vertex set {1..2k - |V(f)|} whose
+    intersection is isomorphic to f and whose union to the entry.  Every
+    such pair spans those labels, and their symmetric group acts
+    transitively on the first copy, so second copies are counted against one
+    fixed first copy and scaled by the placements of the first.
+    """
+    from graphon_motifs import (canonical_relabel, copies_in_complete,
+                                count_embeddings)
+    from graphon_motifs.motif import canonical_key
+
+    if f.edge_count < 1:
+        raise ValueError("intersection class needs at least one edge")
+    if count_embeddings(m.vertex_count, m.edges, f) == 0:
+        raise ValueError("intersection class does not embed in the motif")
+    k, fv = m.vertex_count, f.vertex_count
+    s = 2 * k - fv
+    f_key = canonical_key(f)
+    first_edges = set(m.edges)
+    new_vertices = tuple(range(k + 1, s + 1))
+    per_first = {}
+    for shared in combinations(range(1, k + 1), fv):
+        pos = {v: i + 1 for i, v in enumerate(shared)}
+        for e2 in copies_on_labels(m, shared + new_vertices):
+            inter = Motif(fv, [(pos[a], pos[b]) for a, b in e2 & first_edges])
+            if canonical_key(inter) != f_key:
+                continue
+            union = Motif(s, first_edges | e2)
+            key = canonical_key(union)
+            if key not in per_first:
+                per_first[key] = [canonical_relabel(union), 0]
+            per_first[key][1] += 1
+    scale = copies_in_complete(m, s)
+    return tuple((rep, cnt * scale) for rep, cnt in per_first.values())
+
+
 def subset_count_oracle(host_n: int, host_edges, m: Motif) -> int:
     """Copies of m in the host by checking every vertex subset."""
     host = {(min(a, b), max(a, b)) for a, b in host_edges}
