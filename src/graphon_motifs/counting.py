@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -149,17 +149,30 @@ def _occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
     where c is beta's per-block multiplicity; assignments with equal c
     collapse into one coefficient.  The edge value products are
     ``graphon._assignment_products`` at unit vertex weights (capped at
-    MAX_ASSIGNMENTS), walked in C order, which is the order of
+    MAX_ASSIGNMENTS).  Each assignment's key is its blocks, sorted, read
+    as k base-K digits: one key per occupancy vector, below K^k, so it
+    fits int64 and indexes a K^k-long ``np.bincount`` under the cap.
+    bincount adds each key's weights in C order, the order of
     ``product(range(K), repeat=k)``.
     """
     K, k = w.block_count, m.vertex_count
     weights = _assignment_products(m, w, [np.ones(K)] * k)
-    coeff = {}
-    for beta, weight in zip(product(range(K), repeat=k),
-                            map(float, weights.flat)):
-        key = tuple(map(beta.count, range(K)))
-        coeff[key] = coeff.get(key, 0.0) + weight
-    return tuple(sorted(coeff.items()))
+    digits = np.indices(weights.shape,
+                        dtype=np.min_scalar_type(K - 1)).reshape(k, -1)
+    digits.sort(axis=0)
+    code = np.zeros(weights.size, dtype=np.int64)
+    for row in digits:
+        code *= K
+        code += row
+    del digits
+    keys = np.flatnonzero(np.bincount(code))
+    sums = np.bincount(code, weights=weights.ravel())[keys]
+    occupancy = np.zeros((keys.size, K), dtype=np.int64)
+    rows = np.arange(keys.size)
+    for _ in range(k):
+        keys, digit = np.divmod(keys, K)
+        occupancy[rows, digit] += 1
+    return tuple(sorted(zip(map(tuple, occupancy.tolist()), sums.tolist())))
 
 
 def _falling(n: int, c: int) -> float:

@@ -81,11 +81,13 @@ class StepGraphon:
         return float(pi @ vals @ pi)
 
     def blocks_of(self, latents) -> np.ndarray:
-        """Block index (0-based) of each latent coordinate in [0, 1)."""
-        _, _, cum = _arrays(self)
-        u = np.asarray(latents, dtype=np.float64)
-        return np.minimum(np.searchsorted(cum, u, side="right"),
-                          self.block_count - 1).astype(np.int64)
+        """Block index (0-based) of each latent coordinate in [0, 1): the
+        number of the K - 1 inner block boundaries at or below it, so a
+        latent at or past the widths' float sum, which may end below 1,
+        falls in the last block."""
+        _, _, inner = _arrays(self)
+        return inner.searchsorted(np.asarray(latents, dtype=np.float64),
+                                  side="right")
 
     @staticmethod
     def constant(p: float) -> "StepGraphon":
@@ -110,9 +112,11 @@ def _real(value, what: str) -> float:
 
 @lru_cache(maxsize=256)
 def _arrays(w: StepGraphon):
+    """Widths, values and the K - 1 inner block boundaries (the cumulative
+    widths less the last) as float64 arrays."""
     pi = np.array(w.pi, dtype=np.float64)
     vals = np.array(w.values, dtype=np.float64)
-    return pi, vals, np.cumsum(pi)
+    return pi, vals, np.cumsum(pi)[:-1]
 
 
 def named_graphon(name: str) -> StepGraphon:

@@ -29,12 +29,15 @@ Reproducibility contract (pinned by a golden test):
 Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
 same uniforms on Python scalars instead of numpy arrays; the two edge
 paths draw the same positions, decode them to the same keys and leave the
-generator in the same state.  The vectorized path inverts each batch of
-uniforms in place, in a per-thread scratch array of at most
-``SCRATCH_UNIFORMS`` doubles (a larger batch draws into a one-off array),
-and builds the batch's positions in one new int64 array; the positions a
-graph keeps never alias the scratch, so an undecoded graph stays valid
-while its thread draws the next one.
+generator in the same state.  The scalar path draws the first batch of
+every stratum in one generator call and inverts them with one ``log1p``;
+a stratum that needs another batch reads on into that list, which grows
+from the generator only by what a batch runs past its end.  The
+vectorized path inverts each batch of uniforms in place, in a per-thread
+scratch array of at most ``SCRATCH_UNIFORMS`` doubles (a larger batch
+draws into a one-off array), and builds the batch's positions in one new
+int64 array; the positions a graph keeps never alias the scratch, so an
+undecoded graph stays valid while its thread draws the next one.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and both child streams'
@@ -52,6 +55,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -61,13 +65,14 @@ from .graphon import StepGraphon
 from .seeding import child_rng, replicate_seed
 
 # Graphs of at most this many vertices take the scalar edge path.  Edge
-# layer per graph, vectorized against scalar, best of three runs: at n = 30,
-# 159 against 49 us on W_asym at rho = 0.05 and 97 against 67 us at
-# rho = 0.3, but 107 against 226 us at rho = 1 and 55 against 169 us on the
-# one-block const:1.  At n = 40 sparse W_asym still favours the scalar path
-# (163 against 69 us at rho = 0.05) and rho = 0.3 is even (178 against 175).
-# numpy's fixed cost per call decides small graphs, Python's cost per
-# uniform and per edge large ones.
+# layer per graph, drawn and decoded, vectorized against scalar, best of
+# 7 x 200 (2-core host, Python 3.11.7, numpy 2.4.6), at n = 30/40/50/60:
+# W_asym at rho = 0.05, 64/64/63/64 against 16/22/26/30 us; at rho = 0.3,
+# 66/68/69/70 against 34/61/83/107; at rho = 1, 84/79/80/82 against
+# 81/167/260/302; the one-block const:1 at rho = 1, 32/39/36/31 against
+# 81/141/129/182.  Past n = 30 only sparse graphs favour the scalar path,
+# so the crossover stays.  numpy's fixed cost per call decides small
+# graphs, Python's cost per uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
 
 # Most uniforms a thread's scratch array holds (1 MiB of doubles); a batch
@@ -272,27 +277,6 @@ def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _bernoulli_positions_scalar(rng, n_slots: int, p: float) -> list:
-    """``_bernoulli_positions`` as a list: the same batches of uniforms and
-    the same numpy ``log1p`` on each, then the gaps in Python floats (the
-    same IEEE division and truncation as the array path)."""
-    if n_slots <= 0 or p <= 0.0:
-        return []
-    if p >= 1.0:
-        return list(range(n_slots))
-    log_q = math.log1p(-p)
-    cap = float(n_slots) + 1.0
-    out = []
-    pos = -1
-    while True:
-        u = rng.random(_batch_size(n_slots - pos, p))
-        for x in np.log1p(-u).tolist():
-            pos += int(min(x / log_q, cap)) + 1
-            if pos >= n_slots:
-                return out
-            out.append(pos)
-
-
 def _decode_within(idx: np.ndarray, nb: int):
     """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
     row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
@@ -302,42 +286,91 @@ def _decode_within(idx: np.ndarray, nb: int):
     return i, idx - starts[i] + i + 1
 
 
-def _draw_strata(w: StepGraphon, verts: list, rho: float, rng,
-                 positions) -> tuple:
-    """Draw every block-pair stratum's Bernoulli positions with
-    ``positions``, in the fixed stratum order: same-block pairs by block
-    index, then cross-block pairs in lexicographic order.  Returns the
-    strata as (block b vertices, block c vertices or None within a block,
-    positions) and the total count of positions, the graph's edge count."""
-    K = w.block_count
-    strata = []
-    total = 0
-    for b, c in [(b, b) for b in range(K)] + list(combinations(range(K), 2)):
+@lru_cache(maxsize=None)
+def _stratum_order(K: int) -> tuple:
+    """The fixed stratum order of a K-block graphon: same-block pairs by
+    block index, then cross-block pairs in lexicographic order."""
+    return tuple([(b, b) for b in range(K)] + list(combinations(range(K), 2)))
+
+
+def _strata(w: StepGraphon, verts: list, rho: float) -> list:
+    """Every block-pair stratum in the fixed order, as (block b vertices,
+    block c vertices or None within a block, slots, edge probability)."""
+    out = []
+    for b, c in _stratum_order(w.block_count):
         vb, vc = verts[b], verts[c]
         nb = len(vb)
-        slots = nb * (nb - 1) // 2 if b == c else nb * len(vc)
-        pos = positions(rng, slots, rho * w.values[b][c])
-        strata.append((vb, None if b == c else vc, pos))
-        total += len(pos)
-    return strata, total
+        if b == c:
+            out.append((vb, None, nb * (nb - 1) // 2, rho * w.values[b][b]))
+        else:
+            out.append((vb, vc, nb * len(vc), rho * w.values[b][c]))
+    return out
 
 
 def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
                        rng) -> tuple:
-    """The draw of the scalar edge path: vertex and position lists."""
+    """The draw of the scalar edge path: vertex and position lists.
+
+    The same batches of uniforms as ``_bernoulli_positions``, stratum by
+    stratum, read from one list: the first batches of every stratum that
+    draws are drawn in one ``rng.random`` call and inverted by one numpy
+    ``log1p``, and each batch then starts where the previous one ended.
+    A batch that runs past the list's end extends it from ``rng`` by the
+    shortfall, so the graph consumes exactly the uniforms that drawing each
+    batch on its own would.  The gaps are then Python floats, with the same
+    IEEE division and truncation as the array path.
+    """
     verts = [[] for _ in range(w.block_count)]
     for v, b in enumerate(blocks.tolist(), 1):
         verts[b].append(v)
-    return _draw_strata(w, verts, rho, rng, _bernoulli_positions_scalar)
+    plan = _strata(w, verts, rho)
+    # each stratum's first batch, 0 for a stratum that draws nothing
+    firsts = [_batch_size(slots + 1, p) if slots > 0 and 0.0 < p < 1.0
+              else 0 for _, _, slots, p in plan]
+    need = sum(firsts)
+    logs = np.log1p(-rng.random(need)).tolist() if need else []
+    at = 0  # where the next batch starts in logs
+    out = []
+    total = 0
+    for (vb, vc, slots, p), size in zip(plan, firsts):
+        if not size:
+            positions = list(range(slots)) if p >= 1.0 else []
+        else:
+            log_q = math.log1p(-p)
+            cap = float(slots) + 1.0
+            positions = []
+            pos = -1
+            while True:
+                end = at + size
+                if end > len(logs):
+                    logs += np.log1p(-rng.random(end - len(logs))).tolist()
+                for x in logs[at:end]:
+                    pos += int(min(x / log_q, cap)) + 1
+                    if pos >= slots:
+                        break
+                    positions.append(pos)
+                at = end
+                if pos >= slots:
+                    break
+                size = _batch_size(slots - pos, p)
+        out.append((vb, vc, positions))
+        total += len(positions)
+    return out, total
 
 
 def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
                            rng) -> tuple:
     """The draw of the vectorized edge path: int64 vertex and position
-    arrays."""
+    arrays, one ``_bernoulli_positions`` call per stratum."""
     verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
              for b in range(w.block_count)]
-    return _draw_strata(w, verts, rho, rng, _bernoulli_positions)
+    out = []
+    total = 0
+    for vb, vc, slots, p in _strata(w, verts, rho):
+        pos = _bernoulli_positions(rng, slots, p)
+        out.append((vb, vc, pos))
+        total += pos.size
+    return out, total
 
 
 def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> tuple:

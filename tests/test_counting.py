@@ -341,8 +341,10 @@ def test_occupancy_polynomial_matches_the_reference_loop_bit_for_bit():
     # every summary's cond_expected is read from these coefficients, so
     # they must equal the plain loop's exactly, not just to roundoff
     rng = np.random.default_rng(65)
+    # at 41 blocks a mixed-radix occupancy code sum_v 3^beta_v of the edge
+    # motif would pass 2^63
     graphons = [W_SYM, W_ASYM] + [random_graphon(rng, blocks=K)
-                                  for K in (2, 3, 4)]
+                                  for K in (2, 3, 4, 41)]
     checked = 0
     for w in graphons:
         for name in sorted(motif._NAMED):

@@ -1,6 +1,8 @@
 import math
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_motifs import (
     Motif,
@@ -26,6 +28,7 @@ from util import (
     naive_hom_density,
     random_graphon,
     random_motif,
+    reference_blocks_of,
     split_blocks,
 )
 
@@ -95,6 +98,36 @@ def test_blocks_of():
     w = StepGraphon((0.25, 0.75), ((0.5, 0.5), (0.5, 0.5)))
     blocks = w.blocks_of([0.0, 0.2499, 0.25, 0.9, 0.999999])
     assert blocks.tolist() == [0, 0, 1, 1, 1]
+
+
+# the cumulative widths of ten blocks of 0.1 end at 1 - 2^-53, below 1
+BLOCKS_OF_GRAPHONS = [
+    StepGraphon.constant(0.4), W_ASYM, W_3,
+    StepGraphon((0.1,) * 10, ((0.5,) * 10,) * 10),
+    random_graphon(np.random.default_rng(81), blocks=4),
+]
+BLOCKS_OF_IDS = ["one_block", "W_asym", "W_3", "ten_tenths", "random4"]
+
+
+@pytest.mark.parametrize("w", BLOCKS_OF_GRAPHONS, ids=BLOCKS_OF_IDS)
+def test_blocks_of_matches_the_clamped_formula_at_the_boundaries(w):
+    cum = np.cumsum(np.array(w.pi))
+    edges = np.concatenate([cum, [0.0, 1.0 - 2.0 ** -53]])
+    latents = np.concatenate([edges, np.nextafter(edges, 0.0),
+                              np.nextafter(edges, 1.0)])
+    latents = latents[(latents >= 0.0) & (latents < 1.0)]
+    got = w.blocks_of(latents)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_blocks_of(w, latents).tolist()
+
+
+@pytest.mark.parametrize("w", BLOCKS_OF_GRAPHONS, ids=BLOCKS_OF_IDS)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+def test_blocks_of_matches_the_clamped_formula(w, latents):
+    got = w.blocks_of(latents)
+    assert got.dtype == np.int64 and got.shape == (len(latents),)
+    assert got.tolist() == reference_blocks_of(w, latents).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from graphon_motifs.sampler import (
 from graphon_motifs import seeding
 from graphon_motifs.seeding import SEED_BLOCK, _pcg64_states, child_rng
 
-from util import reference_bernoulli_positions
+from util import reference_bernoulli_positions, reference_edge_layer_scalar
 
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
@@ -330,10 +330,16 @@ class _LowUniforms:
 
 
 def _assert_paths_agree(w, blocks, rho, make_rng):
-    rng_v, rng_s = make_rng(), make_rng()
+    """Both edge paths, and the scalar path drawn one batch per call
+    (``reference_edge_layer_scalar``), give the same positions and keys
+    and leave their generators in the same state."""
+    rng_v, rng_s, rng_ref = make_rng(), make_rng(), make_rng()
     strata_v, total_v = _edge_layer_vectorized(w, blocks, rho, rng_v)
     strata_s, total_s = _edge_layer_scalar(w, blocks, rho, rng_s)
-    assert total_s == total_v
+    strata_ref, total_ref = reference_edge_layer_scalar(w, blocks, rho,
+                                                        rng_ref)
+    assert total_s == total_v == total_ref
+    assert [s[2] for s in strata_s] == [s[2] for s in strata_ref]
     vec = _decode_vectorized(strata_v, blocks.size)
     sca = _decode_scalar(strata_s, blocks.size)
     assert vec.shape[0] == total_v
@@ -341,15 +347,14 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
     assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
-    assert rng_s.random() == rng_v.random()
-    return rng_v
+    assert rng_s.random() == rng_v.random() == rng_ref.random()
+    return rng_v, rng_s
 
 
 @pytest.mark.parametrize("w", [StepGraphon.constant(0.3), W_ASYM, W_THREE],
                          ids=["one_block", "W_asym", "three_blocks"])
 def test_edge_layer_paths_agree(w):
-    ns = (1, 2, 3, 5, 6, 10, SMALL_GRAPH_VERTICES, SMALL_GRAPH_VERTICES + 1,
-          60)
+    ns = (*range(1, SMALL_GRAPH_VERTICES + 2), 60)
     for n in ns:
         for rho in (0.02, 0.3, 1.0):
             for seed in range(4):
@@ -392,8 +397,8 @@ def test_edge_layer_paths_agree_past_the_first_batch():
     for w in (StepGraphon.constant(0.3), W_ASYM, W_THREE):
         for n in (12, 25, 50):
             blocks = w.blocks_of(np.random.default_rng(n).random(n))
-            rng = _assert_paths_agree(w, blocks, rho,
-                                      lambda: _LowUniforms(n, 0.05))
+            rng, rng_s = _assert_paths_agree(w, blocks, rho,
+                                             lambda: _LowUniforms(n, 0.05))
             K = w.block_count
             sizes = np.bincount(blocks, minlength=K).tolist()
             strata = [(b, b, sizes[b] * (sizes[b] - 1) // 2) for b in range(K)]
@@ -403,6 +408,21 @@ def test_edge_layer_paths_agree_past_the_first_batch():
                           if slots and 0.0 < rho * w.values[b][c] < 1.0)
             # one batch per drawing stratum, one more uniform for the check
             assert len(rng.sizes) > drawing + 1
+            # the scalar path drew the same uniforms: the first batches in
+            # one call, then what the list lacked
+            assert sum(rng_s.sizes[:-1]) == sum(rng.sizes[:-1])
+            assert len(rng_s.sizes) > 2
+
+
+def test_scalar_edge_layer_draws_once_when_every_stratum_ends_in_its_batch():
+    blocks = W_ASYM.blocks_of(np.random.default_rng(5).random(10))
+    assert np.bincount(blocks).min() >= 2
+    # a scale of 1 leaves the uniforms as drawn; the spy logs the calls
+    rng_v, rng_s = _assert_paths_agree(W_ASYM, blocks, 0.3,
+                                       lambda: _LowUniforms(7, 1.0))
+    # one batch for each of the three strata, then the check's uniform
+    assert len(rng_v.sizes) == 3 + 1
+    assert rng_s.sizes == [sum(rng_v.sizes[:-1]), None]
 
 
 def test_bernoulli_positions_edge_cases():

@@ -1,25 +1,29 @@
-"""One traced run of the benchmark's child process.
+"""Traced runs of the benchmark's child process.
 
 ``bench/child.py`` wraps functions of ``experiments`` and ``cli`` by
 attribute name to time each layer, so a rename in either module breaks
-traced benchmark runs; this test runs the child once on a tiny campaign
-and reads the spans it wrote.
+traced benchmark runs.  The per-layer report (``bench/spans.py``) also
+needs ``replicate_seed`` and ``sample`` called once per replicate through
+``experiments``: a replicate loop that seeds or samples in batches leaves
+it no replicate to time.  These tests run the child on tiny campaigns and
+read the spans it wrote.
 """
 
+import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+CHILD = BENCH / "child.py"
 
 
-def test_traced_child_run_records_every_layer(tmp_path):
+def _traced_run(tmp_path, config: dict) -> list:
+    """Spans of one traced ``run-experiment`` child on ``config``."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "experiment_kind": "clt", "motif": "edge", "graphon": "W_asym",
-        "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [40],
-        "replicates": 50, "seed": 1}))
+    cfg.write_text(json.dumps(config))
     report, spans = tmp_path / "report.json", tmp_path / "spans.json"
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
@@ -31,6 +35,38 @@ def test_traced_child_run_records_every_layer(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["rc"] == 0
-    names = {s[1] for s in json.loads(spans.read_text())}
+    return json.loads(spans.read_text())
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_child_run_records_every_layer(tmp_path):
+    spans = _traced_run(tmp_path, {
+        "experiment_kind": "clt", "motif": "edge", "graphon": "W_asym",
+        "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [40],
+        "replicates": 50, "seed": 1})
+    names = {s[1] for s in spans}
     assert {"replicate_seed", "sample", "count", "ks_test", "run_experiment",
             "write_result"} <= names
+
+
+def test_traced_small_graph_run_times_every_replicate(tmp_path):
+    # the tiny_n workload's shape: every replicate is seeded and sampled
+    # on its own, so each one shows as a replicate with a sampler span
+    spans = _traced_run(tmp_path, {
+        "experiment_kind": "variance_ratio", "motif": "edge",
+        "graphon": "W_asym", "schedule": {"a": 0.3 * math.sqrt(6),
+                                          "gamma": 0.5},
+        "n_values": [6, 8], "replicates": 60, "seed": 1})
+    bench_spans = _bench_spans()
+    totals = bench_spans.layer_totals(spans)
+    assert totals["sampler.sample_calls"] == 120
+    assert totals["sampler.sample_s"] > 0
+    assert len(bench_spans.replicate_ms(spans)) == 120
+    assert set(bench_spans.split_by_n(spans)) == {6, 8}

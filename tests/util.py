@@ -164,6 +164,15 @@ def split_blocks(w: StepGraphon, r: int) -> StepGraphon:
                              for a in blocks))
 
 
+def reference_blocks_of(w: StepGraphon, latents) -> np.ndarray:
+    """Block of each latent by the full cumulative widths, clamped to the
+    last block: the formula ``StepGraphon.blocks_of`` must reproduce."""
+    cum = np.cumsum(np.array(w.pi, dtype=np.float64))
+    u = np.asarray(latents, dtype=np.float64)
+    return np.minimum(np.searchsorted(cum, u, side="right"),
+                      w.block_count - 1).astype(np.int64)
+
+
 def total_enumeration_variance(m: Motif, w: StepGraphon, n: int, rho: float):
     """Exact Var[X] by enumerating every block assignment and edge pattern."""
     from graphon_motifs import count_embeddings
@@ -283,3 +292,46 @@ def reference_bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
         chunks.append(pos)
         last = int(pos[-1])
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def reference_edge_layer_scalar(w: StepGraphon, blocks, rho: float,
+                                rng) -> tuple:
+    """The scalar edge layer drawn stratum by stratum: one ``rng.random``
+    call and one ``log1p`` per batch, each stratum's batches drawn before
+    the next stratum's.  Returns (strata, total) in the layout of
+    ``sampler._edge_layer_scalar``, whose single-draw path must consume the
+    same uniforms and give the same positions."""
+    K = w.block_count
+    verts = [[] for _ in range(K)]
+    for v, b in enumerate(np.asarray(blocks).tolist(), 1):
+        verts[b].append(v)
+    strata = []
+    total = 0
+    for b, c in [(b, b) for b in range(K)] + list(combinations(range(K), 2)):
+        vb, vc = verts[b], verts[c]
+        nb = len(vb)
+        slots = nb * (nb - 1) // 2 if b == c else nb * len(vc)
+        pos = _reference_positions_scalar(rng, slots, rho * w.values[b][c])
+        strata.append((vb, None if b == c else vc, pos))
+        total += len(pos)
+    return strata, total
+
+
+def _reference_positions_scalar(rng, n_slots: int, p: float) -> list:
+    """One stratum's Bernoulli positions as a list, from batches of
+    ``sampler._batch_size`` uniforms drawn one call each."""
+    if n_slots <= 0 or p <= 0.0:
+        return []
+    if p >= 1.0:
+        return list(range(n_slots))
+    log_q = math.log1p(-p)
+    cap = float(n_slots) + 1.0
+    out = []
+    pos = -1
+    while True:
+        u = rng.random(sampler._batch_size(n_slots - pos, p))
+        for x in np.log1p(-u).tolist():
+            pos += int(min(x / log_q, cap)) + 1
+            if pos >= n_slots:
+                return out
+            out.append(pos)
