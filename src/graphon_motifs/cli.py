@@ -214,8 +214,10 @@ def cmd_run_experiment(args) -> int:
         cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from exc
+    if args.threads < 1:
+        raise UsageError(f"threads must be at least 1, not {args.threads}")
     t0 = time.perf_counter()
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     table = replicate_rows(result) if args.with_replicates else None
     write_result(result, args.out_dir, replicate_table=table)
     elapsed = time.perf_counter() - t0
@@ -272,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="contiguous replicate ranges per cell (default "
-                        "1), run on at most one thread per CPU; the "
-                        "summaries are the same at any count")
+                   help="accepted for older scripts and changes nothing: "
+                        "replicates run in one serial loop (must be at "
+                        "least 1; default 1)")
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")
     p.set_defaults(func=cmd_run_experiment)

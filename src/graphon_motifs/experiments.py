@@ -16,13 +16,12 @@ table; the replicate rows are that same table.
 Determinism contract: every replicate draws its seed from
 (config seed, n, replicate index), aggregates are computed from arrays in
 replicate order, and serialized outputs carry no timing, so reruns are
-byte-identical regardless of thread count.  With several threads each
-takes one contiguous range of a cell's replicate indices and writes its
-results by index.
+byte-identical.  A cell's replicates run in one serial loop.
 
 The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
-and ``count`` once per replicate, on one thread, so the sampler finds the
-seed's generator states in the thread's note of the last seed handed out.
+and ``count`` once per replicate, in that order on the calling thread, so
+the sampler finds the seed's generator states in the thread's note of the
+last seed handed out.
 Those come from the block derivation in ``seeding``, which matches
 numpy's SeedSequence and PCG64 seeding word for word.  The one
 frozen-latent seed of a conditional_clt cell goes through numpy's
@@ -37,8 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -302,7 +299,7 @@ class ExperimentResult:
 # the replicate engine
 
 
-def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCell:
+def _replicate_cell(cfg: ExperimentConfig, n: int) -> ReplicateCell:
     """Sample and count every replicate of one n cell.
 
     conditional_clt redraws only the edges on one frozen latent draw per n;
@@ -321,8 +318,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
         frozen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(lat_seed))).random(n)
         conds[:] = conditional_expected_count(frozen, m, w, rho)
-
-    def work(r: int):
+    for r in range(R):
         seed = replicate_seed(cfg.seed, n, r)
         seeds[r] = seed
         if frozen is None:
@@ -331,23 +327,8 @@ def _replicate_cell(cfg: ExperimentConfig, n: int, threads: int) -> ReplicateCel
         else:
             g = resample_edges(w, frozen, rho, seed)
         xs[r] = count(g, m)
-
-    def work_range(lo: int, hi: int):
-        # each graph is freed when its work(r) returns, before the next
-        # one is drawn
-        for r in range(lo, hi):
-            work(r)
-
-    threads = min(threads, R)
-    if threads > 1:
-        # one contiguous replicate range per task, run by at most one OS
-        # thread per CPU
-        bounds = [R * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(
-                max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            list(pool.map(work_range, bounds[:-1], bounds[1:]))
-    else:
-        work_range(0, R)
+        # free the graph before the next one is drawn
+        del g
     if frozen is None:
         # E[X | latents] depends on the latents through the occupancy
         # counts alone, so each distinct row is evaluated once
@@ -446,15 +427,13 @@ _FILLS = {
 EXPERIMENT_KINDS = tuple(_FILLS)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Sample every n cell of a campaign and fill one record per cell."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, not {threads}")
     fill = _FILLS[cfg.experiment_kind]
     table = []
     records = []
     for n in cfg.n_values:
-        cell = _replicate_cell(cfg, n, threads)
+        cell = _replicate_cell(cfg, n)
         rec = _base_record(cfg, cell)
         fill(cfg, rec, cell)
         table.append(cell)

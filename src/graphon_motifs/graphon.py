@@ -34,6 +34,8 @@ MAX_ASSIGNMENTS = 10_000_000
 # in the motif size; larger motifs are refused before any sum.
 MAX_CRITICAL_VERTICES = 6
 
+# largest deviation of a rooted density from t that still counts as
+# regular; the densities are exact sums, so this only absorbs roundoff
 REGULARITY_TOL = 1e-10
 
 
@@ -75,10 +77,6 @@ class StepGraphon:
     @property
     def block_count(self) -> int:
         return len(self.pi)
-
-    def edge_density(self) -> float:
-        pi, vals, _ = _arrays(self)
-        return float(pi @ vals @ pi)
 
     def blocks_of(self, latents) -> np.ndarray:
         """Block index (0-based) of each latent coordinate in [0, 1): the
@@ -213,15 +211,9 @@ class RegularityReport:
     max_deviation: float
 
 
-def regularity_report(m: Motif, w: StepGraphon,
-                      tol: float = REGULARITY_TOL) -> RegularityReport:
-    """Whether the vertex-averaged rooted density is constant across blocks.
-
-    Exact for step graphons, so the default tolerance only absorbs roundoff.
-    """
-    # written so that NaN fails
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance {tol!r} must be positive and finite")
+def regularity_report(m: Motif, w: StepGraphon) -> RegularityReport:
+    """Whether the vertex-averaged rooted density is constant across blocks,
+    up to ``REGULARITY_TOL``."""
     pi, _, _ = _arrays(w)
     k = m.vertex_count
     arr = _assignment_products(m, w, [pi] * k)
@@ -233,12 +225,11 @@ def regularity_report(m: Motif, w: StepGraphon,
                     for a in axes)
     per_block = tuple((marginals / (k * pi)).tolist())
     dev = max(abs(x - t) for x in per_block)
-    return RegularityReport(per_block, t, dev <= tol, dev)
+    return RegularityReport(per_block, t, dev <= REGULARITY_TOL, dev)
 
 
-def is_motif_regular(m: Motif, w: StepGraphon,
-                     tol: float = REGULARITY_TOL) -> bool:
-    return regularity_report(m, w, tol).is_regular
+def is_motif_regular(m: Motif, w: StepGraphon) -> bool:
+    return regularity_report(m, w).is_regular
 
 
 # ---------------------------------------------------------------------------

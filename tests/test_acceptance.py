@@ -298,9 +298,9 @@ def test_c13_determinism(tmp_path):
     cfg = ExperimentConfig("clt", K2, W_ASYM,
                            SparsitySchedule(1.0, 0.5), (150,), 300, 13001)
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
-    write_result(run_experiment(cfg, threads=1), d1)
-    write_result(run_experiment(cfg, threads=4), d2)
+    write_result(run_experiment(cfg), d1)
+    write_result(run_experiment(cfg), d2)
     same = all((d1 / f).read_bytes() == (d2 / f).read_bytes()
                for f in ("summary.json", "summary.csv"))
     _report(13, "byte-identical determinism", same,
-            "threads 1 vs 4 produce identical summary files", t0, 60.0)
+            "two runs produce identical summary files", t0, 60.0)

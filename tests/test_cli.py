@@ -377,10 +377,12 @@ def test_run_experiment_byte_identical(capsys, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     d1, d2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(capsys, "run-experiment", "--config", str(cfg_path),
-                   "--out-dir", str(d1), "--threads", "1")[0] == 0
+                   "--out-dir", str(d1), "--threads", "1",
+                   "--with-replicates")[0] == 0
     assert run_cli(capsys, "run-experiment", "--config", str(cfg_path),
-                   "--out-dir", str(d2), "--threads", "4")[0] == 0
-    for name in ("summary.json", "summary.csv"):
+                   "--out-dir", str(d2), "--threads", "4",
+                   "--with-replicates")[0] == 0
+    for name in ("summary.json", "summary.csv", "replicates.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import threading
 
 import numpy as np
@@ -116,11 +115,25 @@ def test_record_count_matches_n_values():
 
 
 def test_determinism_across_runs_and_threads():
+    # two serial runs, then two runs started at once on two threads: each
+    # thread's seed hand-off to the sampler stays its own
     cfg = small_cfg("clt", n_values=(80,), replicates=200)
-    a = run_experiment(cfg, threads=1)
-    b = run_experiment(cfg, threads=4)
-    c = run_experiment(cfg, threads=1)
-    assert a.to_json() == b.to_json() == c.to_json()
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
+    results = [None, None]
+
+    def run(i):
+        results[i] = run_experiment(cfg)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    assert a.to_json() == b.to_json()
+    assert [r.to_json() for r in results] == [a.to_json()] * 2
+    assert all(r.table[0].x.tolist() == a.table[0].x.tolist()
+               for r in results)
 
 
 def test_mean_tracks_expectation_in_every_runner():
@@ -312,7 +325,7 @@ def test_run_experiment_dispatch():
 def test_write_result_files_and_determinism(tmp_path):
     cfg = small_cfg("clt", n_values=(80,), replicates=150)
     res = run_experiment(cfg)
-    res3 = run_experiment(cfg, threads=3)
+    res3 = run_experiment(cfg)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     write_result(res, d1, replicate_table=replicate_rows(res))
@@ -396,7 +409,7 @@ def test_replicate_rows_regenerate_from_seed_for_every_kind():
     assert {c.experiment_kind for c in cfgs} == set(EXPERIMENT_KINDS)
     for cfg in cfgs:
         m, w = cfg.motif, cfg.graphon
-        rows = replicate_rows(run_experiment(cfg, threads=2))
+        rows = replicate_rows(run_experiment(cfg))
         assert len(rows) == cfg.replicates * len(cfg.n_values)
         for i, (seed, n, rho, x, _, cond, _, _, _) in enumerate(rows):
             assert n == cfg.n_values[i // cfg.replicates]
@@ -452,87 +465,17 @@ def test_replicate_cell_equals_reference_loop(cfg):
     # the cell crosses a seed block edge, on both edge paths
     from dataclasses import replace
     from graphon_motifs.experiments import _replicate_cell
-    from graphon_motifs.seeding import SEED_BLOCK
     cfg = replace(cfg, n_values=(8, 40), replicates=SEED_BLOCK + 30)
     for n in cfg.n_values:
         rho, expected, seeds, xs, conds = _reference_cell(cfg, n)
-        for threads in (1, 3):
-            cell = _replicate_cell(cfg, n, threads)
-            assert cell.n == n and cell.rho == rho
-            assert cell.expected == expected
-            assert cell.seed.tolist() == seeds
-            assert cell.x.tolist() == xs
-            assert cell.cond.tolist() == conds
+        cell = _replicate_cell(cfg, n)
+        assert cell.n == n and cell.rho == rho
+        assert cell.expected == expected
+        assert cell.seed.tolist() == seeds
+        assert cell.x.tolist() == xs
+        assert cell.cond.tolist() == conds
         if cfg.graphon.block_count == 1:
             # one block: E[X | latents] is the unconditional mean, exactly
             assert set(conds) == {expected}
 
 
-def test_replicate_pool_is_clamped_to_the_cpu_count(monkeypatch):
-    # a serial stand-in for the pool records its size and starts no thread
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    cfg = small_cfg("clt", replicates=200)
-    serial = run_experiment(cfg, threads=1)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
-    clamped = run_experiment(cfg, threads=10_000)
-    assert len(sizes) == len(cfg.n_values)
-    assert max(sizes) <= (os.cpu_count() or 1)
-    assert clamped.to_json() == serial.to_json()
-
-
-@pytest.mark.parametrize("cfg,R", [
-    (small_cfg("clt"), 2 * SEED_BLOCK + 3),
-    (small_cfg("conditional_clt", motif=K3, graphon=named_graphon("W_sym")),
-     2 * SEED_BLOCK + 3),
-    (small_cfg("variance_ratio"), 5),
-], ids=["clt-R2blocks3", "conditional_clt-R2blocks3", "variance_ratio-R5"])
-def test_replicate_cell_threads_take_contiguous_ranges(
-        monkeypatch, cfg, R):
-    # each thread runs one range [R*i // t, R*(i+1) // t), and at most R
-    # threads start; the table equals the reference loop's either way
-    from dataclasses import replace
-    cfg = replace(cfg, n_values=(8, 40), replicates=R)
-    seen = {}
-    inner = experiments.replicate_seed
-
-    def logged(seed, n, r):
-        seen.setdefault(threading.get_ident(), []).append(r)
-        return inner(seed, n, r)
-
-    monkeypatch.setattr(experiments, "replicate_seed", logged)
-    for n in cfg.n_values:
-        rho, expected, seeds, xs, conds = _reference_cell(cfg, n)
-        for threads in (2, 7):
-            seen.clear()
-            cell = experiments._replicate_cell(cfg, n, threads)
-            assert cell.seed.tolist() == seeds
-            assert cell.x.tolist() == xs
-            assert cell.cond.tolist() == conds
-            t = min(threads, R)
-            bounds = [R * i // t for i in range(t + 1)]
-            assert len(seen) <= t
-            # a pool thread may run a second range after its first, but
-            # never part of one
-            ranges = []
-            for rs in seen.values():
-                while rs:
-                    i = bounds.index(rs[0])
-                    size = bounds[i + 1] - bounds[i]
-                    assert rs[:size] == list(range(bounds[i], bounds[i + 1]))
-                    ranges.append(i)
-                    rs = rs[size:]
-            assert sorted(ranges) == list(range(t))

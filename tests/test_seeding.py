@@ -147,7 +147,7 @@ def test_conditional_clt_cell_derives_no_block_for_its_latent_seed(
         graphon=named_graphon("W_sym"), schedule=SparsitySchedule(1.0, 0.5),
         n_values=(20,), replicates=60, seed=2718)
     _seed_block.cache_clear()
-    cell = experiments._replicate_cell(cfg, 20, 1)
+    cell = experiments._replicate_cell(cfg, 20)
     assert _seed_block.cache_info().misses == 1
     assert handed == [((2718, 20, 0xFEED0000), np.random.SeedSequence(
         (2718, 20, 0xFEED0000)).generate_state(1, np.uint64)[0])]

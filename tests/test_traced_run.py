@@ -3,9 +3,9 @@
 ``bench/child.py`` wraps functions of ``experiments`` and ``cli`` by
 attribute name to time each layer, so a rename in either module breaks
 traced benchmark runs.  The per-layer report (``bench/spans.py``) also
-needs ``replicate_seed`` and ``sample`` called once per replicate through
-``experiments``: a replicate loop that seeds or samples in batches leaves
-it no replicate to time.  These tests run the child on tiny campaigns and
+needs ``replicate_seed`` and ``sample`` (or ``resample_edges``) called once
+per replicate through ``experiments``: a replicate loop that seeds or
+samples in batches leaves it no replicate to time.  These tests run the child on tiny campaigns and
 read the spans it wrote.
 """
 
@@ -20,15 +20,16 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 CHILD = BENCH / "child.py"
 
 
-def _traced_run(tmp_path, config: dict) -> list:
-    """Spans of one traced ``run-experiment`` child on ``config``."""
+def _traced_run(tmp_path, config: dict, args=()) -> list:
+    """Spans of one traced ``run-experiment`` child on ``config``, with
+    extra command-line ``args``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     report, spans = tmp_path / "report.json", tmp_path / "spans.json"
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
         "argv": ["run-experiment", "--config", str(cfg),
-                 "--out-dir", str(tmp_path / "out")],
+                 "--out-dir", str(tmp_path / "out"), *args],
         "report": str(report), "spans": str(spans)}))
     proc = subprocess.run([sys.executable, str(CHILD), str(job)],
                           cwd=tmp_path, capture_output=True, text=True,
@@ -44,6 +45,12 @@ def _bench_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _assert_one_sample_per_replicate(spans, replicates):
+    bench_spans = _bench_spans()
+    assert bench_spans.layer_totals(spans)["sampler.sample_calls"] == replicates
+    assert len(bench_spans.replicate_ms(spans)) == replicates
 
 
 def test_traced_child_run_records_every_layer(tmp_path):
@@ -64,9 +71,36 @@ def test_traced_small_graph_run_times_every_replicate(tmp_path):
         "graphon": "W_asym", "schedule": {"a": 0.3 * math.sqrt(6),
                                           "gamma": 0.5},
         "n_values": [6, 8], "replicates": 60, "seed": 1})
+    _assert_one_sample_per_replicate(spans, 120)
     bench_spans = _bench_spans()
-    totals = bench_spans.layer_totals(spans)
-    assert totals["sampler.sample_calls"] == 120
-    assert totals["sampler.sample_s"] > 0
-    assert len(bench_spans.replicate_ms(spans)) == 120
+    assert bench_spans.layer_totals(spans)["sampler.sample_s"] > 0
     assert set(bench_spans.split_by_n(spans)) == {6, 8}
+
+
+def test_traced_frozen_latent_run_times_every_replicate(tmp_path):
+    # the count_heavy workload's conditional_clt shape: every replicate
+    # redraws its edges through resample_edges on one frozen latent draw
+    spans = _traced_run(tmp_path, {
+        "experiment_kind": "conditional_clt", "motif": "triangle",
+        "graphon": "W_sym", "schedule": {"a": 1.0, "gamma": 0.5},
+        "n_values": [80], "replicates": 60, "seed": 1}, ("--threads", "1"))
+    names = {s[1] for s in spans}
+    assert {"resample_edges", "conditional_expected_count",
+            "triangle_count"} <= names
+    assert "sample" not in names
+    _assert_one_sample_per_replicate(spans, 60)
+
+
+def test_traced_run_with_replicates_times_every_replicate(tmp_path):
+    # the dense_edges workload's arguments: --threads 2 is accepted, and
+    # the replicate rows come from the one sampling pass
+    spans = _traced_run(tmp_path, {
+        "experiment_kind": "clt", "motif": "edge", "graphon": "W_asym",
+        "schedule": {"a": 2.0, "gamma": 0.5}, "n_values": [2000],
+        "replicates": 60, "seed": 1}, ("--threads", "2", "--with-replicates"))
+    names = [s[1] for s in spans]
+    assert names.count("replicate_rows") == 1
+    assert names.count("write_result") == 1
+    _assert_one_sample_per_replicate(spans, 60)
+    rows = (tmp_path / "out" / "replicates.csv").read_text().splitlines()
+    assert len(rows) == 61
