@@ -9,7 +9,7 @@ Library layout:
                   each shared vertex set, with no union graph built
 - ``seeding``     replicate seeds and child stream generators, derived in
                   cached blocks that match numpy's SeedSequence word for
-                  word; each thread reuses the states of its last seed
+                  word; a thread's last seed seeds PCG64 from its words
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance ratios

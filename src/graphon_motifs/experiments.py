@@ -20,10 +20,9 @@ byte-identical.  A cell's replicates run in one serial loop.
 
 The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
 and ``count`` once per replicate, in that order on the calling thread, so
-the sampler finds the seed's generator states in the thread's note of the
-last seed handed out.
-Those come from the block derivation in ``seeding``, which matches
-numpy's SeedSequence and PCG64 seeding word for word.  The one
+the sampler finds the seed's child stream words in the thread's note of
+the last seed handed out.  Those come from the block derivation in
+``seeding``, which matches numpy's SeedSequence word for word.  The one
 frozen-latent seed of a conditional_clt cell goes through numpy's
 SeedSequence, which gives the same value without deriving a block for
 it.  E[X | latents] depends on the latents only through the block
@@ -353,7 +352,7 @@ def _base_record(cfg, cell: ReplicateCell) -> CellRecord:
                       var_x=float(np.var(xs, ddof=1)), mean_within_4se=ok)
 
 
-def _ks_or_none(values) -> NormalityReport:
+def _ks_or_none(values) -> NormalityReport | None:
     sd = float(np.std(values, ddof=1))
     if sd == 0.0:
         return None
@@ -375,11 +374,9 @@ def _fill_clt(cfg, rec: CellRecord, cell: ReplicateCell):
     A valid config can still sample a count that never varies (a complete
     graph at rho = 1, say); that raises RuntimeError after sampling.
     """
-    xs = cell.x
-    sd = float(np.std(xs, ddof=1))
-    if sd == 0.0:
+    rec.ks_x = _ks_or_none(cell.x)
+    if rec.ks_x is None:
         raise RuntimeError("zero empirical variance of the count")
-    rec.ks_x = ks_test(standardize(xs, float(np.mean(xs)), sd))
     rec.ks_delta1 = _ks_or_none(cell.delta1)
     rec.ks_delta2 = _ks_or_none(cell.delta2)
     _fill_variance_ratio(cfg, rec, cell)

@@ -21,10 +21,9 @@ Reproducibility contract (pinned by a golden test):
 - ``sample`` and ``resample_edges`` draw every stratum's positions, and so
   consume every uniform of the graph, before they return; a graph decodes
   the positions into its int64 pair keys ``lo * (n + 1) + hi`` on first
-  use and consumes no uniform doing so, so an undecoded graph stays valid
-  after the thread's reused generators move on to the next replicate.
-  The keys are the graph's one edge format: its sorted ``edges`` array and
-  its CSR adjacency are both derived from them.
+  use and consumes no uniform doing so.  The keys are the graph's one
+  edge format: its sorted ``edges`` array and its CSR adjacency are both
+  derived from them.
 
 Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
 same uniforms on Python scalars instead of numpy arrays; the two edge
@@ -40,11 +39,10 @@ int64 array; the positions a graph keeps never alias the scratch, so an
 undecoded graph stays valid while its thread draws the next one.
 
 Replicate seeds and the child stream generators come from ``seeding``,
-which derives a whole block of replicate seeds, and both child streams'
-PCG64 states of each, in numpy array passes that match numpy's
-SeedSequence and PCG64 seeding word for word.  The seed the calling
-thread's last ``replicate_seed`` handed out sets a reused generator; any
-other seed builds one through numpy.  Either way the streams are the same.
+which derives a whole block of replicate seeds, and the words both child
+streams' PCG64 seed themselves from, in numpy array passes that match
+numpy's SeedSequence word for word; ``child_rng`` builds a new generator
+on every call.
 ``sample`` draws the latents from stream 0 and then runs the edge step of
 ``resample_edges`` on stream 1.
 """

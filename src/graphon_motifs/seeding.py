@@ -2,21 +2,22 @@
 
 A replicate seed is ``SeedSequence((root, n, r)).generate_state(1, uint64)``
 and the seed's child stream k is ``PCG64(SeedSequence(seed,
-spawn_key=(k,)))``.  Building those objects costs tens of microseconds per
+spawn_key=(k,)))``.  Building those SeedSequences costs microseconds per
 replicate, more than sampling a graph of a few vertices, so
 ``replicate_seed`` derives the seeds of a whole aligned block of
-``SEED_BLOCK`` replicate indices at once: it restates SeedSequence's
+``SEED_BLOCK`` replicate indices at once, and the four uint64 words each
+child stream's SeedSequence would give PCG64: it restates SeedSequence's
 hashmix, mix and generate_state (O'Neill's seed_seq_fe, M. E. O'Neill,
-HMC-CS-2014-0905) on uint32 arrays, and PCG64's seeding on uint64 arrays,
-for both child streams of every seed in the block.  An ``lru_cache``
-keeps the last two blocks.  Each thread notes the last seed it handed
-out, and ``child_rng`` sets that seed's state on a reused generator of
-the thread.  Any other seed, and any argument outside the block range,
-goes through numpy itself; the values are the same either way.
+HMC-CS-2014-0905) on uint32 arrays.  An ``lru_cache`` keeps the last two
+blocks.  Each thread notes the last seed it handed out, and ``child_rng``
+seeds a new PCG64 from that seed's words through numpy's seed sequence
+interface, so numpy's own PCG64 seeding runs on both paths.  Any other
+seed, and any argument outside the block range, goes through numpy's
+SeedSequence; the values are the same either way.
 
-This couples the module to numpy's SeedSequence constants and PCG64
-seeding.  The tests compare both with numpy word for word, so a numpy
-change to either fails there first.
+This couples the module to numpy's SeedSequence constants only.  The
+tests compare the derived seeds and words with numpy word for word, so a
+numpy change to them fails there first.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ import numpy as np
 SEED_BLOCK = 1024
 
 _M32 = 0xFFFFFFFF
-_M64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _uint32_words(x: int) -> list:
@@ -92,71 +91,59 @@ def _uint64(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
-
-
-def _mul128_const(a_hi, a_lo, c: int):
-    """(a_hi, a_lo) * c mod 2^128, the high word of a_lo * c_lo from
-    32-bit halves."""
-    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _M64)
-    s32, m32 = np.uint64(32), np.uint64(_M32)
-    x0, x1 = a_lo & m32, a_lo >> s32
-    y0, y1 = c_lo & m32, c_lo >> s32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = ((x0 * y0) >> s32) + (p01 & m32) + (p10 & m32)
-    carry = x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    return carry + a_lo * c_hi + a_hi * c_lo, a_lo * c_lo
-
-
-def _pcg64_states(seeds: np.ndarray, k: int) -> np.ndarray:
-    """``PCG64(SeedSequence(seed, spawn_key=(k,))).state`` of each seed, as
-    uint64 words (state_hi, state_lo, inc_hi, inc_lo) in an array of shape
-    (seeds.size, 4).
-
-    The entropy is [lo, hi, 0, 0, k]: a spawned SeedSequence pads the seed
-    to the pool size with zeros.  PCG64 reads generate_state(4, uint64) as
-    initstate and initseq, high word first, sets inc = 2 initseq + 1 and
-    steps the LCG twice: state = (initstate + inc) * mult + inc.
-    """
+def _child_words(seeds: np.ndarray, k: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, uint64)`` of
+    each seed, the words PCG64 seeds itself from, in an array of shape
+    (seeds.size, 4).  A spawned SeedSequence pads the seed to the pool
+    size with zeros, so the entropy is [lo, hi, 0, 0, k]."""
     lo = (seeds & np.uint64(_M32)).astype(np.uint32)
     hi = (seeds >> np.uint64(32)).astype(np.uint32)
     zero = np.zeros_like(lo)
     w = _seed_words([lo, hi, zero, zero, np.full_like(lo, k)], 8)
-    s_hi, s_lo, q_hi, q_lo = (_uint64(w[2 * i], w[2 * i + 1])
-                              for i in range(4))
-    del w  # freed before the 128-bit temporaries, for a lower peak
-    one = np.uint64(1)
-    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
-    inc_lo = (q_lo << one) | one
-    st_hi, st_lo = _mul128_const(*_add128(s_hi, s_lo, inc_hi, inc_lo),
-                                 _PCG64_MULT)
-    st_hi, st_lo = _add128(st_hi, st_lo, inc_hi, inc_lo)
-    return np.stack([st_hi, st_lo, inc_hi, inc_lo], axis=-1)
+    return np.stack([_uint64(w[2 * i], w[2 * i + 1]) for i in range(4)],
+                    axis=-1)
 
 
 @lru_cache(maxsize=2)
 def _seed_block(root: int, n: int, block: int):
     """Replicate seeds of one aligned block of indices, in index order, and
-    both child streams' PCG64 states of each seed: arrays of shape
-    (SEED_BLOCK,) and (2, SEED_BLOCK, 4).  Numpy arrays only, no Python int
-    per seed, to keep peak memory low."""
+    both child streams' words of each seed: arrays of shape (SEED_BLOCK,)
+    and (2, SEED_BLOCK, 4), C-contiguous.  Numpy arrays only, no Python
+    int per seed, to keep peak memory low."""
     r = np.arange(block * SEED_BLOCK, (block + 1) * SEED_BLOCK,
                   dtype=np.uint32)
     entropy = [np.full(SEED_BLOCK, word, dtype=np.uint32)
                for word in _uint32_words(root) + _uint32_words(n)]
     w = _seed_words(entropy + [r], 2)
     seeds = _uint64(w[0], w[1])
-    states = np.stack([_pcg64_states(seeds, k) for k in (0, 1)])
+    words = np.stack([_child_words(seeds, k) for k in (0, 1)])
     # every caller gets the cached arrays themselves
-    seeds.flags.writeable = states.flags.writeable = False
-    return seeds, states
+    seeds.flags.writeable = words.flags.writeable = False
+    return seeds, words
 
 
-# Per thread: ``note``, the last seed handed out with its block's states
-# and its index there, and ``pairs``, one reused PCG64 and Generator pair
-# per child stream.
+@lru_cache(maxsize=1)
+def _words_sequence():
+    """The class of a numpy seed sequence whose ``generate_state`` returns
+    given child stream words, so PCG64 seeds itself from them.  Built on
+    first use: importing ``numpy.random.bit_generator`` loads
+    ``numpy.random``, which importing this module leaves unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChildWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for four uint64 words
+
+    return ChildWords
+
+
+# Per thread: ``note``, the last seed handed out with its block's child
+# stream words and its index there.
 _LOCAL = threading.local()
 
 
@@ -172,43 +159,32 @@ def replicate_seed(root_seed: int, n: int, r: int) -> int:
 
     The value is ``SeedSequence((root, n, r)).generate_state(1, uint64)``.
     For nonnegative root and n and r below 2^32 it comes from the derived
-    block of r, and the thread notes it with its child streams' generator
-    states for ``child_rng``; other arguments go to numpy's SeedSequence,
-    which rejects negative ones.
+    block of r, and the thread notes it with its child streams' words for
+    ``child_rng``; other arguments go to numpy's SeedSequence, which
+    rejects negative ones.
     """
     root_seed, n, r = int(root_seed), int(n), int(r)
     if not (root_seed >= 0 and n >= 0 and 0 <= r <= _M32):
         return _numpy_replicate_seed(root_seed, n, r)
-    seeds, states = _seed_block(root_seed, n, r // SEED_BLOCK)
+    seeds, words = _seed_block(root_seed, n, r // SEED_BLOCK)
     i = r % SEED_BLOCK
     seed = int(seeds[i])
-    _LOCAL.note = (seed, states, i)
+    _LOCAL.note = (seed, words, i)
     return seed
 
 
 def child_rng(seed: int, k: int):
-    """Generator of the seed's child stream k (0 latents, 1 edges), the
-    stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent.
+    """A new generator of the seed's child stream k (0 latents, 1 edges),
+    the stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent.
 
-    The seed the thread's last ``replicate_seed`` call handed out sets the
-    thread's reused generator of stream k, which stays valid until the
-    thread's next call for the same k; any other seed gets a fresh
-    generator from numpy's SeedSequence.
+    PCG64 seeds itself from the noted words of the seed the thread's last
+    ``replicate_seed`` call handed out, and from numpy's SeedSequence for
+    any other seed.
     """
     note = getattr(_LOCAL, "note", None)
     if note is None or not isinstance(seed, int) or note[0] != seed:
         ss = np.random.SeedSequence(seed, spawn_key=(k,))
-        return np.random.Generator(np.random.PCG64(ss))
-    _, states, i = note
-    st_hi, st_lo, inc_hi, inc_lo = states[k, i].tolist()
-    pairs = getattr(_LOCAL, "pairs", None)
-    if pairs is None:
-        pairs = _LOCAL.pairs = tuple(
-            (bg, np.random.Generator(bg))
-            for bg in (np.random.PCG64(0), np.random.PCG64(0)))
-    bitgen, gen = pairs[k]
-    bitgen.state = {"bit_generator": "PCG64",
-                    "state": {"state": st_hi << 64 | st_lo,
-                              "inc": inc_hi << 64 | inc_lo},
-                    "has_uint32": 0, "uinteger": 0}
-    return gen
+    else:
+        _, words, i = note
+        ss = _words_sequence()(words[k, i])
+    return np.random.Generator(np.random.PCG64(ss))

@@ -34,7 +34,7 @@ from graphon_motifs.sampler import (
     replicate_seed,
 )
 from graphon_motifs import seeding
-from graphon_motifs.seeding import SEED_BLOCK, _pcg64_states, child_rng
+from graphon_motifs.seeding import SEED_BLOCK, _child_words
 
 from util import reference_bernoulli_positions, reference_edge_layer_scalar
 
@@ -212,10 +212,10 @@ def test_resample_edges_keeps_latents():
 
 def _hand_out(monkeypatch, seed):
     """Note ``seed`` as the thread's last handed-out replicate seed, so
-    that ``sample`` draws it on the thread's reused generators."""
-    states = np.stack([_pcg64_states(np.array([seed], dtype=np.uint64), k)
-                       for k in (0, 1)])
-    monkeypatch.setattr(seeding._LOCAL, "note", (seed, states, 0),
+    that ``sample`` seeds its generators from the noted words."""
+    words = np.stack([_child_words(np.array([seed], dtype=np.uint64), k)
+                      for k in (0, 1)])
+    monkeypatch.setattr(seeding._LOCAL, "note", (seed, words, 0),
                         raising=False)
 
 
@@ -229,10 +229,8 @@ def _hand_out(monkeypatch, seed):
 def test_decode_consumes_no_uniforms(monkeypatch, n, rho, seed, digest):
     _hand_out(monkeypatch, seed)
     g1 = sample(W_ASYM, n, rho, seed)
-    assert child_rng(seed, 1) is child_rng(seed, 1)
-    # the next replicate resets the thread's generators under g1
+    # the thread samples the next replicate before g1 is decoded
     g2 = sample(W_ASYM, n, rho, replicate_seed(77, n, 5))
-    assert child_rng(seed, 1) is not child_rng(seed, 1)
     assert g1._keys is None and g2._keys is None
     assert hashlib.sha256(g1.to_dump().encode()).hexdigest() == digest
 
@@ -611,7 +609,7 @@ def test_prefetch_hit_and_miss_sample_the_same_graph(n):
     hit_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)
     # another seed handed out: the thread's note no longer names this one
     replicate_seed(31, n, 0)
-    assert child_rng(seed, 0) is not child_rng(seed, 0)
+    assert seeding._LOCAL.note[0] != seed
     miss = sample(W_ASYM, n, 0.3, seed)
     miss_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)
     assert hit.to_dump() == miss.to_dump()

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +18,14 @@ from graphon_motifs import (
 from graphon_motifs import experiments
 from graphon_motifs.seeding import (
     SEED_BLOCK,
-    _pcg64_states,
+    _child_words,
     _seed_block,
     child_rng,
     replicate_seed,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _numpy_replicate_seed(root, n, r):
@@ -44,9 +50,10 @@ def _numpy_state(seed, k):
 def test_block_seeds_match_numpy_seed_sequence(root, n, r):
     # the block derivation restates numpy's SeedSequence; if numpy ever
     # changes its seeding, this fails first
-    seeds, states = _seed_block(root, n, r // SEED_BLOCK)
+    seeds, words = _seed_block(root, n, r // SEED_BLOCK)
     assert seeds.shape == (SEED_BLOCK,)
-    assert states.shape == (2, SEED_BLOCK, 4)
+    assert words.shape == (2, SEED_BLOCK, 4)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
     assert seeds[r % SEED_BLOCK] == _numpy_replicate_seed(root, n, r)
     assert seeds[0] == _numpy_replicate_seed(root, n, r - r % SEED_BLOCK)
     assert replicate_seed(root, n, r) == _numpy_replicate_seed(root, n, r)
@@ -55,41 +62,60 @@ def test_block_seeds_match_numpy_seed_sequence(root, n, r):
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
 @example(seeds=[0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
-def test_pcg64_states_match_numpy(seeds):
+def test_child_words_match_numpy(seeds):
     for k in (0, 1):
-        states = _pcg64_states(np.array(seeds, dtype=np.uint64), k)
+        words = _child_words(np.array(seeds, dtype=np.uint64), k)
         for i, seed in enumerate(seeds):
-            st_hi, st_lo, inc_hi, inc_lo = states[i].tolist()
-            assert _numpy_state(seed, k)["state"] == {
-                "state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
+            ss = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_prefetched_generator_state_equals_numpy(k):
     seeds = [replicate_seed(77, 6, r) for r in (5, 6)]
-    gen = child_rng(seeds[1], k)
-    # the seed handed out last reuses the thread's generator of stream k;
-    # an earlier seed of the same block gets a fresh one from numpy
-    assert child_rng(seeds[1], k) is gen
-    assert child_rng(seeds[0], k) is not gen
-    assert child_rng(seeds[0], k) is not child_rng(seeds[0], k)
     for r, seed in zip((5, 6), seeds):
         assert replicate_seed(77, 6, r) == seed
         ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
         gen = child_rng(seed, k)
         assert gen.bit_generator.state == ref.state
-        # a 32-bit draw leaves half a word buffered, which a hit must reset
         draws = np.random.Generator(ref).random(7)
         assert np.array_equal(gen.random(7), draws)
         gen.integers(0, 2 ** 32, dtype=np.uint32)
         np.random.Generator(ref).integers(0, 2 ** 32, dtype=np.uint32)
         assert gen.bit_generator.state == ref.state
-        assert gen.bit_generator.state["has_uint32"] == 1
-        assert child_rng(seed, k) is gen
-        assert gen.bit_generator.state == _numpy_state(seed, k)
+        assert child_rng(seed, k).bit_generator.state == _numpy_state(seed, k)
     # a miss builds its generator through numpy
     assert child_rng(seeds[0], k).bit_generator.state == \
         _numpy_state(seeds[0], k)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_handed_out_generator_outlives_the_next_replicate(k):
+    # every hit builds a new generator, so one handed out earlier keeps
+    # drawing its own seed's stream after the thread moves on
+    seed = replicate_seed(77, 6, 5)
+    gen = child_rng(seed, k)
+    head = gen.random(3)
+    child_rng(replicate_seed(77, 6, 6), k).random(5)
+    ref = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+    assert np.array_equal(head, ref.random(3))
+    assert np.array_equal(gen.random(7), ref.random(7))
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random lazily; the package must not load it at
+    # import time, where it would add to every run's start-up
+    probe = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+             "import graphon_motifs.cli; "
+             "print(before, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    before, after = out.stdout.split()
+    assert after == before
 
 
 def test_seed_cache_under_thread_contention():
