@@ -9,7 +9,7 @@ Library layout:
                   each shared vertex set, with no union graph built
 - ``seeding``     replicate seeds and child stream generators, derived in
                   cached blocks that match numpy's SeedSequence word for
-                  word; a thread's last seed seeds PCG64 from its words
+                  word; the last seed handed out seeds PCG64 from its words
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance ratios
@@ -25,7 +25,6 @@ from .motif import (
     named_motif,
     canonical_form,
     canonical_relabel,
-    is_isomorphic,
     automorphism_count,
     copies_in_complete,
     density_exponents,
@@ -37,14 +36,11 @@ from .graphon import (
     named_graphon,
     hom_density,
     multipoint_density,
-    rooted_density,
-    mean_rooted_density,
     degree_function,
     regularity_report,
     is_motif_regular,
     projection_variance,
     critical_edge_variance_share,
-    critical_edge_variance_share_closed_form,
 )
 from .sampler import (
     SampledGraph,
@@ -62,7 +58,6 @@ from .counting import (
     expected_count,
     conditional_expected_count,
     decompose,
-    label_ustatistic,
     exact_variance,
     conditional_variance,
     mean_variance_orders,

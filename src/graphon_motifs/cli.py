@@ -217,9 +217,13 @@ def cmd_run_experiment(args) -> int:
     if args.threads < 1:
         raise UsageError(f"threads must be at least 1, not {args.threads}")
     t0 = time.perf_counter()
-    result = run_experiment(cfg)
-    table = replicate_rows(result) if args.with_replicates else None
-    write_result(result, args.out_dir, replicate_table=table)
+    try:
+        result = run_experiment(cfg)
+        table = replicate_rows(result) if args.with_replicates else None
+        write_result(result, args.out_dir, replicate_table=table)
+    except ValueError as exc:
+        # the config was refused above if it was bad: this is a fault
+        raise RuntimeError(exc) from exc
     elapsed = time.perf_counter() - t0
     replicates = cfg.replicates * len(cfg.n_values)
     print(f"experiment {cfg.experiment_kind}: {len(result.records)} cells "

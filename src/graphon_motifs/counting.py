@@ -24,9 +24,9 @@ from .motif import (
     Motif,
     _codegree_table,
     _copies_on,
+    _isomorphism_classes,
     automorphism_count,
     canonical_key,
-    canonical_relabel,
     copies_in_complete,
     count_embeddings,
     csr_pair_keys,
@@ -231,21 +231,6 @@ def decompose(g: SampledGraph, m: Motif, w: StepGraphon) -> Decomposition:
                          delta=x - exp, delta1=x - cond, delta2=cond - exp)
 
 
-def label_ustatistic(latents, m: Motif, w: StepGraphon) -> float:
-    """Average of the centered copy kernel over all label subsets.
-
-    The label component of the decomposition equals
-    C(n, |V|) * rho^{|E|} times this value.
-    """
-    n = np.asarray(latents).size
-    k = m.vertex_count
-    if n < k:
-        raise ValueError(f"need at least {k} latents")
-    cond1 = conditional_expected_count(latents, m, w, 1.0)
-    exp1 = expected_count(m, w, n, 1.0)
-    return (cond1 - exp1) / math.comb(n, k)
-
-
 # ---------------------------------------------------------------------------
 # small-n exact variance oracles
 
@@ -360,13 +345,9 @@ def mean_variance_orders(m: Motif, n: int, rho: float) -> OrdersReport:
     k, e = m.vertex_count, m.edge_count
     mean_order = float(n) ** k * rho ** e
 
-    classes = {}
-    for size in range(1, k + 1):
-        for subset in combinations(range(1, k + 1), size):
-            sub = m.induced(subset)
-            classes.setdefault(canonical_key(sub), canonical_relabel(sub))
-    reps = sorted(classes.values(),
-                  key=lambda s: (s.vertex_count, s.edge_count, s.sorted_edges()))
+    reps = _isomorphism_classes(
+        m.induced(subset) for size in range(1, k + 1)
+        for subset in combinations(range(1, k + 1), size))
 
     var_best, var_arg = -math.inf, None
     min_best, min_arg = math.inf, None

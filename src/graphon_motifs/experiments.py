@@ -19,9 +19,9 @@ replicate order, and serialized outputs carry no timing, so reruns are
 byte-identical.  A cell's replicates run in one serial loop.
 
 The engine calls ``replicate_seed``, ``sample`` (or ``resample_edges``)
-and ``count`` once per replicate, in that order on the calling thread, so
-the sampler finds the seed's child stream words in the thread's note of
-the last seed handed out.  Those come from the block derivation in
+and ``count`` once per replicate, in that order, so the sampler finds the
+seed's child stream words in ``seeding``'s note of the last seed handed
+out.  Those come from the block derivation in
 ``seeding``, which matches numpy's SeedSequence word for word.  The one
 frozen-latent seed of a conditional_clt cell goes through numpy's
 SeedSequence, which gives the same value without deriving a block for

@@ -170,7 +170,7 @@ def hom_density(m: Motif, w: StepGraphon) -> float:
 def multipoint_density(m: Motif, pins: dict, w: StepGraphon) -> float:
     """Conditional density with the pinned vertices fixed to blocks (0-based).
 
-    No pins recovers ``hom_density``; one pin recovers ``rooted_density``.
+    No pins recovers ``hom_density``; one pin gives a rooted density.
     A pinned vertex carries a one-hot row in place of its pi weight.
     """
     K = w.block_count
@@ -184,17 +184,6 @@ def multipoint_density(m: Motif, pins: dict, w: StepGraphon) -> float:
     weights = [rows[pins[v]] if v in pins else pi
                for v in range(1, m.vertex_count + 1)]
     return float(_assignment_products(m, w, weights).sum())
-
-
-def rooted_density(m: Motif, a: int, block: int, w: StepGraphon) -> float:
-    """Density of the motif with vertex ``a`` pinned to a block (0-based)."""
-    return multipoint_density(m, {a: block}, w)
-
-
-def mean_rooted_density(m: Motif, block: int, w: StepGraphon) -> float:
-    """Average of the rooted density over all root choices."""
-    k = m.vertex_count
-    return sum(rooted_density(m, a, block, w) for a in range(1, k + 1)) / k
 
 
 def degree_function(w: StepGraphon) -> np.ndarray:
@@ -346,21 +335,3 @@ def critical_edge_variance_share(m: Motif, w: StepGraphon, c: float) -> float:
     edge_term = sum(total / (aut * aut * c ** (v - 1))
                     for v, total in _critical_overlap_sums(m, w))
     return 1.0 - label_term / (label_term + edge_term)
-
-
-def critical_edge_variance_share_closed_form(m: Motif, w: StepGraphon,
-                                             c: float) -> float:
-    """Closed form for the critical share, valid only for motifs whose m1
-    maximum is attained by the motif alone (strictly strongly balanced)."""
-    _check_pinned_c(c)
-    if not density_exponents(m).strictly_strongly_balanced:
-        raise ValueError("closed form requires a strictly strongly balanced motif")
-    if is_motif_regular(m, w):
-        raise ValueError("critical constant undefined in regular case")
-    xi = projection_variance(m, w)
-    k = m.vertex_count
-    t = hom_density(m, w)
-    aut = automorphism_count(m)
-    lead = t / aut
-    tail = c ** (k - 1) * xi / (math.factorial(k - 1) ** 2)
-    return lead / (lead + tail)

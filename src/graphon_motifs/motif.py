@@ -245,10 +245,6 @@ def canonical_relabel(m: Motif) -> Motif:
     return m.relabel({v + 1: perm[v] + 1 for v in range(m.vertex_count)})
 
 
-def is_isomorphic(m1: Motif, m2: Motif) -> bool:
-    return canonical_key(m1) == canonical_key(m2)
-
-
 def automorphism_count(m: Motif) -> int:
     """Number of vertex permutations preserving the edge set; divides k!."""
     _, _, ties = _canonical_data(m)
@@ -293,9 +289,11 @@ class DensityProfile:
     strictly_strongly_balanced: bool
 
 
-def _maximizer_classes(argmax_motifs) -> tuple:
+def _isomorphism_classes(motifs) -> tuple:
+    """One canonical representative of each isomorphism class among
+    ``motifs``, sorted by (vertices, edges, sorted edges)."""
     reps = {}
-    for sub in argmax_motifs:
+    for sub in motifs:
         reps.setdefault(canonical_key(sub), canonical_relabel(sub))
     return tuple(sorted(reps.values(),
                         key=lambda s: (s.vertex_count, s.edge_count,
@@ -340,8 +338,8 @@ def density_exponents(m: Motif) -> DensityProfile:
             elif r1 == best_m1:
                 arg_m1.append(subset)
 
-    m_max = _maximizer_classes(m.induced(s) for s in arg_m)
-    m1_max = _maximizer_classes(m.induced(s) for s in arg_m1)
+    m_max = _isomorphism_classes(m.induced(s) for s in arg_m)
+    m1_max = _isomorphism_classes(m.induced(s) for s in arg_m1)
     me, mv = m.edge_count, m.vertex_count
     self_key = canonical_key(m)
     balanced = best_m == Fraction(me, mv)

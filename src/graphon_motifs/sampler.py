@@ -32,11 +32,8 @@ generator in the same state.  The scalar path draws the first batch of
 every stratum in one generator call and inverts them with one ``log1p``;
 a stratum that needs another batch reads on into that list, which grows
 from the generator only by what a batch runs past its end.  The
-vectorized path inverts each batch of uniforms in place, in a per-thread
-scratch array of at most ``SCRATCH_UNIFORMS`` doubles (a larger batch
-draws into a one-off array), and builds the batch's positions in one new
-int64 array; the positions a graph keeps never alias the scratch, so an
-undecoded graph stays valid while its thread draws the next one.
+vectorized path draws each batch of uniforms into a new array and
+inverts and casts it in place into the batch's int64 positions.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -50,7 +47,6 @@ on every call.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,12 +68,6 @@ from .seeding import child_rng, replicate_seed
 # so the crossover stays.  numpy's fixed cost per call decides small
 # graphs, Python's cost per uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
-
-# Most uniforms a thread's scratch array holds (1 MiB of doubles); a batch
-# above it draws into a one-off array.  The largest batch of an n = 2000
-# W_asym graph at rho = 2/sqrt(n) is about 21k uniforms.
-SCRATCH_UNIFORMS = 1 << 17
-_scratch = threading.local()
 
 
 class SampledGraph:
@@ -221,31 +211,13 @@ def _batch_size(remaining: int, p: float) -> int:
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
 
-def _uniforms(rng, size: int) -> np.ndarray:
-    """``size`` uniforms from ``rng``, drawn into the calling thread's
-    scratch array (a prefix view of it) when ``size`` is at most
-    ``SCRATCH_UNIFORMS``, else into a one-off array.  The view is
-    overwritten by the thread's next draw."""
-    if size > SCRATCH_UNIFORMS:
-        u = np.empty(size)
-    else:
-        buf = getattr(_scratch, "u", None)
-        if buf is None or buf.size < size:
-            buf = _scratch.u = np.empty(
-                min(SCRATCH_UNIFORMS, 1 << (size - 1).bit_length()))
-        u = buf[:size]
-    rng.random(out=u)
-    return u
-
-
 def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """Success indices of an iid Bernoulli(p) stream of length n_slots.
 
     Gaps between successes are Geometric(p), drawn by inverting uniform
     doubles; the stream ends at the first position falling past the end.
-    Each batch of uniforms goes through ``log1p(-u) / log(1 - p)`` in place
-    on the thread's scratch array (``_uniforms``); only the int64 positions
-    are new arrays, so what this returns never aliases the scratch.
+    Each batch of uniforms goes through ``log1p(-u) / log(1 - p)`` in
+    place and is then cast, still in place, to the batch's int64 positions.
     """
     if n_slots <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -256,12 +228,14 @@ def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     chunks = []
     last = -1
     while True:
-        u = _uniforms(rng, _batch_size(n_slots - last, p))
+        u = rng.random(_batch_size(n_slots - last, p))
         np.negative(u, out=u)
         np.log1p(u, out=u)
         np.divide(u, log_q, out=u)
         np.minimum(u, cap, out=u)
-        pos = u.astype(np.int64)
+        # the gaps as int64 in the same memory: no second batch array
+        pos = u.view(np.int64)
+        np.copyto(pos, u, casting="unsafe")
         pos += 1
         np.cumsum(pos, out=pos)
         pos += last

@@ -9,7 +9,7 @@ replicate, more than sampling a graph of a few vertices, so
 child stream's SeedSequence would give PCG64: it restates SeedSequence's
 hashmix, mix and generate_state (O'Neill's seed_seq_fe, M. E. O'Neill,
 HMC-CS-2014-0905) on uint32 arrays.  An ``lru_cache`` keeps the last two
-blocks.  Each thread notes the last seed it handed out, and ``child_rng``
+blocks.  The module notes the last seed handed out, and ``child_rng``
 seeds a new PCG64 from that seed's words through numpy's seed sequence
 interface, so numpy's own PCG64 seeding runs on both paths.  Any other
 seed, and any argument outside the block range, goes through numpy's
@@ -22,8 +22,8 @@ numpy change to them fails there first.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -142,9 +142,11 @@ def _words_sequence():
     return ChildWords
 
 
-# Per thread: ``note``, the last seed handed out with its block's child
-# stream words and its index there.
-_LOCAL = threading.local()
+# ``note``: the last seed handed out, with its block's child stream words
+# and its index there.  The words depend on the seed alone, so a note
+# another thread replaced is still right for its own seed, and a seed
+# whose note was replaced falls back to numpy's SeedSequence.
+_LOCAL = SimpleNamespace(note=None)
 
 
 def _numpy_replicate_seed(root_seed: int, n: int, r: int) -> int:
@@ -159,7 +161,7 @@ def replicate_seed(root_seed: int, n: int, r: int) -> int:
 
     The value is ``SeedSequence((root, n, r)).generate_state(1, uint64)``.
     For nonnegative root and n and r below 2^32 it comes from the derived
-    block of r, and the thread notes it with its child streams' words for
+    block of r, and is noted with its child streams' words for
     ``child_rng``; other arguments go to numpy's SeedSequence, which
     rejects negative ones.
     """
@@ -177,11 +179,11 @@ def child_rng(seed: int, k: int):
     """A new generator of the seed's child stream k (0 latents, 1 edges),
     the stream of ``SeedSequence(seed).spawn(2)[k]`` without the parent.
 
-    PCG64 seeds itself from the noted words of the seed the thread's last
+    PCG64 seeds itself from the noted words of the seed the last
     ``replicate_seed`` call handed out, and from numpy's SeedSequence for
     any other seed.
     """
-    note = getattr(_LOCAL, "note", None)
+    note = _LOCAL.note
     if note is None or not isinstance(seed, int) or note[0] != seed:
         ss = np.random.SeedSequence(seed, spawn_key=(k,))
     else:

@@ -22,7 +22,6 @@ from graphon_motifs import (
     decompose,
     density_exponents,
     expected_count,
-    label_ustatistic,
     exact_variance,
     is_motif_regular,
     named_graphon,
@@ -39,6 +38,7 @@ from graphon_motifs import canonical_form, canonical_relabel
 from util import (
     all_graphs_on,
     connected_classes_up_to,
+    label_ustatistic,
     random_graphon,
     subset_count_oracle,
 )

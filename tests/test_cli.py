@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphon_motifs import SampledGraph, named_graphon
+from graphon_motifs import SampledGraph, experiments, named_graphon
 from graphon_motifs.cli import build_parser, main
 from graphon_motifs.motif import _NAMED
 from util import split_blocks
@@ -563,6 +563,26 @@ def test_run_experiment_degenerate_campaign_is_a_runtime_failure(
                            str(cfg_path), "--out-dir", str(out))
     assert code == 1
     assert "zero empirical variance of the count" in err
+    assert not out.exists()
+
+
+def test_run_experiment_value_error_after_the_config_is_a_runtime_failure(
+        capsys, tmp_path, monkeypatch):
+    def fail(g, m):
+        raise ValueError("count failed")
+
+    monkeypatch.setattr(experiments, "count", fail)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_kind": "clt", "motif": "triangle", "graphon": "W_asym",
+        "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [20],
+        "replicates": 60, "seed": 7}))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "run-experiment", "--config",
+                                str(cfg_path), "--out-dir", str(out))
+    assert code == 1
+    assert "runtime error: count failed" in err
+    assert stdout == ""
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from graphon_motifs import (
     decompose,
     exact_variance,
     expected_count,
-    label_ustatistic,
     mean_variance_orders,
     named_graphon,
     named_motif,
@@ -32,6 +31,7 @@ from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
     all_graphs_on,
     four_cycle_oracle,
+    label_ustatistic,
     random_graphon,
     random_motif,
     reference_occupancy_polynomial,

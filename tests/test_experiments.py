@@ -115,8 +115,9 @@ def test_record_count_matches_n_values():
 
 
 def test_determinism_across_runs_and_threads():
-    # two serial runs, then two runs started at once on two threads: each
-    # thread's seed hand-off to the sampler stays its own
+    # two serial runs, then two runs started at once on two threads: a
+    # seed hand-off to the sampler that the other thread replaced gives
+    # the same graph through numpy's SeedSequence
     cfg = small_cfg("clt", n_values=(80,), replicates=200)
     a = run_experiment(cfg)
     b = run_experiment(cfg)

@@ -8,27 +8,27 @@ from graphon_motifs import (
     Motif,
     StepGraphon,
     critical_edge_variance_share,
-    critical_edge_variance_share_closed_form,
     degree_function,
     density_exponents,
     hom_density,
     is_motif_regular,
-    mean_rooted_density,
     multipoint_density,
     named_graphon,
     named_motif,
     projection_variance,
     regularity_report,
-    rooted_density,
 )
 from util import (
     connected_classes_up_to,
     copies_on_labels,
+    critical_edge_variance_share_closed_form,
     join_catalog,
+    mean_rooted_density,
     naive_hom_density,
     random_graphon,
     random_motif,
     reference_blocks_of,
+    rooted_density,
     split_blocks,
 )
 

@@ -19,7 +19,6 @@ from graphon_motifs import (
     count,
     count_embeddings,
     density_exponents,
-    is_isomorphic,
     named_graphon,
     named_motif,
     run_experiment,
@@ -33,6 +32,7 @@ from util import (
     brute_isomorphic,
     copies_on_labels,
     four_cycle_oracle,
+    is_isomorphic,
     join_catalog,
     random_motif,
     subset_count_oracle,

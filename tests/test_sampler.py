@@ -211,8 +211,8 @@ def test_resample_edges_keeps_latents():
 
 
 def _hand_out(monkeypatch, seed):
-    """Note ``seed`` as the thread's last handed-out replicate seed, so
-    that ``sample`` seeds its generators from the noted words."""
+    """Note ``seed`` as the last handed-out replicate seed, so that
+    ``sample`` seeds its generators from the noted words."""
     words = np.stack([_child_words(np.array([seed], dtype=np.uint64), k)
                       for k in (0, 1)])
     monkeypatch.setattr(seeding._LOCAL, "note", (seed, words, 0),
@@ -461,29 +461,10 @@ def test_bernoulli_positions_match_across_continuation_batches(
             assert got.size > 16 or n_slots * p < 16
 
 
-def test_bernoulli_positions_batch_above_the_scratch_cap(monkeypatch):
-    monkeypatch.setattr(sampler, "SCRATCH_UNIFORMS", 64)
-    seen = {}
-
-    def run():
-        # on a fresh thread: a first batch within the cap, then one far
-        # above it (373 uniforms), then the scratch again
-        _assert_kernel_matches_reference(100, 0.05, 1)
-        seen["positions"] = _assert_kernel_matches_reference(1000, 0.3, 1)
-        _assert_kernel_matches_reference(100, 0.05, 2)
-        seen["scratch"] = sampler._scratch.u.size
-
-    t = threading.Thread(target=run)
-    t.start()
-    t.join(timeout=60)
-    assert not t.is_alive()
-    assert seen["positions"].size > 64 and seen["scratch"] <= 64
-
-
 def test_sampling_threads_never_share_the_scratch():
     # four threads draw n = 2000 graphs and leave them undecoded while the
-    # others draw into their own scratch; a kept position that aliased a
-    # scratch array would be overwritten before the decode below
+    # others draw; a kept position that aliased an array another draw
+    # reuses would be overwritten before the decode below
     rho = 2 / math.sqrt(2000)
     seeds = [[100 * k + i for i in range(6)] for k in range(4)]
     graphs = [[None] * 6 for _ in range(4)]
@@ -607,13 +588,44 @@ def test_prefetch_hit_and_miss_sample_the_same_graph(n):
     seed = replicate_seed(31, n, SEED_BLOCK + 3)
     hit = sample(W_ASYM, n, 0.3, seed)
     hit_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)
-    # another seed handed out: the thread's note no longer names this one
+    # another seed handed out: the note no longer names this one
     replicate_seed(31, n, 0)
     assert seeding._LOCAL.note[0] != seed
     miss = sample(W_ASYM, n, 0.3, seed)
     miss_edges = resample_edges(W_ASYM, hit.latents, 0.3, seed)
     assert hit.to_dump() == miss.to_dump()
     assert hit_edges.to_dump() == miss_edges.to_dump()
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_seed_noted_on_another_thread_samples_the_numpy_graph(
+        monkeypatch, n):
+    # one note serves every thread: a seed noted on a worker thread hits
+    # it on this one, and a seed whose note a later worker replaced misses
+    # it; both sample what numpy's SeedSequence gives
+    handed = {}
+
+    def hand_out(r):
+        handed[r] = replicate_seed(17, n, r)
+
+    def on_worker(r):
+        t = threading.Thread(target=hand_out, args=(r,))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        return handed[r]
+
+    monkeypatch.setattr(seeding._LOCAL, "note", None)
+    hit_seed = on_worker(3)
+    assert seeding._LOCAL.note[0] == hit_seed
+    hit = sample(W_ASYM, n, 0.3, hit_seed)
+    miss_seed = on_worker(4)
+    on_worker(5)
+    assert seeding._LOCAL.note[0] != miss_seed
+    miss = sample(W_ASYM, n, 0.3, miss_seed)
+    seeding._LOCAL.note = None
+    for seed, g in ((hit_seed, hit), (miss_seed, miss)):
+        assert g.to_dump() == sample(W_ASYM, n, 0.3, seed).to_dump()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,21 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from graphon_motifs import Motif, StepGraphon
+from graphon_motifs import (
+    Motif,
+    StepGraphon,
+    automorphism_count,
+    conditional_expected_count,
+    density_exponents,
+    expected_count,
+    hom_density,
+    is_motif_regular,
+    multipoint_density,
+    projection_variance,
+)
 from graphon_motifs import sampler
+from graphon_motifs.graphon import _check_pinned_c
+from graphon_motifs.motif import canonical_key
 
 
 def brute_isomorphic(m1: Motif, m2: Motif) -> bool:
@@ -335,3 +348,55 @@ def _reference_positions_scalar(rng, n_slots: int, p: float) -> list:
             if pos >= n_slots:
                 return out
             out.append(pos)
+
+
+# ---------------------------------------------------------------------------
+# test-only analytics, kept unchanged as the oracles their tests use
+
+
+def is_isomorphic(m1: Motif, m2: Motif) -> bool:
+    return canonical_key(m1) == canonical_key(m2)
+
+
+def rooted_density(m: Motif, a: int, block: int, w: StepGraphon) -> float:
+    """Density of the motif with vertex ``a`` pinned to a block (0-based)."""
+    return multipoint_density(m, {a: block}, w)
+
+
+def mean_rooted_density(m: Motif, block: int, w: StepGraphon) -> float:
+    """Average of the rooted density over all root choices."""
+    k = m.vertex_count
+    return sum(rooted_density(m, a, block, w) for a in range(1, k + 1)) / k
+
+
+def critical_edge_variance_share_closed_form(m: Motif, w: StepGraphon,
+                                             c: float) -> float:
+    """Closed form for the critical share, valid only for motifs whose m1
+    maximum is attained by the motif alone (strictly strongly balanced)."""
+    _check_pinned_c(c)
+    if not density_exponents(m).strictly_strongly_balanced:
+        raise ValueError("closed form requires a strictly strongly balanced motif")
+    if is_motif_regular(m, w):
+        raise ValueError("critical constant undefined in regular case")
+    xi = projection_variance(m, w)
+    k = m.vertex_count
+    t = hom_density(m, w)
+    aut = automorphism_count(m)
+    lead = t / aut
+    tail = c ** (k - 1) * xi / (math.factorial(k - 1) ** 2)
+    return lead / (lead + tail)
+
+
+def label_ustatistic(latents, m: Motif, w: StepGraphon) -> float:
+    """Average of the centered copy kernel over all label subsets.
+
+    The label component of the decomposition equals
+    C(n, |V|) * rho^{|E|} times this value.
+    """
+    n = np.asarray(latents).size
+    k = m.vertex_count
+    if n < k:
+        raise ValueError(f"need at least {k} latents")
+    cond1 = conditional_expected_count(latents, m, w, 1.0)
+    exp1 = expected_count(m, w, n, 1.0)
+    return (cond1 - exp1) / math.comb(n, k)
