@@ -12,7 +12,7 @@ Library layout:
                   word; the last seed handed out seeds PCG64 from its words
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
-- ``stats``       standardization, KS goodness of fit, variance ratios
+- ``stats``       standardization, KS goodness of fit, variance shares
 - ``experiments`` Monte Carlo campaigns over the above: a config is checked
                   once when built, and ``run_experiment`` runs every kind
                   through one replicate loop and a per-kind aggregation
@@ -23,7 +23,6 @@ from .motif import (
     Motif,
     DensityProfile,
     named_motif,
-    canonical_form,
     canonical_relabel,
     automorphism_count,
     copies_in_complete,
@@ -67,7 +66,6 @@ from .stats import (
     standardize,
     normal_cdf,
     ks_test,
-    variance_ratio,
 )
 from .experiments import (
     ExperimentConfig,

@@ -22,6 +22,7 @@ from .motif import (
     named_motif,
 )
 from .graphon import (
+    MAX_CRITICAL_VERTICES,
     StepGraphon,
     critical_edge_variance_share,
     hom_density,
@@ -40,10 +41,6 @@ from .experiments import (
 )
 
 
-class UsageError(Exception):
-    """Invalid inputs; mapped to exit code 2."""
-
-
 def _load_motif(source: str) -> Motif:
     try:
         return named_motif(source)
@@ -51,11 +48,11 @@ def _load_motif(source: str) -> Motif:
         pass
     path = Path(source)
     if not path.exists():
-        raise UsageError(f"no such motif name or file: {source}")
+        raise ValueError(f"no such motif name or file: {source}")
     try:
         return Motif.from_json_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed motif file {source}: {exc}") from exc
+        raise ValueError(f"malformed motif file {source}: {exc}") from exc
 
 
 def _load_graphon(source: str) -> StepGraphon:
@@ -63,14 +60,14 @@ def _load_graphon(source: str) -> StepGraphon:
         return named_graphon(source)
     except ValueError as exc:
         if source.startswith("const:"):
-            raise UsageError(f"bad graphon {source}: {exc}") from exc
+            raise ValueError(f"bad graphon {source}: {exc}") from exc
     path = Path(source)
     if not path.exists():
-        raise UsageError(f"no such graphon name or file: {source}")
+        raise ValueError(f"no such graphon name or file: {source}")
     try:
         return StepGraphon.from_json_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed graphon file {source}: {exc}") from exc
+        raise ValueError(f"malformed graphon file {source}: {exc}") from exc
 
 
 def _emit(text_report: str, machine: dict, args):
@@ -142,6 +139,9 @@ def cmd_analyze_graphon(args) -> int:
     shares = {}
     if rep.is_regular:
         lines.append("critical share: undefined (regular case)")
+    elif m.vertex_count > MAX_CRITICAL_VERTICES:
+        lines.append(f"critical share: not computed (motifs of more than "
+                     f"{MAX_CRITICAL_VERTICES} vertices)")
     else:
         for c in (0.5, 1.0, 2.0):
             val = critical_edge_variance_share(m, w, c)
@@ -175,11 +175,11 @@ def cmd_count(args) -> int:
     m = _load_motif(args.motif)
     path = Path(args.graph)
     if not path.exists():
-        raise UsageError(f"no such graph file: {args.graph}")
+        raise ValueError(f"no such graph file: {args.graph}")
     try:
         g = SampledGraph.from_dump(path.read_text())
     except ValueError as exc:
-        raise UsageError(f"malformed graph dump {args.graph}: {exc}") from exc
+        raise ValueError(f"malformed graph dump {args.graph}: {exc}") from exc
     sys.stdout.write(f"{count(g, m)}\n")
     return 0
 
@@ -209,13 +209,13 @@ def cmd_decompose(args) -> int:
 def cmd_run_experiment(args) -> int:
     path = Path(args.config)
     if not path.exists():
-        raise UsageError(f"no such config file: {args.config}")
+        raise ValueError(f"no such config file: {args.config}")
     try:
         cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid experiment config: {exc}") from exc
+        raise ValueError(f"invalid experiment config: {exc}") from exc
     if args.threads < 1:
-        raise UsageError(f"threads must be at least 1, not {args.threads}")
+        raise ValueError(f"threads must be at least 1, not {args.threads}")
     t0 = time.perf_counter()
     try:
         result = run_experiment(cfg)
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

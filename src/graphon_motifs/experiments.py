@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +159,12 @@ class ExperimentConfig:
     def from_json_dict(d: dict) -> "ExperimentConfig":
         return ExperimentConfig(
             experiment_kind=d["experiment_kind"],
-            motif=resolve_motif(d["motif"]),
-            graphon=resolve_graphon(d["graphon"]),
+            # a JSON motif or graphon is a built-in name or an inline dict
+            motif=(named_motif(d["motif"]) if isinstance(d["motif"], str)
+                   else Motif.from_json_dict(d["motif"])),
+            graphon=(named_graphon(d["graphon"])
+                     if isinstance(d["graphon"], str)
+                     else StepGraphon.from_json_dict(d["graphon"])),
             schedule=SparsitySchedule(
                 _real(d["schedule"]["a"], "schedule a"),
                 _real(d["schedule"]["gamma"], "schedule gamma")),
@@ -174,23 +178,6 @@ def _pinned_constant(cfg: ExperimentConfig) -> tuple:
     """(m1, c) of a pinned schedule: n rho^{m1} = c = a^{m1}."""
     m1 = float(density_exponents(cfg.motif).m1)
     return m1, cfg.schedule.a ** m1
-
-
-def resolve_motif(source) -> Motif:
-    """A motif given as a built-in name or an inline JSON dict."""
-    if isinstance(source, Motif):
-        return source
-    if isinstance(source, str):
-        return named_motif(source)
-    return Motif.from_json_dict(source)
-
-
-def resolve_graphon(source) -> StepGraphon:
-    if isinstance(source, StepGraphon):
-        return source
-    if isinstance(source, str):
-        return named_graphon(source)
-    return StepGraphon.from_json_dict(source)
 
 
 @dataclass
@@ -222,18 +209,8 @@ class CellRecord:
     cond_var_empirical: float = None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if val is None:
-                continue
-            if isinstance(val, NormalityReport):
-                out[key] = dict(sample_size=val.sample_size,
-                                ks_statistic=val.ks_statistic,
-                                mean=val.mean, sd=val.sd,
-                                skewness=val.skewness)
-            else:
-                out[key] = val
-        return out
+        return {key: val for key, val in asdict(self).items()
+                if val is not None}
 
     @staticmethod
     def from_json_dict(d: dict) -> "CellRecord":

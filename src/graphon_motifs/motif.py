@@ -1,7 +1,7 @@
 """Exact combinatorics of small fixed motifs.
 
 A motif is a simple undirected graph on vertices 1..k given by an edge
-list.  Everything here is exact: isomorphism classes via canonical forms,
+list.  Everything here is exact: isomorphism classes via a canonical key,
 automorphism counts, and rational subgraph-density exponents with their
 maximizer classes.
 
@@ -139,7 +139,7 @@ _NAMED = {
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# canonical labelling
 
 
 def _refine_colors(k: int, adj_masks: list) -> list:
@@ -219,18 +219,6 @@ def _canonical_data(m: Motif):
         elif bits == best:
             ties += 1
     return best, best_perm, ties
-
-
-def canonical_form(m: Motif) -> tuple:
-    """Canonical label sequence: equal for two motifs iff they are isomorphic."""
-    bits, _, _ = _canonical_data(m)
-    k = m.vertex_count
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if bits >> _pair_index(i, j, k) & 1:
-                edges.append((i + 1, j + 1))
-    return (k, tuple(edges))
 
 
 def canonical_key(m: Motif) -> tuple:

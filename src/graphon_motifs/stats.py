@@ -66,24 +66,6 @@ def ks_test(samples) -> NormalityReport:
                            skewness=sample_skewness(x))
 
 
-def variance_ratio(delta1s, delta2s) -> tuple:
-    """Shares of the two components in the summed sample variance.
-
-    Returns (r1, r2) with r1 + r2 = 1 exactly, from unbiased variances.
-    """
-    d1 = np.asarray(delta1s, dtype=np.float64)
-    d2 = np.asarray(delta2s, dtype=np.float64)
-    if d1.size != d2.size:
-        raise ValueError("component samples must have equal length")
-    if d1.size < 100:
-        raise ValueError("variance ratio needs at least 100 replicates")
-    v1 = float(np.var(d1, ddof=1))
-    v2 = float(np.var(d2, ddof=1))
-    if v1 + v2 <= 0.0:
-        raise ValueError("total variance is zero")
-    return variance_shares(v1, v2)
-
-
 def variance_shares(v1: float, v2: float) -> tuple:
     """(r1, r2) = (v1, v2) / (v1 + v2) for a positive total, with
     r2 = 1 - r1 so that r1 + r2 = 1 exactly."""

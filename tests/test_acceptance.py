@@ -33,7 +33,8 @@ from graphon_motifs import (
 from graphon_motifs.experiments import write_result
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from graphon_motifs.stats import variance_and_se
-from graphon_motifs import canonical_form, canonical_relabel
+from graphon_motifs import canonical_relabel
+from graphon_motifs.motif import canonical_key
 
 from util import (
     all_graphs_on,
@@ -66,7 +67,7 @@ def _motif_classes_up_to(max_vertices: int, min_edges: int = 0):
         for g in all_graphs_on(k):
             if g.edge_count < min_edges:
                 continue
-            key = canonical_form(g)
+            key = canonical_key(g)
             if key not in seen:
                 seen[key] = canonical_relabel(g)
     return list(seen.values())

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphon_motifs import SampledGraph, experiments, named_graphon
+from graphon_motifs import (
+    Motif,
+    SampledGraph,
+    experiments,
+    hom_density,
+    named_graphon,
+    projection_variance,
+)
 from graphon_motifs.cli import build_parser, main
+from graphon_motifs.graphon import MAX_CRITICAL_VERTICES
 from graphon_motifs.motif import _NAMED
 from util import split_blocks
 
@@ -142,6 +150,34 @@ def test_analyze_graphon_c5_on_six_blocks(capsys, tmp_path):
 def test_analyze_graphon_fig2a_on_six_blocks(capsys, tmp_path):
     # its m1 maximum is the triangle, so overlaps share three vertices
     _shares_on_six_blocks(capsys, tmp_path, "fig2a")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_graphon_reports_all_but_the_share_past_the_vertex_cap(
+        capsys, tmp_path, fmt):
+    k = MAX_CRITICAL_VERTICES + 1
+    path7 = Motif(k, [(i, i + 1) for i in range(1, k)])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(path7.to_json_dict()))
+    w = named_graphon("W_asym")
+    code, out, err = run_cli(capsys, "analyze-graphon", "--graphon", "W_asym",
+                             "--motif", str(path), "--format", fmt)
+    assert code == 0, err
+    if fmt == "text":
+        assert f"density t = {hom_density(path7, w)!r}" in out
+        assert "degree function per block: " in out
+        assert "regular for this motif: False" in out
+        assert (f"projection variance = {projection_variance(path7, w)!r}"
+                in out)
+        assert out.endswith(f"critical share: not computed (motifs of more "
+                            f"than {MAX_CRITICAL_VERTICES} vertices)\n")
+    else:
+        doc = json.loads(out)
+        assert doc["t"] == hom_density(path7, w)
+        assert len(doc["degree_function"]) == w.block_count
+        assert doc["is_regular"] is False
+        assert doc["projection_variance"] == projection_variance(path7, w)
+        assert doc["critical_share"] is None
 
 
 def test_analyze_graphon_regular_case(capsys):

@@ -11,7 +11,6 @@ from graphon_motifs import (
     Motif,
     SampledGraph,
     StepGraphon,
-    canonical_form,
     conditional_expected_count,
     conditional_variance,
     copies_in_complete,
@@ -27,6 +26,7 @@ from graphon_motifs import (
 )
 from graphon_motifs import counting, motif, sampler
 from graphon_motifs.counting import four_cycle_count, triangle_count
+from graphon_motifs.motif import canonical_key
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
     all_graphs_on,
@@ -104,7 +104,7 @@ def test_fast_paths_agree_with_generic_counter():
 # 4 vertices, disconnected and isolated-vertex classes included: the three
 # fast-path motifs (edge, triangle, c4) and the generic counter's
 PROPERTY_MOTIFS = [K2, K3] + list({
-    canonical_form(m): m for k in (3, 4) for m in all_graphs_on(k)}.values())
+    canonical_key(m): m for k in (3, 4) for m in all_graphs_on(k)}.values())
 PAIRS_9 = list(combinations(range(1, 10), 2))
 
 
@@ -234,6 +234,26 @@ def test_four_cycle_count_across_blocks_and_windows(monkeypatch, cells,
         monkeypatch.setattr(motif, "EXPANSION_CHUNK", chunk)
     assert four_cycle_count(g) == want
     assert count(g, C4) == want
+
+
+@pytest.mark.parametrize("step,chunk", [
+    (1, None), (1, 64), (3, 64), (5, 200)])
+def test_codegree_tables_across_row_ranges_join_to_the_full_table(
+        monkeypatch, step, chunk):
+    # the row ranges of the blocks above (one row, three, five with a
+    # shorter last range), each table keyed (u - lo) * (n + 1) + v
+    g = sample(W_ASYM, 60, 0.3, 8)
+    n, csr = g.n, g.adjacency()
+    adj = np.zeros((n + 1, n + 1), dtype=np.int64)
+    adj[csr.rows, csr.indices] = 1
+    full = motif._codegree_table(n, csr, 0, n + 1)
+    assert np.array_equal(full.reshape(n + 1, n + 1), np.triu(adj @ adj, 1))
+    if chunk is not None:
+        monkeypatch.setattr(motif, "EXPANSION_CHUNK", chunk)
+    parts = [motif._codegree_table(n, csr, lo, min(lo + step, n + 1))
+             for lo in range(0, n + 1, step)]
+    assert all(p.dtype == np.int32 for p in parts)
+    assert np.array_equal(np.concatenate(parts), full)
 
 
 def test_four_cycle_count_when_one_block_holds_every_edge(monkeypatch):

@@ -13,7 +13,6 @@ from graphon_motifs import (
     Motif,
     SparsitySchedule,
     automorphism_count,
-    canonical_form,
     canonical_relabel,
     copies_in_complete,
     count,
@@ -24,7 +23,7 @@ from graphon_motifs import (
     run_experiment,
     sample,
 )
-from graphon_motifs.motif import EXPANSION_CHUNK, csr_from_keys
+from graphon_motifs.motif import EXPANSION_CHUNK, canonical_key, csr_from_keys
 from util import (
     all_graphs_on,
     all_subgraph_ratios,
@@ -80,18 +79,18 @@ def test_motif_json_accepts_numpy_integers():
 
 def test_canonical_relabelings_of_triangle_match():
     for edges in [[(1, 2), (2, 3), (1, 3)], [(3, 2), (1, 3), (2, 1)]]:
-        assert canonical_form(Motif(3, edges)) == canonical_form(K3)
+        assert canonical_key(Motif(3, edges)) == canonical_key(K3)
 
 
 def test_canonical_distinguishes_triangle_from_path():
-    assert canonical_form(K3) != canonical_form(P3)
+    assert canonical_key(K3) != canonical_key(P3)
 
 
 def test_canonical_4_vertex_classes_exhaustive():
     # 11 isomorphism classes of simple graphs on 4 vertices; the canonical
-    # form must agree with permutation-based isomorphism on every pair
+    # key must agree with permutation-based isomorphism on every pair
     graphs = list(all_graphs_on(4))
-    forms = [canonical_form(g) for g in graphs]
+    forms = [canonical_key(g) for g in graphs]
     assert len(set(forms)) == 11
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
@@ -105,7 +104,7 @@ def test_canonical_random_relabelings():
         perm = rng.permutation(m.vertex_count) + 1
         relabeled = m.relabel({v: int(perm[v - 1])
                                for v in range(1, m.vertex_count + 1)})
-        assert canonical_form(m) == canonical_form(relabeled)
+        assert canonical_key(m) == canonical_key(relabeled)
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,7 +113,7 @@ def test_canonical_invariance_property(bits, perm):
     pairs = list(combinations(range(1, 6), 2))
     m = Motif(5, [e for i, e in enumerate(pairs) if bits >> i & 1])
     relabeled = m.relabel({v: perm[v - 1] for v in range(1, 6)})
-    assert canonical_form(m) == canonical_form(relabeled)
+    assert canonical_key(m) == canonical_key(relabeled)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -251,8 +250,8 @@ def brute_join_catalog(m: Motif, f: Motif):
             union_pos = {v: i + 1 for i, v in enumerate(sorted(vs | vt))}
             union = Motif(len(vs | vt),
                           [(union_pos[a], union_pos[b]) for a, b in es | et])
-            catalog[canonical_form(union)] = catalog.get(
-                canonical_form(union), 0) + 1
+            catalog[canonical_key(union)] = catalog.get(
+                canonical_key(union), 0) + 1
     return catalog
 
 
@@ -266,7 +265,7 @@ def brute_join_catalog(m: Motif, f: Motif):
 ])
 def test_join_catalog_against_pair_enumeration(m, f):
     brute = brute_join_catalog(m, f)
-    got = {canonical_form(rep): mult for rep, mult in join_catalog(m, f)}
+    got = {canonical_key(rep): mult for rep, mult in join_catalog(m, f)}
     assert got == brute
 
 
@@ -415,7 +414,7 @@ def test_count_embeddings_against_degree_identities(graphon):
 
 
 def test_count_embeddings_five_vertex_classes_against_subset_oracle():
-    connected = [m for m in {canonical_form(m): m
+    connected = [m for m in {canonical_key(m): m
                              for m in all_graphs_on(5)}.values()
                  if m.is_connected()]
     assert len(connected) == 21
@@ -450,4 +449,4 @@ def test_canonical_relabel_is_isomorphic():
         m = random_motif(rng, max_vertices=6)
         rep = canonical_relabel(m)
         assert brute_isomorphic(m, rep)
-        assert canonical_form(rep) == canonical_form(m)
+        assert canonical_key(rep) == canonical_key(m)

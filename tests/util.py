@@ -268,14 +268,14 @@ def reference_occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
 
 def connected_classes_up_to(max_vertices: int):
     """One canonical representative per connected isomorphism class."""
-    from graphon_motifs import canonical_form, canonical_relabel
+    from graphon_motifs import canonical_relabel
 
     seen = {}
     for k in range(2, max_vertices + 1):
         for g in all_graphs_on(k):
             if g.edge_count < k - 1 or not g.is_connected():
                 continue
-            key = canonical_form(g)
+            key = canonical_key(g)
             if key not in seen:
                 seen[key] = canonical_relabel(g)
     return list(seen.values())
