@@ -1,7 +1,10 @@
 """Subgraph counts and the edge/label decomposition of their fluctuations.
 
 Counts take one of three fast paths (edge total, triangles, 4-cycles) or
-the generic level-wise counter of ``motif``.
+the generic level-wise counter of ``motif``.  Triangles on hosts within
+the pair-table bound are counted from packed neighbour bit rows, straight
+from the graph's pair keys; larger hosts take the forward algorithm on
+the CSR.
 
 The observed count X is centered two ways: against the closed-form
 expectation and against the exact conditional expectation given the latent
@@ -41,11 +44,6 @@ from .sampler import SampledGraph
 MAX_ORACLE_N = 12
 MAX_ORACLE_MOTIF_VERTICES = 4
 
-# Below this edge count numpy's fixed per-call cost exceeds the whole
-# triangle count as a set loop: 66 against 26 us at 5 edges, even at
-# about 22 edges (measured on a 2-core host, numpy 2.4).
-SMALL_TRIANGLE_EDGES = 20
-
 _K2_KEY = canonical_key(named_motif("edge"))
 _K3_KEY = canonical_key(named_motif("triangle"))
 _C4_KEY = canonical_key(named_motif("c4"))
@@ -55,11 +53,11 @@ def count(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of the motif in the sampled graph.
 
     Three motifs take dedicated paths: single edges (the edge total),
-    triangles (forward triangle count) and 4-cycles (pair codegrees).
-    Everything else goes through the level-wise counter on the graph's
-    cached CSR, which counts its last level from degrees and codegrees
-    where it can.  The fast paths agree with the generic path by
-    construction and by test.
+    triangles (neighbour bit rows or the forward count) and 4-cycles
+    (pair codegrees).  Everything else goes through the level-wise
+    counter on the graph's cached CSR, which counts its last level from
+    degrees and codegrees where it can.  The fast paths agree with the
+    generic path by construction and by test.
     """
     key = canonical_key(m)
     if key == _K2_KEY:
@@ -72,24 +70,46 @@ def count(g: SampledGraph, m: Motif) -> int:
 
 
 def triangle_count(g: SampledGraph) -> int:
-    """Triangles by the degree-ordered forward algorithm (Schank and Wagner,
-    WEA 2005; Latapy, TCS 407, 2008).
+    """Triangles, from neighbour bit rows on hosts with (n + 1)^2 at most
+    PAIR_TABLE_CELLS, else by the degree-ordered forward algorithm.
 
-    Each edge points from the lower to the higher endpoint in (degree, id)
-    order; a triangle is then exactly one pair of out-neighbors of its
-    lowest vertex that is itself adjacent, and out-degrees stay below
-    sqrt(2m).  The CSR rows keep each vertex's out-neighbors contiguous.
-    Graphs of at most SMALL_TRIANGLE_EDGES edges take a set loop instead.
+    Bit rows: row v of an (n + 1) x 64 ceil((n + 1) / 64) boolean table
+    holds v's neighbours, packed into uint64 words; the common neighbours
+    of an edge's endpoints are the set bits of their rows' AND, and every
+    triangle is counted once on each of its three edges.  The rows of
+    one EXPANSION_CHUNK of edges are gathered at a time, so memory stays
+    bounded.  The CSR is not built.
+
+    Forward algorithm (Schank and Wagner, WEA 2005; Latapy, TCS 407,
+    2008): each edge points from the lower to the higher endpoint in
+    (degree, id) order; a triangle is then exactly one pair of
+    out-neighbors of its lowest vertex that is itself adjacent, and
+    out-degrees stay below sqrt(2m).  The CSR rows keep each vertex's
+    out-neighbors contiguous.
     """
-    if g.edge_count <= SMALL_TRIANGLE_EDGES:
-        edges = g.edge_list()
-        higher = {}
-        for a, b in edges:
-            higher.setdefault(a, set()).add(b)
-        # a triangle a < b < c is seen once: on edge (a, b), as c
-        return sum(len(higher[a] & higher.get(b, set())) for a, b in edges)
+    if g.edge_count < 3:
+        return 0
     n = g.n
-    csr = g.adjacency()
+    if (n + 1) ** 2 > _motif.PAIR_TABLE_CELLS:
+        return _forward_triangle_count(n, g.adjacency())
+    lo, hi = np.divmod(g.pair_keys(), n + 1)
+    table = np.zeros((n + 1, -(-(n + 1) // 64) * 64), dtype=bool)
+    table[lo, hi] = True
+    table[hi, lo] = True
+    rows = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
+    del table
+    chunk = _motif.EXPANSION_CHUNK
+    total = 0
+    for t0 in range(0, lo.size, chunk):
+        common = rows[lo[t0:t0 + chunk]]
+        common &= rows[hi[t0:t0 + chunk]]
+        total += int(np.bitwise_count(common).sum())
+        del common  # so that one chunk of rows is alive at a time
+    return total // 3
+
+
+def _forward_triangle_count(n: int, csr: _motif.CSR) -> int:
+    """Triangles by the forward algorithm of ``triangle_count``."""
     deg = np.diff(csr.indptr)
     rank = deg * (n + 1) + np.arange(n + 1)
     up = rank[csr.indices] > rank[csr.rows]

@@ -98,7 +98,9 @@ class SampledGraph:
             self._keys = None
             self._strata, self._edge_count = edges
 
-    def _pair_keys(self) -> np.ndarray:
+    def pair_keys(self) -> np.ndarray:
+        """The distinct int64 pair keys ``lo * (n + 1) + hi``, in no set
+        order; decoded from the drawn edge layer on first use."""
         keys = self._keys
         if keys is None:
             # two threads may decode at once: each reads the draw into a
@@ -116,7 +118,7 @@ class SampledGraph:
     def edges(self) -> np.ndarray:
         """The (m, 2) int64 array of 1-based pairs i < j in lexicographic
         order: the sorted keys, split."""
-        keys = np.sort(self._pair_keys())
+        keys = np.sort(self.pair_keys())
         edges = np.empty((keys.size, 2), dtype=np.int64)
         np.divmod(keys, self.n + 1, out=(edges[:, 0], edges[:, 1]))
         return edges
@@ -128,7 +130,7 @@ class SampledGraph:
     def adjacency(self) -> CSR:
         """Neighbor arrays of vertices 1..n as a CSR; built on demand."""
         if self._csr is None:
-            self._csr = csr_from_keys(self.n, self._pair_keys())
+            self._csr = csr_from_keys(self.n, self.pair_keys())
         return self._csr
 
     def edge_list(self) -> list:

@@ -89,7 +89,16 @@ def test_count_matches_subset_oracle_on_random_graphs():
             assert count(g, m) == subset_count_oracle(n, g.edge_list(), m)
 
 
-def test_fast_paths_agree_with_generic_counter():
+# the default pair-table bound, and 0: every host above it, so triangles
+# take the CSR forward path
+BOTH_TRIANGLE_PATHS = pytest.mark.parametrize("cells", [None, 0],
+                                              ids=["bit_rows", "forward"])
+
+
+@BOTH_TRIANGLE_PATHS
+def test_fast_paths_agree_with_generic_counter(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", cells)
     rng = np.random.default_rng(61)
     for i in range(200):
         n = int(rng.integers(4, 30))
@@ -147,10 +156,68 @@ def test_count_embeddings_ignores_edge_order_and_repeats(n, bits, rnd):
         assert count_embeddings(n, messy, m) == count_embeddings(n, edges, m)
 
 
-def test_triangle_count_across_expansion_chunks():
+@BOTH_TRIANGLE_PATHS
+def test_triangle_count_across_expansion_chunks(monkeypatch, cells):
     # C(40, 3) = 9880 wedges close, more than two expansion chunks
+    if cells is not None:
+        monkeypatch.setattr(motif, "PAIR_TABLE_CELLS", cells)
     g = sample(StepGraphon.constant(1.0), 40, 1.0, 5)
     assert triangle_count(g) == math.comb(40, 3)
+
+
+def _random_edges(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    while len(pairs) < m:
+        a, b = rng.integers(1, n + 1, size=2).tolist()
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128])
+def test_triangle_count_at_word_boundaries(n):
+    # bit rows of n + 1 bits in one or two 64-bit words; the edges touch
+    # the last vertices, whose bits end a word or start the next
+    edges = set(_random_edges(n, 4 * n, n))
+    edges |= {(n - 2, n - 1), (n - 2, n), (n - 1, n), (1, n), (1, n - 1)}
+    g = _graph(n, sorted(edges))
+    want = count_embeddings(n, g.edge_list(), K3)
+    assert want > 0
+    assert triangle_count(g) == want
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_triangle_count_on_complete_graphs(n):
+    # bit 63 of a word is set in every row: vertex 63, and n = 64's row 64
+    g = _graph(n, _k(n))
+    assert triangle_count(g) == math.comb(n, 3)
+    assert count_embeddings(n, g.edge_list(), K3) == math.comb(n, 3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 2047, 2048])
+def test_triangle_count_on_empty_graphs(n):
+    assert triangle_count(_graph(n, [])) == 0
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_triangle_count_on_graphs_of_at_most_20_edges(m):
+    # every edge count up to 20, on hosts of 3, 6 and 9 vertices
+    for n in (3, 6, 9):
+        if m <= n * (n - 1) // 2:
+            g = _graph(n, _random_edges(n, m, 100 * n + m))
+            assert triangle_count(g) == count_embeddings(n, g.edge_list(), K3)
+
+
+@pytest.mark.parametrize("n", [2047, 2048])
+def test_triangle_count_either_side_of_the_size_switch(n):
+    # (2047 + 1)^2 cells is the pair-table bound: bit rows at 2047, the
+    # CSR forward path at 2048
+    assert (2047 + 1) ** 2 == motif.PAIR_TABLE_CELLS
+    g = sample(W_ASYM, n, 3 / math.sqrt(n), replicate_seed(4, n, 0))
+    want = count_embeddings(n, g.edge_list(), K3)
+    assert want > 0
+    assert triangle_count(g) == want
 
 
 def test_pair_lookup_table_and_sorted_keys_agree(monkeypatch):
@@ -309,6 +376,27 @@ def test_four_cycle_count_at_scale_in_bounded_memory():
         tracemalloc.stop()
     assert peak < bound
     assert got == count_embeddings(n, csr, C4)
+
+
+def test_triangle_count_at_scale_in_bounded_memory():
+    # a boolean table of n + 1 rows of 64 ceil((n + 1) / 64) cells, its
+    # rows packed into bits, and one EXPANSION_CHUNK of gathered bit rows;
+    # gathering the rows of every edge at once would take 9 MB
+    n = 2000
+    g = sample(W_ASYM, n, 2 / math.sqrt(n), replicate_seed(3, n, 0))
+    csr = g.adjacency()
+    width = 64 * -(-(n + 1) // 64)
+    bound = (n + 1) * width + (n + 1) * width // 8 \
+        + motif.EXPANSION_CHUNK * width // 8
+    assert g.edge_count * width // 8 > bound
+    tracemalloc.start()
+    try:
+        got = triangle_count(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert got == count_embeddings(n, csr, K3)
 
 
 def test_expected_count_fixtures():

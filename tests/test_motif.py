@@ -23,6 +23,7 @@ from graphon_motifs import (
     run_experiment,
     sample,
 )
+from graphon_motifs import motif
 from graphon_motifs.motif import EXPANSION_CHUNK, canonical_key, csr_from_keys
 from util import (
     all_graphs_on,
@@ -376,6 +377,23 @@ def test_count_embeddings_across_expansion_chunks():
     k16 = list(combinations(range(1, 17), 2))
     for m in (named_motif("c4"), named_motif("k4")):
         assert count_embeddings(16, k16, m) == copies_in_complete(m, 16)
+
+
+@pytest.mark.parametrize("counts", [
+    [], [0, 0], [1], [0, 3, 0, 2, 0], [8], [0, 5, 3, 0], [9], [4, 0, 5],
+    [0, 7, 0, 0, 13, 1, 0, 6, 0]])
+def test_expansion_windows_enumerate_every_offset_in_row_order(
+        monkeypatch, counts):
+    # totals of 0, 1, 5, the chunk (one window) and above it (several)
+    monkeypatch.setattr(motif, "EXPANSION_CHUNK", 8)
+    counts = np.array(counts, dtype=np.int64)
+    windows = list(motif.expansion_windows(counts))
+    assert all(0 < row.size <= 8 for row, _ in windows)
+    assert len(windows) == -(-int(counts.sum()) // 8)
+    rows = [(r, o) for r, c in enumerate(counts.tolist()) for o in range(c)]
+    got = [(int(r), int(o)) for row, off in windows
+           for r, o in zip(row, off)]
+    assert got == rows
 
 
 def test_count_embeddings_against_subset_oracle():
