@@ -299,7 +299,7 @@ def _replicate_cell(cfg: ExperimentConfig, n: int) -> ReplicateCell:
         seeds[r] = seed
         if frozen is None:
             g = sample(w, n, rho, seed)
-            occupancy[r] = np.bincount(g.blocks, minlength=w.block_count)
+            occupancy[r] = g.occupancy
         else:
             g = resample_edges(w, frozen, rho, seed)
         xs[r] = count(g, m)

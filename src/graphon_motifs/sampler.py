@@ -25,15 +25,16 @@ Reproducibility contract (pinned by a golden test):
   edge format: its sorted ``edges`` array and its CSR adjacency are both
   derived from them.
 
-Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices draw and decode the
-same uniforms on Python scalars instead of numpy arrays; the two edge
-paths draw the same positions, decode them to the same keys and leave the
-generator in the same state.  The scalar path draws the first batch of
-every stratum in one generator call and inverts them with one ``log1p``;
-a stratum that needs another batch reads on into that list, which grows
-from the generator only by what a batch runs past its end.  The
-vectorized path draws each batch of uniforms into a new array and
-inverts and casts it in place into the batch's int64 positions.
+A graph's stratum plan (slots, edge probability, first batch size) is
+kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Both edge
+paths draw the first batch of every stratum in one generator call and
+invert it with one ``log1p``; a stratum that needs another batch reads on
+into those uniforms, which grow from the generator only by what a batch
+runs past their end.  A draw holds each stratum's positions only: the
+blocks' vertex lists are built when a graph decodes.  Graphs of at most
+``SMALL_GRAPH_VERTICES`` vertices draw and decode on Python scalars
+instead of numpy arrays; the two paths draw the same positions, decode
+them to the same keys and leave the generator in the same state.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -79,17 +80,19 @@ class SampledGraph:
     decodes it into keys on first use and then drops it.  ``edge_count`` is
     the drawn total and never decodes.  Decoding consumes no random numbers
     and gives equal keys from any thread.  ``edges``, lexicographic, and
-    ``adjacency`` are derived from the keys.
+    ``adjacency`` are derived from the keys; ``occupancy`` holds the K
+    blocks' vertex counts.
     """
 
     def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
-                 blocks: np.ndarray, edges):
-        """``edges`` holds distinct pair keys or an ``_edge_layer`` draw."""
+                 blocks: np.ndarray, occupancy: tuple, edges):
+        """``edges`` holds distinct pair keys or an edge-layer draw."""
         self.n = n
         self.rho = rho
         self.seed = seed
         self.latents = latents
         self.blocks = blocks
+        self.occupancy = occupancy
         self._csr = None
         if isinstance(edges, np.ndarray):
             self._keys, self._strata = edges, None
@@ -109,7 +112,7 @@ class SampledGraph:
             strata = self._strata
             if strata is None:
                 return self._keys
-            keys = _decode_edges(strata, self.n)
+            keys = _decode_edges(strata, self.blocks, len(self.occupancy))
             self._keys = keys
             self._strata = None
         return keys
@@ -184,8 +187,10 @@ class SampledGraph:
                 raise ValueError(f"duplicate edge {a} {b}")
         blocks = (w.blocks_of(latents) if w is not None
                   else np.zeros(n, dtype=np.int64))
+        occupancy = tuple(np.bincount(
+            blocks, minlength=1 if w is None else w.block_count).tolist())
         keys = np.array([a * (n + 1) + b for a, b in pairs], dtype=np.int64)
-        return SampledGraph(n, rho, seed, latents, blocks, keys)
+        return SampledGraph(n, rho, seed, latents, blocks, occupancy, keys)
 
 
 def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
@@ -213,42 +218,48 @@ def _batch_size(remaining: int, p: float) -> int:
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
 
-def _bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
-    """Success indices of an iid Bernoulli(p) stream of length n_slots.
+def _log_uniforms(rng, size: int) -> np.ndarray:
+    """``log1p(-u)`` of ``size`` fresh uniforms u, computed in place."""
+    u = rng.random(size)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return u
 
-    Gaps between successes are Geometric(p), drawn by inverting uniform
-    doubles; the stream ends at the first position falling past the end.
-    Each batch of uniforms goes through ``log1p(-u) / log(1 - p)`` in
-    place and is then cast, still in place, to the batch's int64 positions.
-    """
-    if n_slots <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(n_slots, dtype=np.int64)
-    log_q = math.log1p(-p)
-    cap = float(n_slots) + 1.0
+
+def _read_positions(rng, logs: np.ndarray, at: int, slots: int, p: float,
+                    log_q: float, cap: float, size: int) -> tuple:
+    """(positions, logs, next at) of one stratum of Geometric(p) gaps read
+    from ``_log_uniforms`` ``logs[at:]``: each batch, the first ``size``
+    long and the rest ``_batch_size``, is divided, capped and cast to int64
+    positions in place, and a batch past the end of ``logs`` extends it
+    from ``rng`` by the shortfall."""
     chunks = []
     last = -1
     while True:
-        u = rng.random(_batch_size(n_slots - last, p))
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        np.divide(u, log_q, out=u)
-        np.minimum(u, cap, out=u)
+        end = at + size
+        if end > logs.size:
+            logs = np.concatenate((logs[at:],
+                                   _log_uniforms(rng, end - logs.size)))
+            at, end = 0, size
+        gaps = logs[at:end]
+        at = end
+        np.divide(gaps, log_q, out=gaps)
+        np.minimum(gaps, cap, out=gaps)
         # the gaps as int64 in the same memory: no second batch array
-        pos = u.view(np.int64)
-        np.copyto(pos, u, casting="unsafe")
+        pos = gaps.view(np.int64)
+        np.copyto(pos, gaps, casting="unsafe")
         pos += 1
         np.cumsum(pos, out=pos)
         pos += last
         # positions strictly ascend: k is the first one at or past the end
-        k = int(np.searchsorted(pos, n_slots))
+        k = int(np.searchsorted(pos, slots))
         if k < pos.size:
             chunks.append(pos[:k])
             break
         chunks.append(pos)
         last = int(pos[-1])
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        size = _batch_size(slots - last, p)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks), logs, at
 
 
 def _decode_within(idx: np.ndarray, nb: int):
@@ -267,57 +278,44 @@ def _stratum_order(K: int) -> tuple:
     return tuple([(b, b) for b in range(K)] + list(combinations(range(K), 2)))
 
 
-def _strata(w: StepGraphon, verts: list, rho: float) -> list:
-    """Every block-pair stratum in the fixed order, as (block b vertices,
-    block c vertices or None within a block, slots, edge probability)."""
-    out = []
-    for b, c in _stratum_order(w.block_count):
-        vb, vc = verts[b], verts[c]
-        nb = len(vb)
-        if b == c:
-            out.append((vb, None, nb * (nb - 1) // 2, rho * w.values[b][b]))
+@lru_cache(maxsize=1024)
+def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
+    """(strata, need): every stratum over blocks of ``occupancy`` vertices
+    in the fixed order, as (slots, edge probability p, log(1 - p), gap cap,
+    first batch, 0 if it draws nothing), and the first batches' total."""
+    strata = []
+    for b, c in _stratum_order(len(occupancy)):
+        nb = occupancy[b]
+        slots = nb * (nb - 1) // 2 if b == c else nb * occupancy[c]
+        p = rho * w.values[b][c]
+        if slots > 0 and 0.0 < p < 1.0:
+            strata.append((slots, p, math.log1p(-p), float(slots) + 1.0,
+                           _batch_size(slots + 1, p)))
         else:
-            out.append((vb, vc, nb * len(vc), rho * w.values[b][c]))
-    return out
+            strata.append((slots, p, 0.0, 0.0, 0))
+    return tuple(strata), sum(s[4] for s in strata)
 
 
-def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
+def _edge_layer_scalar(w: StepGraphon, occupancy: tuple, rho: float,
                        rng) -> tuple:
-    """The draw of the scalar edge path: vertex and position lists.
-
-    The same batches of uniforms as ``_bernoulli_positions``, stratum by
-    stratum, read from one list: the first batches of every stratum that
-    draws are drawn in one ``rng.random`` call and inverted by one numpy
-    ``log1p``, and each batch then starts where the previous one ended.
-    A batch that runs past the list's end extends it from ``rng`` by the
-    shortfall, so the graph consumes exactly the uniforms that drawing each
-    batch on its own would.  The gaps are then Python floats, with the same
-    IEEE division and truncation as the array path.
-    """
-    verts = [[] for _ in range(w.block_count)]
-    for v, b in enumerate(blocks.tolist(), 1):
-        verts[b].append(v)
-    plan = _strata(w, verts, rho)
-    # each stratum's first batch, 0 for a stratum that draws nothing
-    firsts = [_batch_size(slots + 1, p) if slots > 0 and 0.0 < p < 1.0
-              else 0 for _, _, slots, p in plan]
-    need = sum(firsts)
-    logs = np.log1p(-rng.random(need)).tolist() if need else []
+    """(position list of each stratum, edge count) of the scalar edge path:
+    the batches of ``_read_positions``, read from one list of Python floats
+    with the same IEEE division and truncation."""
+    strata, need = _stratum_plan(w, rho, occupancy)
+    logs = _log_uniforms(rng, need).tolist() if need else []
     at = 0  # where the next batch starts in logs
     out = []
     total = 0
-    for (vb, vc, slots, p), size in zip(plan, firsts):
+    for slots, p, log_q, cap, size in strata:
         if not size:
             positions = list(range(slots)) if p >= 1.0 else []
         else:
-            log_q = math.log1p(-p)
-            cap = float(slots) + 1.0
             positions = []
             pos = -1
             while True:
                 end = at + size
                 if end > len(logs):
-                    logs += np.log1p(-rng.random(end - len(logs))).tolist()
+                    logs += _log_uniforms(rng, end - len(logs)).tolist()
                 for x in logs[at:end]:
                     pos += int(min(x / log_q, cap)) + 1
                     if pos >= slots:
@@ -327,40 +325,42 @@ def _edge_layer_scalar(w: StepGraphon, blocks: np.ndarray, rho: float,
                 if pos >= slots:
                     break
                 size = _batch_size(slots - pos, p)
-        out.append((vb, vc, positions))
+        out.append(positions)
         total += len(positions)
     return out, total
 
 
-def _edge_layer_vectorized(w: StepGraphon, blocks: np.ndarray, rho: float,
+def _edge_layer_vectorized(w: StepGraphon, occupancy: tuple, rho: float,
                            rng) -> tuple:
-    """The draw of the vectorized edge path: int64 vertex and position
-    arrays, one ``_bernoulli_positions`` call per stratum."""
-    verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
-             for b in range(w.block_count)]
+    """(int64 positions of each stratum, edge count) of the vectorized path:
+    ``_read_positions`` stratum by stratum, each reading on where the last
+    ended, from the first batches of all drawn in one call."""
+    strata, need = _stratum_plan(w, rho, occupancy)
+    logs = _log_uniforms(rng, need) if need else None
+    at = 0
     out = []
     total = 0
-    for vb, vc, slots, p in _strata(w, verts, rho):
-        pos = _bernoulli_positions(rng, slots, p)
-        out.append((vb, vc, pos))
+    for slots, p, log_q, cap, size in strata:
+        if size:
+            pos, logs, at = _read_positions(rng, logs, at, slots, p, log_q,
+                                            cap, size)
+        else:
+            pos = np.arange(slots if p >= 1.0 else 0, dtype=np.int64)
+        out.append(pos)
         total += pos.size
     return out, total
 
 
-def _edge_layer(w: StepGraphon, blocks: np.ndarray, rho: float, rng) -> tuple:
-    """(strata, edge count) of one graph's edge layer; both paths consume
-    the same uniforms and draw the same positions."""
-    if blocks.size <= SMALL_GRAPH_VERTICES:
-        return _edge_layer_scalar(w, blocks, rho, rng)
-    return _edge_layer_vectorized(w, blocks, rho, rng)
-
-
-def _decode_scalar(strata: list, n: int) -> np.ndarray:
-    """Pair keys lo*(n+1)+hi of a scalar draw."""
-    stride = n + 1
+def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
+    """Pair keys lo*(n+1)+hi of a scalar draw over ``blocks``."""
+    stride = blocks.size + 1
+    verts = [[] for _ in range(K)]
+    for v, b in enumerate(blocks.tolist(), 1):
+        verts[b].append(v)
     keys = []
-    for vb, vc, positions in strata:
-        if vc is None:
+    for (b, c), positions in zip(_stratum_order(K), strata):
+        vb, vc = verts[b], verts[c]
+        if b == c:
             nb = len(vb)
             # positions ascend, so walk the rows: row i holds slots [start, end)
             i, start, end = 0, 0, nb - 1
@@ -378,8 +378,8 @@ def _decode_scalar(strata: list, n: int) -> np.ndarray:
 
 
 def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
-    """Edges of one block-pair stratum as global pair keys lo*stride + hi."""
-    if verts_c is None:
+    """Pair keys lo*stride + hi of one stratum (verts_c is verts_b within)."""
+    if verts_c is verts_b:
         i, j = _decode_within(positions, verts_b.size)
         # block vertex arrays ascend, so i < j gives lo, hi
         return verts_b[i] * stride + verts_b[j]
@@ -388,17 +388,20 @@ def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
     return np.minimum(x, y) * stride + np.maximum(x, y)
 
 
-def _decode_vectorized(strata: list, n: int) -> np.ndarray:
-    """Pair keys of a vectorized draw."""
-    return np.concatenate([_stratum_keys(vb, vc, pos, n + 1)
-                           for vb, vc, pos in strata])
+def _decode_vectorized(strata: list, blocks: np.ndarray, K: int):
+    """Pair keys of a vectorized draw over ``blocks``."""
+    verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
+             for b in range(K)]
+    return np.concatenate([_stratum_keys(verts[b], verts[c], pos,
+                                         blocks.size + 1)
+                           for (b, c), pos in zip(_stratum_order(K), strata)])
 
 
-def _decode_edges(strata: list, n: int) -> np.ndarray:
-    """Pair keys of an n-vertex ``_edge_layer`` draw; no uniforms."""
-    if n <= SMALL_GRAPH_VERTICES:
-        return _decode_scalar(strata, n)
-    return _decode_vectorized(strata, n)
+def _decode_edges(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
+    """Pair keys of a draw over ``blocks``; consumes no uniforms."""
+    if blocks.size <= SMALL_GRAPH_VERTICES:
+        return _decode_scalar(strata, blocks, K)
+    return _decode_vectorized(strata, blocks, K)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
@@ -415,10 +418,14 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
     the seed's second child stream."""
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
+    rho = float(rho)
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
-    return SampledGraph(latents.size, float(rho), int(seed), latents, blocks,
-                        _edge_layer(w, blocks, rho, child_rng(seed, 1)))
+    occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
+    draw = (_edge_layer_scalar if latents.size <= SMALL_GRAPH_VERTICES
+            else _edge_layer_vectorized)
+    return SampledGraph(latents.size, rho, int(seed), latents, blocks,
+                        occupancy, draw(w, occupancy, rho, child_rng(seed, 1)))
 
 
 # ---------------------------------------------------------------------------

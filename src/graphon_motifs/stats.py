@@ -90,13 +90,3 @@ def mean_and_se(a) -> tuple:
     x = np.asarray(a, dtype=np.float64)
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
-
-def variance_and_se(a) -> tuple:
-    """Unbiased sample variance with its moment-based standard error."""
-    x = np.asarray(a, dtype=np.float64)
-    n = x.size
-    v = float(np.var(x, ddof=1))
-    d = x - x.mean()
-    m4 = float(np.mean(d ** 4))
-    inner = m4 - v * v * (n - 3) / (n - 1)
-    return v, math.sqrt(max(inner, 0.0) / n)

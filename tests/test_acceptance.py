@@ -32,7 +32,6 @@ from graphon_motifs import (
 )
 from graphon_motifs.experiments import write_result
 from graphon_motifs.sampler import replicate_seed, resample_edges
-from graphon_motifs.stats import variance_and_se
 from graphon_motifs import canonical_relabel
 from graphon_motifs.motif import canonical_key
 
@@ -42,6 +41,7 @@ from util import (
     label_ustatistic,
     random_graphon,
     subset_count_oracle,
+    variance_and_se,
 )
 
 K2 = named_motif("edge")

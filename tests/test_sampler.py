@@ -25,7 +25,6 @@ from graphon_motifs import (
 from graphon_motifs import sampler
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
-    _bernoulli_positions,
     _decode_scalar,
     _decode_vectorized,
     _decode_within,
@@ -36,7 +35,11 @@ from graphon_motifs.sampler import (
 from graphon_motifs import seeding
 from graphon_motifs.seeding import SEED_BLOCK, _child_words
 
-from util import reference_bernoulli_positions, reference_edge_layer_scalar
+from util import (
+    bernoulli_positions,
+    reference_bernoulli_positions,
+    reference_edge_layer_scalar,
+)
 
 W_ASYM = named_graphon("W_asym")
 W_SYM = named_graphon("W_sym")
@@ -327,26 +330,37 @@ class _LowUniforms:
         return self._gen.random(size) * self._scale
 
 
+@pytest.fixture
+def fresh_plans():
+    """A cold stratum plan cache before and after the test, so that a plan
+    built under one batch rule is never reused under another."""
+    sampler._stratum_plan.cache_clear()
+    yield
+    sampler._stratum_plan.cache_clear()
+
+
 def _assert_paths_agree(w, blocks, rho, make_rng):
     """Both edge paths, and the scalar path drawn one batch per call
     (``reference_edge_layer_scalar``), give the same positions and keys
     and leave their generators in the same state."""
     rng_v, rng_s, rng_ref = make_rng(), make_rng(), make_rng()
-    strata_v, total_v = _edge_layer_vectorized(w, blocks, rho, rng_v)
-    strata_s, total_s = _edge_layer_scalar(w, blocks, rho, rng_s)
+    occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
+    strata_v, total_v = _edge_layer_vectorized(w, occupancy, rho, rng_v)
+    strata_s, total_s = _edge_layer_scalar(w, occupancy, rho, rng_s)
     strata_ref, total_ref = reference_edge_layer_scalar(w, blocks, rho,
                                                         rng_ref)
     assert total_s == total_v == total_ref
-    assert [s[2] for s in strata_s] == [s[2] for s in strata_ref]
-    vec = _decode_vectorized(strata_v, blocks.size)
-    sca = _decode_scalar(strata_s, blocks.size)
+    assert strata_s == strata_ref
+    assert [s.tolist() for s in strata_v] == strata_ref
+    vec = _decode_vectorized(strata_v, blocks, w.block_count)
+    sca = _decode_scalar(strata_s, blocks, w.block_count)
     assert vec.shape[0] == total_v
     assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
     assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
     assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random() == rng_ref.random()
-    return rng_v, rng_s
+    return rng_v, rng_s, rng_ref
 
 
 @pytest.mark.parametrize("w", [StepGraphon.constant(0.3), W_ASYM, W_THREE],
@@ -390,13 +404,13 @@ def test_edge_layer_paths_agree_with_empty_blocks():
                         lambda: np.random.default_rng(3))
 
 
-def test_edge_layer_paths_agree_past_the_first_batch():
+def test_edge_layer_paths_agree_past_the_first_batch(fresh_plans):
     rho = 0.6
     for w in (StepGraphon.constant(0.3), W_ASYM, W_THREE):
         for n in (12, 25, 50):
             blocks = w.blocks_of(np.random.default_rng(n).random(n))
-            rng, rng_s = _assert_paths_agree(w, blocks, rho,
-                                             lambda: _LowUniforms(n, 0.05))
+            rng_v, rng_s, rng = _assert_paths_agree(
+                w, blocks, rho, lambda: _LowUniforms(n, 0.05))
             K = w.block_count
             sizes = np.bincount(blocks, minlength=K).tolist()
             strata = [(b, b, sizes[b] * (sizes[b] - 1) // 2) for b in range(K)]
@@ -406,33 +420,101 @@ def test_edge_layer_paths_agree_past_the_first_batch():
                           if slots and 0.0 < rho * w.values[b][c] < 1.0)
             # one batch per drawing stratum, one more uniform for the check
             assert len(rng.sizes) > drawing + 1
-            # the scalar path drew the same uniforms: the first batches in
-            # one call, then what the list lacked
+            # both paths drew the same uniforms: the first batches in one
+            # call, then what the drawn uniforms lacked
             assert sum(rng_s.sizes[:-1]) == sum(rng.sizes[:-1])
             assert len(rng_s.sizes) > 2
+            assert rng_v.sizes == rng_s.sizes
 
 
-def test_scalar_edge_layer_draws_once_when_every_stratum_ends_in_its_batch():
+def test_scalar_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(
+        fresh_plans):
     blocks = W_ASYM.blocks_of(np.random.default_rng(5).random(10))
     assert np.bincount(blocks).min() >= 2
     # a scale of 1 leaves the uniforms as drawn; the spy logs the calls
-    rng_v, rng_s = _assert_paths_agree(W_ASYM, blocks, 0.3,
-                                       lambda: _LowUniforms(7, 1.0))
+    rng_v, rng_s, rng_ref = _assert_paths_agree(W_ASYM, blocks, 0.3,
+                                                lambda: _LowUniforms(7, 1.0))
     # one batch for each of the three strata, then the check's uniform
-    assert len(rng_v.sizes) == 3 + 1
-    assert rng_s.sizes == [sum(rng_v.sizes[:-1]), None]
+    assert len(rng_ref.sizes) == 3 + 1
+    assert rng_s.sizes == [sum(rng_ref.sizes[:-1]), None]
+
+
+@pytest.mark.parametrize("n", [10, 60, 200])
+def test_vectorized_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(
+        fresh_plans, n):
+    blocks = W_ASYM.blocks_of(np.random.default_rng(5).random(n))
+    assert np.bincount(blocks).min() >= 2
+    rng_v, rng_s, rng_ref = _assert_paths_agree(W_ASYM, blocks, 0.3,
+                                                lambda: _LowUniforms(7, 1.0))
+    # the reference draws one batch for each of the three strata, the
+    # vectorized path all of them in one call; then the check's uniform
+    assert len(rng_ref.sizes) == 3 + 1
+    assert rng_v.sizes == [sum(rng_ref.sizes[:-1]), None]
+
+
+@pytest.mark.parametrize("w", [W_ASYM, W_THREE],
+                         ids=["W_asym", "three_blocks"])
+def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
+    made = []
+
+    def spy(seed, k):
+        rng = seeding.child_rng(seed, k)
+        made.append(rng)
+        return rng
+
+    monkeypatch.setattr(sampler, "child_rng", spy)
+
+    def draw(n, rho, seed):
+        """The graph's keys and the next uniform of both its streams."""
+        made.clear()
+        keys = sample(w, n, rho, seed).pair_keys()
+        return keys, [rng.random() for rng in made]
+
+    plans = sampler._stratum_plan
+    for n in (8, 30, 31, 200):
+        rho = min(1.0, 3 / math.sqrt(n))
+        seeds = [replicate_seed(9, n, r) for r in range(25)]
+        cold = []
+        for seed in seeds:
+            plans.cache_clear()
+            cold.append(draw(n, rho, seed))
+        for _ in range(2):
+            hits = plans.cache_info().hits
+            warm = [draw(n, rho, seed) for seed in seeds]
+            for (keys, nexts), (keys_c, nexts_c) in zip(warm, cold):
+                assert np.array_equal(keys, keys_c)
+                assert len(nexts) == 2 and nexts == nexts_c
+            info = plans.cache_info()
+            assert info.currsize <= info.maxsize
+        # the second warm pass found every plan in the cache
+        assert info.hits - hits == len(seeds)
+
+
+def test_graph_occupancy_counts_its_blocks():
+    for w in (W_ASYM, W_THREE):
+        K = w.block_count
+        for n in (1, 6, 31, 200):
+            g = sample(w, n, 0.5, replicate_seed(3, n, 0))
+            h = resample_edges(w, g.latents, 0.5, replicate_seed(3, n, 1))
+            back = SampledGraph.from_dump(g.to_dump(), w)
+            for graph in (g, h, back):
+                assert graph.occupancy == tuple(
+                    np.bincount(graph.blocks, minlength=K).tolist())
+                assert all(type(c) is int for c in graph.occupancy)
+            assert g.occupancy == h.occupancy == back.occupancy
+            assert SampledGraph.from_dump(g.to_dump()).occupancy == (n,)
 
 
 def test_bernoulli_positions_edge_cases():
     rng = np.random.default_rng(0)
-    assert _bernoulli_positions(rng, 0, 0.5).size == 0
-    assert _bernoulli_positions(rng, 10, 0.0).size == 0
-    assert _bernoulli_positions(rng, 7, 1.0).tolist() == list(range(7))
+    assert bernoulli_positions(rng, 0, 0.5).size == 0
+    assert bernoulli_positions(rng, 10, 0.0).size == 0
+    assert bernoulli_positions(rng, 7, 1.0).tolist() == list(range(7))
 
 
 def _assert_kernel_matches_reference(n_slots, p, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _bernoulli_positions(rng, n_slots, p)
+    got = bernoulli_positions(rng, n_slots, p)
     want = reference_bernoulli_positions(ref, n_slots, p)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
@@ -451,7 +533,7 @@ def test_bernoulli_positions_match_the_allocating_kernel(n_slots, p):
 
 @pytest.mark.parametrize("p", [0.01, 0.3, 0.999])
 def test_bernoulli_positions_match_across_continuation_batches(
-        monkeypatch, p):
+        fresh_plans, monkeypatch, p):
     # 16 uniforms a batch: every stream of more than a few successes
     # continues past its first batch, on both kernels
     monkeypatch.setattr(sampler, "_batch_size", lambda remaining, p: 16)
@@ -496,7 +578,7 @@ def test_bernoulli_positions_marginals_and_independence():
     hits = np.zeros(n_slots)
     pair_hits = 0.0
     for _ in range(reps):
-        pos = _bernoulli_positions(rng, n_slots, p)
+        pos = bernoulli_positions(rng, n_slots, p)
         mask = np.zeros(n_slots)
         mask[pos] = 1.0
         hits += mask

@@ -18,9 +18,10 @@ from graphon_motifs.stats import (
     covariance_and_se,
     mean_and_se,
     sample_skewness,
-    variance_and_se,
     variance_shares,
 )
+
+from util import variance_and_se
 
 
 def test_standardize_identity_and_fixture():

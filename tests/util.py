@@ -281,9 +281,23 @@ def connected_classes_up_to(max_vertices: int):
     return list(seen.values())
 
 
+def bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
+    """Success indices of an iid Bernoulli(p) stream of length n_slots:
+    one stratum of the vectorized edge path (``sampler._read_positions``)
+    drawn on its own."""
+    if n_slots <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n_slots, dtype=np.int64)
+    size = sampler._batch_size(n_slots + 1, p)
+    return sampler._read_positions(rng, sampler._log_uniforms(rng, size), 0,
+                                   n_slots, p, math.log1p(-p),
+                                   float(n_slots) + 1.0, size)[0]
+
+
 def reference_bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """The geometric-gap kernel with a fresh array at every step and the
-    end found by a mask: what ``sampler._bernoulli_positions`` computes in
+    end found by a mask: what ``bernoulli_positions`` computes in
     place, from the same batches of uniforms (``sampler._batch_size`` is
     looked up on each call, so a test that patches it patches both)."""
     if n_slots <= 0 or p <= 0.0:
@@ -311,9 +325,9 @@ def reference_edge_layer_scalar(w: StepGraphon, blocks, rho: float,
                                 rng) -> tuple:
     """The scalar edge layer drawn stratum by stratum: one ``rng.random``
     call and one ``log1p`` per batch, each stratum's batches drawn before
-    the next stratum's.  Returns (strata, total) in the layout of
-    ``sampler._edge_layer_scalar``, whose single-draw path must consume the
-    same uniforms and give the same positions."""
+    the next stratum's.  Returns (position list of each stratum, total) in
+    the layout of ``sampler._edge_layer_scalar``, whose single-draw path
+    must consume the same uniforms and give the same positions."""
     K = w.block_count
     verts = [[] for _ in range(K)]
     for v, b in enumerate(np.asarray(blocks).tolist(), 1):
@@ -325,7 +339,7 @@ def reference_edge_layer_scalar(w: StepGraphon, blocks, rho: float,
         nb = len(vb)
         slots = nb * (nb - 1) // 2 if b == c else nb * len(vc)
         pos = _reference_positions_scalar(rng, slots, rho * w.values[b][c])
-        strata.append((vb, None if b == c else vc, pos))
+        strata.append(pos)
         total += len(pos)
     return strata, total
 
@@ -400,3 +414,14 @@ def label_ustatistic(latents, m: Motif, w: StepGraphon) -> float:
     cond1 = conditional_expected_count(latents, m, w, 1.0)
     exp1 = expected_count(m, w, n, 1.0)
     return (cond1 - exp1) / math.comb(n, k)
+
+
+def variance_and_se(a) -> tuple:
+    """Unbiased sample variance with its moment-based standard error."""
+    x = np.asarray(a, dtype=np.float64)
+    n = x.size
+    v = float(np.var(x, ddof=1))
+    d = x - x.mean()
+    m4 = float(np.mean(d ** 4))
+    inner = m4 - v * v * (n - 3) / (n - 1)
+    return v, math.sqrt(max(inner, 0.0) / n)
