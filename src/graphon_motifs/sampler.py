@@ -278,7 +278,9 @@ def _stratum_order(K: int) -> tuple:
     return tuple([(b, b) for b in range(K)] + list(combinations(range(K), 2)))
 
 
-@lru_cache(maxsize=1024)
+# a small-n cell meets a few dozen occupancies; a plan takes about 1.2 kB
+# at K = 2, and a large graph's occupancy seldom repeats
+@lru_cache(maxsize=256)
 def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
     """(strata, need): every stratum over blocks of ``occupancy`` vertices
     in the fixed order, as (slots, edge probability p, log(1 - p), gap cap,
