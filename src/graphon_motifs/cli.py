@@ -41,33 +41,24 @@ from .experiments import (
 )
 
 
-def _load_motif(source: str) -> Motif:
+def _load(kind: str, source: str):
+    """The motif or graphon (``kind``) of that name, else read from the
+    JSON file at the path ``source``."""
+    named, from_json_dict = (
+        (named_motif, Motif.from_json_dict) if kind == "motif"
+        else (named_graphon, StepGraphon.from_json_dict))
     try:
-        return named_motif(source)
-    except ValueError:
-        pass
-    path = Path(source)
-    if not path.exists():
-        raise ValueError(f"no such motif name or file: {source}")
-    try:
-        return Motif.from_json_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed motif file {source}: {exc}") from exc
-
-
-def _load_graphon(source: str) -> StepGraphon:
-    try:
-        return named_graphon(source)
+        return named(source)
     except ValueError as exc:
-        if source.startswith("const:"):
+        if kind == "graphon" and source.startswith("const:"):
             raise ValueError(f"bad graphon {source}: {exc}") from exc
     path = Path(source)
     if not path.exists():
-        raise ValueError(f"no such graphon name or file: {source}")
+        raise ValueError(f"no such {kind} name or file: {source}")
     try:
-        return StepGraphon.from_json_dict(json.loads(path.read_text()))
+        return from_json_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed graphon file {source}: {exc}") from exc
+        raise ValueError(f"malformed {kind} file {source}: {exc}") from exc
 
 
 def _emit(text_report: str, machine: dict, args):
@@ -88,7 +79,7 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def cmd_analyze_motif(args) -> int:
-    m = _load_motif(args.motif)
+    m = _load("motif", args.motif)
     prof = density_exponents(m)
     aut = automorphism_count(m)
     lines = [
@@ -122,8 +113,8 @@ def cmd_analyze_motif(args) -> int:
 
 
 def cmd_analyze_graphon(args) -> int:
-    w = _load_graphon(args.graphon)
-    m = _load_motif(args.motif)
+    w = _load("graphon", args.graphon)
+    m = _load("motif", args.motif)
     t = hom_density(m, w)
     rep = regularity_report(m, w)
     xi = projection_variance(m, w)
@@ -160,7 +151,7 @@ def cmd_analyze_graphon(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    w = _load_graphon(args.graphon)
+    w = _load("graphon", args.graphon)
     g = sample(w, args.n, args.rho, args.seed)
     dump = g.to_dump()
     if args.out:
@@ -172,7 +163,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_count(args) -> int:
-    m = _load_motif(args.motif)
+    m = _load("motif", args.motif)
     path = Path(args.graph)
     if not path.exists():
         raise ValueError(f"no such graph file: {args.graph}")
@@ -185,8 +176,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    w = _load_graphon(args.graphon)
-    m = _load_motif(args.motif)
+    w = _load("graphon", args.graphon)
+    m = _load("motif", args.motif)
     g = sample(w, args.n, args.rho, args.seed)
     d = decompose(g, m, w)
     lines = [

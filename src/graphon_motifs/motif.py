@@ -478,20 +478,18 @@ def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
     table keyed ``(u - lo) * (n + 1) + v``, so that the full range 0..n is
     keyed like the pair table: each wedge u - w - v (a path of length two,
     Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one to its pair,
-    summed one EXPANSION_CHUNK window at a time."""
+    summed one EXPANSION_CHUNK window at a time.  The wedges start at the
+    CSR entries u of each row w: every entry on the full range, else the
+    entries with lo <= u < hi, selected in CSR order by a mask, so that
+    the entries after u in its row are still its partners v > u."""
     indptr, indices, rows = csr
     if lo == 0 and hi == n + 1:
-        # every entry u of every row w
         u, w = indices, rows
         start = np.arange(1, indices.size + 1)
     else:
-        # the entries u of rows w for u in lo..hi-1 (held as u - lo): the
-        # transposes of rows lo..hi-1, found among the sorted keys of all
-        # entries
-        a, b = indptr[lo], indptr[hi]
-        u, w = rows[a:b] - lo, indices[a:b]
-        start = np.searchsorted(rows * (n + 1) + indices,
-                                w * (n + 1) + rows[a:b]) + 1
+        # u held as u - lo
+        pos = np.flatnonzero((indices >= lo) & (indices < hi))
+        u, w, start = indices[pos] - lo, rows[pos], pos + 1
     # the neighbors after u in row w are its wedge partners
     later = indptr[w + 1] - start
     table = np.zeros((hi - lo) * (n + 1), dtype=np.int32)

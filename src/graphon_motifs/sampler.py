@@ -26,15 +26,17 @@ Reproducibility contract (pinned by a golden test):
   derived from them.
 
 A graph's stratum plan (slots, edge probability, first batch size) is
-kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Both edge
-paths draw the first batch of every stratum in one generator call and
-invert it with one ``log1p``; a stratum that needs another batch reads on
-into those uniforms, which grow from the generator only by what a batch
-runs past their end.  A draw holds each stratum's positions only: the
-blocks' vertex lists are built when a graph decodes.  Graphs of at most
-``SMALL_GRAPH_VERTICES`` vertices draw and decode on Python scalars
-instead of numpy arrays; the two paths draw the same positions, decode
-them to the same keys and leave the generator in the same state.
+kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
+graph's edge layer comes from ``_edge_layer``, which draws the first batch
+of every stratum in one generator call and inverts it with one ``log1p``;
+a stratum that needs another batch reads on into those uniforms, which
+grow from the generator only by what a batch runs past their end.  A draw
+holds each stratum's positions only: the blocks' vertex lists are built
+when a graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices
+read their gaps as Python floats into position lists and decode them on
+Python scalars; larger graphs read and decode int64 arrays.  The two gap
+readers give the same positions and leave the generator in the same
+state, and the two decoders give the same keys.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -59,15 +61,18 @@ from .motif import CSR, Motif, csr_from_keys, density_exponents
 from .graphon import StepGraphon
 from .seeding import child_rng, replicate_seed
 
-# Graphs of at most this many vertices take the scalar edge path.  Edge
-# layer per graph, drawn and decoded, vectorized against scalar, best of
-# 7 x 200 (2-core host, Python 3.11.7, numpy 2.4.6), at n = 30/40/50/60:
-# W_asym at rho = 0.05, 64/64/63/64 against 16/22/26/30 us; at rho = 0.3,
-# 66/68/69/70 against 34/61/83/107; at rho = 1, 84/79/80/82 against
-# 81/167/260/302; the one-block const:1 at rho = 1, 32/39/36/31 against
-# 81/141/129/182.  Past n = 30 only sparse graphs favour the scalar path,
-# so the crossover stays.  numpy's fixed cost per call decides small
-# graphs, Python's cost per uniform and per edge large ones.
+# Graphs of at most this many vertices read their gaps into lists and
+# decode on Python scalars; larger ones read and decode int64 arrays.  Edge
+# layer per graph, drawn and decoded, arrays against lists, best of 7 x 200
+# (2-core host, Python 3.11.7, numpy 2.4.6), at n = 30/40/50/60: W_asym at
+# rho = 0.05, 64/64/63/64 against 16/22/26/30 us; at rho = 0.3, 66/68/69/70
+# against 34/61/83/107; at rho = 1, 84/79/80/82 against 81/167/260/302; the
+# one-block const:1 at rho = 1, 32/39/36/31 against 81/141/129/182.  Past
+# n = 30 only sparse graphs favour the lists, so the crossover stays.  The
+# draw alone (W_asym, generator build excluded, best of 7 x 300) takes 19
+# against 4 us at n = 6, and 21 against 51 us at n = 150 and rho = 0.05.
+# numpy's fixed cost per call decides small graphs, Python's cost per
+# uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
 
 
@@ -213,7 +218,7 @@ def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
 def _batch_size(remaining: int, p: float) -> int:
     """Uniforms drawn at once while ``remaining`` slots are left: the mean
     count of successes plus four standard deviations, at least 16.  Both
-    edge paths draw these batches, so this fixes what a stratum consumes."""
+    gap readers draw these batches, so this fixes what a stratum consumes."""
     expect = remaining * p
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
@@ -262,6 +267,27 @@ def _read_positions(rng, logs: np.ndarray, at: int, slots: int, p: float,
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks), logs, at
 
 
+def _read_floats(rng, logs: list, at: int, slots: int, p: float,
+                 log_q: float, cap: float, size: int) -> tuple:
+    """(position list, logs, next at) of one stratum: the batches of
+    ``_read_positions``, read from a list of Python floats with the same
+    IEEE division and truncation; a batch past the end of ``logs`` extends
+    it in place from ``rng`` by the shortfall."""
+    positions = []
+    pos = -1
+    while True:
+        end = at + size
+        if end > len(logs):
+            logs += _log_uniforms(rng, end - len(logs)).tolist()
+        for x in logs[at:end]:
+            pos += int(min(x / log_q, cap)) + 1
+            if pos >= slots:
+                return positions, logs, end
+            positions.append(pos)
+        at = end
+        size = _batch_size(slots - pos, p)
+
+
 def _decode_within(idx: np.ndarray, nb: int):
     """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
     row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
@@ -298,63 +324,35 @@ def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
     return tuple(strata), sum(s[4] for s in strata)
 
 
-def _edge_layer_scalar(w: StepGraphon, occupancy: tuple, rho: float,
-                       rng) -> tuple:
-    """(position list of each stratum, edge count) of the scalar edge path:
-    the batches of ``_read_positions``, read from one list of Python floats
-    with the same IEEE division and truncation."""
+def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
+    """(positions of each stratum, edge count) of the graph's edge layer:
+    the first batches of all strata drawn in one call, each stratum read
+    on where the last ended.  Graphs of at most SMALL_GRAPH_VERTICES
+    vertices read position lists from Python floats (``_read_floats``),
+    larger ones int64 arrays (``_read_positions``)."""
     strata, need = _stratum_plan(w, rho, occupancy)
-    logs = _log_uniforms(rng, need).tolist() if need else []
+    small = sum(occupancy) <= SMALL_GRAPH_VERTICES
+    logs = _log_uniforms(rng, need) if need else np.empty(0)
+    read = _read_positions
+    if small:
+        logs, read = logs.tolist(), _read_floats
     at = 0  # where the next batch starts in logs
     out = []
     total = 0
     for slots, p, log_q, cap, size in strata:
-        if not size:
-            positions = list(range(slots)) if p >= 1.0 else []
-        else:
-            positions = []
-            pos = -1
-            while True:
-                end = at + size
-                if end > len(logs):
-                    logs += _log_uniforms(rng, end - len(logs)).tolist()
-                for x in logs[at:end]:
-                    pos += int(min(x / log_q, cap)) + 1
-                    if pos >= slots:
-                        break
-                    positions.append(pos)
-                at = end
-                if pos >= slots:
-                    break
-                size = _batch_size(slots - pos, p)
-        out.append(positions)
-        total += len(positions)
-    return out, total
-
-
-def _edge_layer_vectorized(w: StepGraphon, occupancy: tuple, rho: float,
-                           rng) -> tuple:
-    """(int64 positions of each stratum, edge count) of the vectorized path:
-    ``_read_positions`` stratum by stratum, each reading on where the last
-    ended, from the first batches of all drawn in one call."""
-    strata, need = _stratum_plan(w, rho, occupancy)
-    logs = _log_uniforms(rng, need) if need else None
-    at = 0
-    out = []
-    total = 0
-    for slots, p, log_q, cap, size in strata:
         if size:
-            pos, logs, at = _read_positions(rng, logs, at, slots, p, log_q,
-                                            cap, size)
+            pos, logs, at = read(rng, logs, at, slots, p, log_q, cap, size)
+        elif small:
+            pos = list(range(slots)) if p >= 1.0 else []
         else:
             pos = np.arange(slots if p >= 1.0 else 0, dtype=np.int64)
         out.append(pos)
-        total += pos.size
+        total += len(pos)
     return out, total
 
 
 def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
-    """Pair keys lo*(n+1)+hi of a scalar draw over ``blocks``."""
+    """Pair keys lo*(n+1)+hi of a draw of position lists over ``blocks``."""
     stride = blocks.size + 1
     verts = [[] for _ in range(K)]
     for v, b in enumerate(blocks.tolist(), 1):
@@ -391,7 +389,7 @@ def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
 
 
 def _decode_vectorized(strata: list, blocks: np.ndarray, K: int):
-    """Pair keys of a vectorized draw over ``blocks``."""
+    """Pair keys of a draw of int64 positions over ``blocks``."""
     verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
              for b in range(K)]
     return np.concatenate([_stratum_keys(verts[b], verts[c], pos,
@@ -424,10 +422,9 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
-    draw = (_edge_layer_scalar if latents.size <= SMALL_GRAPH_VERTICES
-            else _edge_layer_vectorized)
     return SampledGraph(latents.size, rho, int(seed), latents, blocks,
-                        occupancy, draw(w, occupancy, rho, child_rng(seed, 1)))
+                        occupancy,
+                        _edge_layer(w, occupancy, rho, child_rng(seed, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +463,10 @@ def critical_schedule(m: Motif, c: float) -> SparsitySchedule:
     return SparsitySchedule(a=c ** inv, gamma=inv)
 
 
-REGIMES = ("below_containment", "at_containment", "edge_dominated",
-           "critical", "label_dominated", "dense")
-
-
 def classify_regime(m: Motif, gamma) -> str:
-    """Place an exponent against the motif's two density thresholds.
+    """Place an exponent against the motif's two density thresholds: one
+    of "below_containment", "at_containment", "edge_dominated",
+    "critical", "label_dominated" or "dense" (gamma = 0).
 
     Comparison is exact over rationals; float inputs are snapped to the
     nearest fraction with denominator at most 10^6, so gamma = 2/3 given

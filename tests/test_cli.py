@@ -100,6 +100,27 @@ def test_bad_motif_file_gives_the_reason(capsys, tmp_path, doc, message,
     assert message in err
 
 
+@pytest.mark.parametrize("text,reason", [
+    (None, "no such {} name or file: {}"),
+    ("{not json", "malformed {} file {}: Expecting property name"),
+    ("[]", "malformed {} file {}: list indices"),
+    ("{}", "malformed {} file {}: "),
+], ids=["missing", "not_json", "not_an_object", "no_fields"])
+@pytest.mark.parametrize("kind,argv", [
+    ("motif", ["analyze-motif"]),
+    ("graphon", ["analyze-graphon", "--motif", "edge", "--graphon"]),
+])
+def test_bad_source_names_its_kind(capsys, tmp_path, text, reason, kind,
+                                   argv):
+    path = tmp_path / "source.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + reason.format(kind, path))
+
+
 def test_analyze_graphon(capsys):
     code, out, _ = run_cli(capsys, "analyze-graphon",
                            "--graphon", "W_asym", "--motif", "edge")

@@ -221,6 +221,20 @@ def test_triangle_count_either_side_of_the_size_switch(n):
     assert triangle_count(g) == want
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_four_cycle_count_either_side_of_the_row_block_switch(n, a):
+    # a codegree table holds PAIR_TABLE_CELLS // 4 cells of n + 1 per row:
+    # one full-range table at 1023, blocks of 1023 rows at 1024, the last
+    # of them two rows
+    step = motif.PAIR_TABLE_CELLS // 4 // (n + 1)
+    assert step == {1023: 1024, 1024: 1023}[n]
+    g = sample(W_ASYM, n, a / math.sqrt(n), replicate_seed(4, n, 0))
+    want = count_embeddings(n, g.edge_list(), C4)
+    assert want > 0
+    assert four_cycle_count(g) == want
+
+
 def test_pair_lookup_table_and_sorted_keys_agree(monkeypatch):
     g = sample(W_ASYM, 60, 0.3, 8)
     n = g.n

@@ -28,8 +28,7 @@ from graphon_motifs.sampler import (
     _decode_scalar,
     _decode_vectorized,
     _decode_within,
-    _edge_layer_scalar,
-    _edge_layer_vectorized,
+    _edge_layer,
     replicate_seed,
 )
 from graphon_motifs import seeding
@@ -83,7 +82,7 @@ def test_sample_golden_output():
 
 
 def test_sample_golden_output_large_graph():
-    # C10's shape, on the vectorized edge path
+    # C10's shape, read into int64 arrays
     g = sample(W_ASYM, 2000, 2 / math.sqrt(2000), 2024)
     digest = hashlib.sha256(g.to_dump().encode()).hexdigest()
     assert g.edge_count == 36273
@@ -92,8 +91,8 @@ def test_sample_golden_output_large_graph():
 
 
 def test_sample_golden_output_small_graph():
-    # n = 6 takes the scalar edge path; the digest was computed before that
-    # path existed
+    # n = 6 reads its gaps into lists; the digest was computed before that
+    # reader existed
     g = sample(W_ASYM, 6, 0.3, 5001)
     digest = hashlib.sha256(g.to_dump().encode()).hexdigest()
     assert g.edges.tolist() == [[1, 4], [2, 3], [3, 4], [3, 6]]
@@ -339,14 +338,24 @@ def fresh_plans():
     sampler._stratum_plan.cache_clear()
 
 
+def _edge_layer_read_as(small: bool, w, occupancy, rho, rng) -> tuple:
+    """``_edge_layer`` with SMALL_GRAPH_VERTICES set to the graph's n, so
+    that it reads lists of Python floats, or to n - 1, so that it reads
+    int64 arrays."""
+    n = sum(occupancy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "SMALL_GRAPH_VERTICES", n if small else n - 1)
+        return _edge_layer(w, occupancy, rho, rng)
+
+
 def _assert_paths_agree(w, blocks, rho, make_rng):
-    """Both edge paths, and the scalar path drawn one batch per call
-    (``reference_edge_layer_scalar``), give the same positions and keys
-    and leave their generators in the same state."""
+    """Both gap readers of the edge layer, and the list reader drawn one
+    batch per call (``reference_edge_layer_scalar``), give the same
+    positions and keys and leave their generators in the same state."""
     rng_v, rng_s, rng_ref = make_rng(), make_rng(), make_rng()
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
-    strata_v, total_v = _edge_layer_vectorized(w, occupancy, rho, rng_v)
-    strata_s, total_s = _edge_layer_scalar(w, occupancy, rho, rng_s)
+    strata_v, total_v = _edge_layer_read_as(False, w, occupancy, rho, rng_v)
+    strata_s, total_s = _edge_layer_read_as(True, w, occupancy, rho, rng_s)
     strata_ref, total_ref = reference_edge_layer_scalar(w, blocks, rho,
                                                         rng_ref)
     assert total_s == total_v == total_ref
@@ -361,6 +370,19 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random() == rng_ref.random()
     return rng_v, rng_s, rng_ref
+
+
+@pytest.mark.parametrize("w,rho", [(W_ASYM, 0.3), (W_THREE, 0.3),
+                                   (StepGraphon.constant(1.0), 1.0)],
+                         ids=["W_asym", "three_blocks", "complete"])
+def test_sample_reads_lists_up_to_the_small_graph_bound(w, rho):
+    n = SMALL_GRAPH_VERTICES
+    small = sample(w, n, rho, 11)._strata
+    large = sample(w, n + 1, rho, 11)._strata
+    assert len(small) == len(large) == len(sampler._stratum_order(
+        w.block_count))
+    assert all(type(s) is list for s in small)
+    assert all(type(s) is np.ndarray and s.dtype == np.int64 for s in large)
 
 
 @pytest.mark.parametrize("w", [StepGraphon.constant(0.3), W_ASYM, W_THREE],

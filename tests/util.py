@@ -283,8 +283,8 @@ def connected_classes_up_to(max_vertices: int):
 
 def bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """Success indices of an iid Bernoulli(p) stream of length n_slots:
-    one stratum of the vectorized edge path (``sampler._read_positions``)
-    drawn on its own."""
+    one stratum of the edge layer's int64 gap reader
+    (``sampler._read_positions``) drawn on its own."""
     if n_slots <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
@@ -326,8 +326,10 @@ def reference_edge_layer_scalar(w: StepGraphon, blocks, rho: float,
     """The scalar edge layer drawn stratum by stratum: one ``rng.random``
     call and one ``log1p`` per batch, each stratum's batches drawn before
     the next stratum's.  Returns (position list of each stratum, total) in
-    the layout of ``sampler._edge_layer_scalar``, whose single-draw path
-    must consume the same uniforms and give the same positions."""
+    the layout of ``sampler._edge_layer`` on a graph of at most
+    ``sampler.SMALL_GRAPH_VERTICES`` vertices, which draws every first
+    batch in one call and must consume the same uniforms and give the
+    same positions."""
     K = w.block_count
     verts = [[] for _ in range(K)]
     for v, b in enumerate(np.asarray(blocks).tolist(), 1):
