@@ -36,6 +36,7 @@ from .motif import (
     expansion_windows,
     has_pair,
     named_motif,
+    wedge_keys,
 )
 from .graphon import StepGraphon, _arrays, _assignment_products, hom_density
 from .sampler import SampledGraph
@@ -101,8 +102,9 @@ def triangle_count(g: SampledGraph) -> int:
     chunk = _motif.EXPANSION_CHUNK
     total = 0
     for t0 in range(0, lo.size, chunk):
-        common = rows[lo[t0:t0 + chunk]]
-        common &= rows[hi[t0:t0 + chunk]]
+        # take gathers whole rows several times faster than rows[idx]
+        common = rows.take(lo[t0:t0 + chunk], axis=0)
+        common &= rows.take(hi[t0:t0 + chunk], axis=0)
         total += int(np.bitwise_count(common).sum())
         del common  # so that one chunk of rows is alive at a time
     return total // 3
@@ -128,18 +130,32 @@ def _forward_triangle_count(n: int, csr: _motif.CSR) -> int:
 def four_cycle_count(g: SampledGraph) -> int:
     """4-cycles as half the sum of C(codeg(u, v), 2) over pairs u < v
     (Alon, Yuster and Zwick, Algorithmica 17, 1997): each cycle is two
-    common neighbors of either of its two diagonals.
+    common neighbors of either of its two diagonals.  The sum of c (c - 1)
+    over the codegrees c is four times the cycle count.
 
-    The codegrees come from the CSR's wedges, one range of lower
-    endpoints u at a time, in tables of at most PAIR_TABLE_CELLS // 4
-    int32 cells (always at least one row), so memory stays bounded at any
-    n.  The sum of c (c - 1) over every table's codegrees c is four times
-    the cycle count.
+    The codegrees come from the CSR's wedges (``motif.wedge_keys``).  When
+    all of them fit one EXPANSION_CHUNK window, their pair keys are sorted
+    once and each pair's run of equal keys is its codegree.  Otherwise
+    they are summed one range of lower endpoints u at a time, in tables of
+    at most PAIR_TABLE_CELLS // 4 int32 cells (always at least one row),
+    so memory stays bounded at any n.
     """
     if g.edge_count < 4:
         return 0
     n = g.n
     csr = g.adjacency()
+    deg = np.diff(csr.indptr)
+    # sum deg (deg - 1) is twice the wedge count
+    if int(deg @ (deg - 1)) <= 2 * _motif.EXPANSION_CHUNK:
+        total = 0
+        for keys in wedge_keys(n, csr, 0, n + 1):  # one window at most
+            keys.sort()
+            new = np.empty(keys.size + 1, dtype=bool)
+            new[0] = new[-1] = True
+            np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+            c = np.diff(np.flatnonzero(new))
+            total += int(c @ (c - 1))
+        return total // 4
     step = max(1, _motif.PAIR_TABLE_CELLS // 4 // (n + 1))
     total = 0
     for lo in range(0, n + 1, step):

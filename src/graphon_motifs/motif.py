@@ -473,15 +473,15 @@ def _embedding_plan(m: Motif) -> tuple:
     return tuple(plan)
 
 
-def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
-    """Common neighbors of every pair u < v with lo <= u < hi, an int32
-    table keyed ``(u - lo) * (n + 1) + v``, so that the full range 0..n is
-    keyed like the pair table: each wedge u - w - v (a path of length two,
-    Chiba and Nishizeki, SIAM J. Comput. 14, 1985) adds one to its pair,
-    summed one EXPANSION_CHUNK window at a time.  The wedges start at the
-    CSR entries u of each row w: every entry on the full range, else the
-    entries with lo <= u < hi, selected in CSR order by a mask, so that
-    the entries after u in its row are still its partners v > u."""
+def wedge_keys(n: int, csr: CSR, lo: int, hi: int):
+    """The wedges u - w - v (paths of length two, Chiba and Nishizeki,
+    SIAM J. Comput. 14, 1985) with u < v and lo <= u < hi, as int64 pair
+    keys ``(u - lo) * (n + 1) + v``, one EXPANSION_CHUNK window at a time,
+    so that the full range 0..n is keyed like the pair table.  The wedges
+    start at the CSR entries u of each row w: every entry on the full
+    range, else the entries with lo <= u < hi, selected in CSR order by a
+    mask, so that the entries after u in its row are still its partners
+    v > u."""
     indptr, indices, rows = csr
     if lo == 0 and hi == n + 1:
         u, w = indices, rows
@@ -492,10 +492,17 @@ def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
         u, w, start = indices[pos] - lo, rows[pos], pos + 1
     # the neighbors after u in row w are its wedge partners
     later = indptr[w + 1] - start
-    table = np.zeros((hi - lo) * (n + 1), dtype=np.int32)
     for row, off in expansion_windows(later):
-        keys, hits = np.unique(u[row] * (n + 1) + indices[start[row] + off],
-                               return_counts=True)
+        yield u[row] * (n + 1) + indices[start[row] + off]
+
+
+def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
+    """Common neighbors of every pair u < v with lo <= u < hi, an int32
+    table keyed like ``wedge_keys``: each wedge adds one to its pair,
+    summed one window at a time."""
+    table = np.zeros((hi - lo) * (n + 1), dtype=np.int32)
+    for keys in wedge_keys(n, csr, lo, hi):
+        keys, hits = np.unique(keys, return_counts=True)
         table[keys] += hits
     return table
 

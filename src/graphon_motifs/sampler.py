@@ -18,11 +18,11 @@ Reproducibility contract (pinned by a golden test):
 - strata are visited in a fixed order (same-block pairs by block index,
   then cross-block pairs in lexicographic order), and each stratum consumes
   uniforms in batches of ``_batch_size`` until its pair stream is exhausted;
-- ``sample`` and ``resample_edges`` draw every stratum's positions, and so
-  consume every uniform of the graph, before they return; a graph decodes
-  the positions into its int64 pair keys ``lo * (n + 1) + hi`` on first
-  use and consumes no uniform doing so.  The keys are the graph's one
-  edge format: its sorted ``edges`` array and its CSR adjacency are both
+- ``sample`` and ``resample_edges`` draw every stratum, and so consume
+  every uniform of the graph, before they return; a graph decodes the
+  draw into its int64 pair keys ``lo * (n + 1) + hi`` on first use and
+  consumes no uniform doing so.  The keys are the graph's one edge
+  format: its sorted ``edges`` array and its CSR adjacency are both
   derived from them.
 
 A graph's stratum plan (slots, edge probability, first batch size) is
@@ -31,12 +31,15 @@ graph's edge layer comes from ``_edge_layer``, which draws the first batch
 of every stratum in one generator call and inverts it with one ``log1p``;
 a stratum that needs another batch reads on into those uniforms, which
 grow from the generator only by what a batch runs past their end.  A draw
-holds each stratum's positions only: the blocks' vertex lists are built
-when a graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices
-read their gaps as Python floats into position lists and decode them on
-Python scalars; larger graphs read and decode int64 arrays.  The two gap
-readers give the same positions and leave the generator in the same
-state, and the two decoders give the same keys.
+holds each stratum's positions, or for a stratum whose first batch is
+longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
+is found from block sums and whose positions are formed only when the
+graph decodes; the blocks' vertex lists are built then too.  Graphs of
+at most ``SMALL_GRAPH_VERTICES`` vertices read their gaps as Python
+floats into position lists and decode them on Python scalars; larger
+graphs read and decode int64 arrays.  The two gap readers give the same
+positions and leave the generator in the same state, and the two
+decoders give the same keys.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -75,17 +78,34 @@ from .seeding import child_rng, replicate_seed
 # uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
 
+# A stratum whose first batch is longer than this keeps its gap steps and
+# finds its end from sums of blocks this long; shorter ones sum their steps
+# into positions at once.  numpy's cumsum is not vectorised (about 1.9 ns a
+# step) where add.reduceat is.  One stratum at p = 0.05, read alone and
+# then its positions formed, best of 7 x 300 (2-core host, Python 3.11.7,
+# numpy 2.4.6), first batch 1047/2019/3933/7720/18540 steps: 9.2/12.3/
+# 18.1/31.5/66.2 us summed at once against 12.4/13.8/15.9/20.8/36.1 us
+# kept as steps, plus 3.6/5.6/9.0/17.2/38.2 to form them.  Whole edge
+# layers at W_asym, n = 2000, rho = 2/sqrt(2000) (first batches 20028,
+# 2502, 13880; 100 graphs, min of 9 x 3) take 231/233/236/239 us at a
+# bound of 512/1024/2048/4096 against 292 never kept.  Batches of a few
+# hundred steps (n = 200) stay below the bound: kept as steps they would
+# pay their prefix sum twice once the graph decodes.
+PREFIX_BLOCK = 1024
+
 
 class SampledGraph:
     """One realization of the model, with its latent layer retained.
 
     The edges are int64 pair keys ``lo * (n + 1) + hi``, in no set order.
     A graph from ``sample`` or ``resample_edges`` keeps its edge layer as
-    drawn (every block-pair stratum's Bernoulli positions and their total),
-    decodes it into keys on first use and then drops it.  ``edge_count`` is
-    the drawn total and never decodes.  Decoding consumes no random numbers
-    and gives equal keys from any thread.  ``edges``, lexicographic, and
-    ``adjacency`` are derived from the keys; ``occupancy`` holds the K
+    drawn (every block-pair stratum's Bernoulli positions, or the gap
+    steps they are the running sum of for a stratum longer than
+    ``PREFIX_BLOCK``, and their total), decodes it into keys on first use
+    and then drops it.  ``edge_count`` is the drawn total and never
+    decodes.  Decoding consumes no random numbers, writes nothing into the
+    draw and gives equal keys from any thread.  ``edges``, lexicographic,
+    and ``adjacency`` are derived from the keys; ``occupancy`` holds the K
     blocks' vertex counts.
     """
 
@@ -231,13 +251,56 @@ def _log_uniforms(rng, size: int) -> np.ndarray:
     return u
 
 
+class _Steps:
+    """A drawn stratum kept as its int64 gap steps (gap + 1): its positions
+    are their running sum less one.  Its length is its edge count."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: np.ndarray):
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+
+def _stratum_positions(stratum) -> np.ndarray:
+    """The int64 positions of one drawn stratum: as drawn, or formed from
+    ``_Steps`` into a new array, so that the draw itself is never written
+    and two threads may decode one graph at once."""
+    if type(stratum) is not _Steps:
+        return stratum
+    pos = np.cumsum(stratum.steps)
+    pos -= 1
+    return pos
+
+
+def _steps_end(steps: np.ndarray, target: int) -> tuple:
+    """(k, total): k the first index at which the running sum of the
+    positive ``steps`` reaches ``target`` (their size if it never does),
+    and the sum of all of them.  Only PREFIX_BLOCK-long block sums and the
+    running sum of the one block that crosses ``target`` are formed."""
+    sums = np.add.reduceat(steps, np.arange(0, steps.size, PREFIX_BLOCK))
+    np.cumsum(sums, out=sums)
+    j = int(np.searchsorted(sums, target))
+    if j == sums.size:
+        return steps.size, int(sums[-1])
+    start = j * PREFIX_BLOCK
+    run = np.cumsum(steps[start:start + PREFIX_BLOCK])
+    before = int(sums[j - 1]) if j else 0
+    return start + int(np.searchsorted(run, target - before)), int(sums[-1])
+
+
 def _read_positions(rng, logs: np.ndarray, at: int, slots: int, p: float,
                     log_q: float, cap: float, size: int) -> tuple:
-    """(positions, logs, next at) of one stratum of Geometric(p) gaps read
+    """(stratum, logs, next at) of one stratum of Geometric(p) gaps read
     from ``_log_uniforms`` ``logs[at:]``: each batch, the first ``size``
     long and the rest ``_batch_size``, is divided, capped and cast to int64
-    positions in place, and a batch past the end of ``logs`` extends it
-    from ``rng`` by the shortfall."""
+    steps (gap + 1) in place, and a batch past the end of ``logs`` extends
+    it from ``rng`` by the shortfall.  A stratum whose first batch is at
+    most PREFIX_BLOCK long sums its steps into positions in place; a longer
+    one finds its end with ``_steps_end`` and is kept as ``_Steps``."""
+    defer = size > PREFIX_BLOCK
     chunks = []
     last = -1
     while True:
@@ -251,20 +314,25 @@ def _read_positions(rng, logs: np.ndarray, at: int, slots: int, p: float,
         np.divide(gaps, log_q, out=gaps)
         np.minimum(gaps, cap, out=gaps)
         # the gaps as int64 in the same memory: no second batch array
-        pos = gaps.view(np.int64)
-        np.copyto(pos, gaps, casting="unsafe")
-        pos += 1
-        np.cumsum(pos, out=pos)
-        pos += last
+        steps = gaps.view(np.int64)
+        np.copyto(steps, gaps, casting="unsafe")
+        steps += 1
         # positions strictly ascend: k is the first one at or past the end
-        k = int(np.searchsorted(pos, slots))
-        if k < pos.size:
-            chunks.append(pos[:k])
+        if defer:
+            k, total = _steps_end(steps, slots - last)
+        else:
+            np.cumsum(steps, out=steps)
+            steps += last
+            k = int(np.searchsorted(steps, slots))
+            total = int(steps[-1]) - last
+        if k < steps.size:
+            chunks.append(steps[:k])
             break
-        chunks.append(pos)
-        last = int(pos[-1])
+        chunks.append(steps)
+        last += total
         size = _batch_size(slots - last, p)
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks), logs, at
+    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return (_Steps(out) if defer else out), logs, at
 
 
 def _read_floats(rng, logs: list, at: int, slots: int, p: float,
@@ -289,11 +357,21 @@ def _read_floats(rng, logs: list, at: int, slots: int, p: float,
 
 
 def _decode_within(idx: np.ndarray, nb: int):
-    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
-    row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
-    rows = np.arange(nb - 1, dtype=np.int64)
+    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for ascending t of pairs
+    0 <= i < j < nb: row r starts at r*(2nb-r-1)/2.  Up to 4 nb indices,
+    row i is the last row whose start is at most t; more find the rows'
+    starts among themselves, which counts the t in each row.  (Best of
+    5 x 500 at nb = 110/300/1000 and 4 nb sorted indices: 8.2/16.5/47.5
+    us by the first search against 7.2/10.9/23.9 by the second; at nb
+    indices 5.4/7.6/17.4 against 6.4/8.8/16.7.)"""
+    rows = np.arange(nb, dtype=np.int64)
+    # row nb - 1 is empty: its start is the end of row nb - 2
     starts = rows * (2 * nb - rows - 1) // 2
-    i = np.searchsorted(starts, idx, side="right") - 1
+    if idx.size <= 4 * nb:
+        i = np.searchsorted(starts, idx, side="right") - 1
+    else:
+        at = np.searchsorted(idx, starts)
+        i = np.repeat(rows[:-1], at[1:] - at[:-1])
     return i, idx - starts[i] + i + 1
 
 
@@ -389,12 +467,14 @@ def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
 
 
 def _decode_vectorized(strata: list, blocks: np.ndarray, K: int):
-    """Pair keys of a draw of int64 positions over ``blocks``."""
+    """Pair keys of a draw of int64 positions or ``_Steps`` over
+    ``blocks``."""
     verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
              for b in range(K)]
-    return np.concatenate([_stratum_keys(verts[b], verts[c], pos,
+    return np.concatenate([_stratum_keys(verts[b], verts[c],
+                                         _stratum_positions(s),
                                          blocks.size + 1)
-                           for (b, c), pos in zip(_stratum_order(K), strata)])
+                           for (b, c), s in zip(_stratum_order(K), strata)])
 
 
 def _decode_edges(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:

@@ -78,6 +78,26 @@ def test_edge_count_does_not_decode(monkeypatch, n):
     assert got == [g.edges.shape[0], h.edges.shape[0]]
 
 
+def test_edge_count_at_scale_never_forms_positions(monkeypatch):
+    # at n = 2000 every stratum keeps its gap steps; the count reads the
+    # drawn total, so the positions are never formed
+    def refuse(stratum):
+        raise AssertionError("formed")
+
+    n = 2000
+    rho = 2 / math.sqrt(n)
+    g = sample(W_ASYM, n, rho, replicate_seed(9, n, 0))
+    h = resample_edges(W_ASYM, g.latents, rho, replicate_seed(9, n, 1))
+    for graph in (g, h):
+        assert all(type(s) is sampler._Steps for s in graph._strata)
+    monkeypatch.setattr(sampler, "_stratum_positions", refuse)
+    got = [count(g, K2), count(h, K2)]
+    with pytest.raises(AssertionError, match="formed"):
+        g.pair_keys()
+    monkeypatch.undo()
+    assert got == [g.edges.shape[0], h.edges.shape[0]]
+
+
 def test_count_matches_subset_oracle_on_random_graphs():
     rng = np.random.default_rng(60)
     motifs = [K2, P3, K3, named_motif("c4"), named_motif("k4"),
@@ -233,6 +253,31 @@ def test_four_cycle_count_either_side_of_the_row_block_switch(n, a):
     want = count_embeddings(n, g.edge_list(), C4)
     assert want > 0
     assert four_cycle_count(g) == want
+
+
+@pytest.mark.parametrize("w", [W_SYM, W_ASYM], ids=["W_sym", "W_asym"])
+@pytest.mark.parametrize("n", [60, 150, 400])
+def test_four_cycle_count_either_side_of_the_one_window_bound(monkeypatch,
+                                                              w, n):
+    # wedges that fit one EXPANSION_CHUNK window are sorted and their runs
+    # counted; one wedge more and the codegree tables sum them
+    g = sample(w, n, 1 / math.sqrt(n), replicate_seed(6, n, 0))
+    want = count_embeddings(n, g.edge_list(), C4)
+    assert want > 0
+    deg = np.diff(g.adjacency().indptr)
+    wedges = int(np.sum(deg * (deg - 1) // 2))
+    tables = []
+
+    def spy(*args):
+        tables.append(args[2:])
+        return motif._codegree_table(*args)
+
+    monkeypatch.setattr(counting, "_codegree_table", spy)
+    for chunk, tabled in ((wedges, False), (wedges - 1, True)):
+        tables.clear()
+        monkeypatch.setattr(motif, "EXPANSION_CHUNK", chunk)
+        assert four_cycle_count(g) == want
+        assert bool(tables) == tabled
 
 
 def test_pair_lookup_table_and_sorted_keys_agree(monkeypatch):

@@ -29,6 +29,7 @@ from graphon_motifs.sampler import (
     _decode_vectorized,
     _decode_within,
     _edge_layer,
+    _stratum_positions,
     replicate_seed,
 )
 from graphon_motifs import seeding
@@ -305,6 +306,21 @@ def test_decode_within_random_indices(nb, raw):
     assert i * nb - i * (i + 1) // 2 + (j - i - 1) == t
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 300), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_decode_within_sorted_subsets_either_side_of_the_row_search(
+        nb, share, seed):
+    # up to 4 nb indices search the row starts one index at a time, more
+    # search their own positions for the row starts
+    total = nb * (nb - 1) // 2
+    size = min(total, int(share * 10 * nb))
+    idx = np.sort(np.random.default_rng(seed).choice(total, size,
+                                                     replace=False))
+    i, j = _decode_within(idx.astype(np.int64), nb)
+    assert np.all((0 <= i) & (i < j) & (j < nb))
+    assert np.array_equal(i * nb - i * (i + 1) // 2 + (j - i - 1), idx)
+
+
 # three blocks with a zero and a one entry: at rho = 1 the strata hit both
 # the p <= 0 and the p >= 1 branch
 W_THREE = StepGraphon((0.2, 0.3, 0.5),
@@ -360,7 +376,8 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
                                                         rng_ref)
     assert total_s == total_v == total_ref
     assert strata_s == strata_ref
-    assert [s.tolist() for s in strata_v] == strata_ref
+    # a long stratum is drawn as steps: compare the positions it forms
+    assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
     vec = _decode_vectorized(strata_v, blocks, w.block_count)
     sca = _decode_scalar(strata_s, blocks, w.block_count)
     assert vec.shape[0] == total_v
@@ -472,6 +489,83 @@ def test_vectorized_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(
     # vectorized path all of them in one call; then the check's uniform
     assert len(rng_ref.sizes) == 3 + 1
     assert rng_v.sizes == [sum(rng_ref.sizes[:-1]), None]
+
+
+def _read_stratum(make_rng, slots, p, size):
+    """One stratum read by ``_read_positions`` from a first batch of
+    ``size`` uniforms: (stratum, next at, the generator's next uniform,
+    the generator)."""
+    rng = make_rng()
+    stratum, _, at = sampler._read_positions(
+        rng, sampler._log_uniforms(rng, size), 0, slots, p, math.log1p(-p),
+        float(slots) + 1.0, size)
+    return stratum, at, rng.random(), rng
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05], ids=["drawn", "low"])
+@pytest.mark.parametrize("above", [-1, 0, 1])
+def test_kept_steps_form_the_positions_summed_at_once(monkeypatch, above,
+                                                      scale):
+    # first batches either side of PREFIX_BLOCK; low uniforms make gaps
+    # short, so the strata with many slots run past their first batch
+    size = sampler.PREFIX_BLOCK + above
+    past = 0
+    for p in (0.002, 0.05, 0.6):
+        for slots in (1, 40, int(size / p * 0.8), int(size / p * 1.2),
+                      int(size / p * 20)):
+            for seed in range(3):
+                def make_rng():
+                    return _LowUniforms(seed, scale)
+
+                got, at, nxt, rng = _read_stratum(make_rng, slots, p, size)
+                with monkeypatch.context() as mp:
+                    mp.setattr(sampler, "PREFIX_BLOCK", 10 ** 9)
+                    want, at_w, nxt_w, _ = _read_stratum(make_rng, slots, p,
+                                                         size)
+                # the first batch, then the check's uniform
+                past += len(rng.sizes) > 2
+                assert (type(got) is sampler._Steps) == (above > 0)
+                assert type(want) is np.ndarray
+                pos = _stratum_positions(got)
+                assert pos.dtype == np.int64 and np.array_equal(pos, want)
+                assert len(got) == want.size
+                assert at == at_w and nxt == nxt_w
+                if above > 0:
+                    # forming the positions leaves the kept steps as drawn
+                    steps = got.steps.copy()
+                    assert np.array_equal(_stratum_positions(got), want)
+                    assert np.array_equal(got.steps, steps)
+    assert past > 0
+
+
+@pytest.mark.parametrize("block", [16, 17, 1000])
+def test_kept_steps_find_their_end_in_any_block(monkeypatch, block):
+    # short blocks put each stratum's end in a different block of its
+    # first batch, or past the batch
+    monkeypatch.setattr(sampler, "PREFIX_BLOCK", block)
+    size = 1100
+    for slots in range(20000, 24000, 97):
+        got = _read_stratum(lambda: np.random.default_rng(slots), slots,
+                            0.05, size)[0]
+        want = reference_bernoulli_positions(np.random.default_rng(slots),
+                                             slots, 0.05)
+        assert type(got) is sampler._Steps
+        assert np.array_equal(_stratum_positions(got), want)
+
+
+def test_decoded_keys_agree_with_positions_summed_at_once(monkeypatch):
+    # at n = 2000 every stratum that draws keeps its gap steps
+    rho = 2 / math.sqrt(2000)
+    for w in (W_ASYM, W_THREE):
+        for seed in range(3):
+            g = sample(w, 2000, rho, replicate_seed(4, 2000, seed))
+            assert any(type(s) is sampler._Steps for s in g._strata)
+            with monkeypatch.context() as mp:
+                mp.setattr(sampler, "PREFIX_BLOCK", 10 ** 9)
+                h = sample(w, 2000, rho, replicate_seed(4, 2000, seed))
+            assert all(type(s) is np.ndarray for s in h._strata)
+            assert g.edge_count == h.edge_count
+            assert np.array_equal(g.pair_keys(), h.pair_keys())
 
 
 @pytest.mark.parametrize("w", [W_ASYM, W_THREE],

@@ -284,15 +284,16 @@ def connected_classes_up_to(max_vertices: int):
 def bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
     """Success indices of an iid Bernoulli(p) stream of length n_slots:
     one stratum of the edge layer's int64 gap reader
-    (``sampler._read_positions``) drawn on its own."""
+    (``sampler._read_positions``) drawn on its own, with the positions
+    formed from its steps if it keeps them (``sampler._stratum_positions``)."""
     if n_slots <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n_slots, dtype=np.int64)
     size = sampler._batch_size(n_slots + 1, p)
-    return sampler._read_positions(rng, sampler._log_uniforms(rng, size), 0,
-                                   n_slots, p, math.log1p(-p),
-                                   float(n_slots) + 1.0, size)[0]
+    return sampler._stratum_positions(sampler._read_positions(
+        rng, sampler._log_uniforms(rng, size), 0, n_slots, p, math.log1p(-p),
+        float(n_slots) + 1.0, size)[0])
 
 
 def reference_bernoulli_positions(rng, n_slots: int, p: float) -> np.ndarray:
