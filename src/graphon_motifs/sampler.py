@@ -357,21 +357,11 @@ def _read_floats(rng, logs: list, at: int, slots: int, p: float,
 
 
 def _decode_within(idx: np.ndarray, nb: int):
-    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for ascending t of pairs
-    0 <= i < j < nb: row r starts at r*(2nb-r-1)/2.  Up to 4 nb indices,
-    row i is the last row whose start is at most t; more find the rows'
-    starts among themselves, which counts the t in each row.  (Best of
-    5 x 500 at nb = 110/300/1000 and 4 nb sorted indices: 8.2/16.5/47.5
-    us by the first search against 7.2/10.9/23.9 by the second; at nb
-    indices 5.4/7.6/17.4 against 6.4/8.8/16.7.)"""
-    rows = np.arange(nb, dtype=np.int64)
-    # row nb - 1 is empty: its start is the end of row nb - 2
+    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
+    row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
+    rows = np.arange(nb - 1, dtype=np.int64)
     starts = rows * (2 * nb - rows - 1) // 2
-    if idx.size <= 4 * nb:
-        i = np.searchsorted(starts, idx, side="right") - 1
-    else:
-        at = np.searchsorted(idx, starts)
-        i = np.repeat(rows[:-1], at[1:] - at[:-1])
+    i = np.searchsorted(starts, idx, side="right") - 1
     return i, idx - starts[i] + i + 1
 
 

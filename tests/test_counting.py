@@ -345,12 +345,15 @@ def test_four_cycle_count_against_generic_counter_and_oracles(n, edges,
 
 
 @pytest.mark.parametrize("cells,chunk", [
-    (None, 64), (0, None), (0, 64), (4 * 3 * 61, 64),
+    (None, 64), (0, None), (0, 2048), (0, 64), (4 * 3 * 61, 64),
     (4 * (5 * 61 + 30), 200)])
 def test_four_cycle_count_across_blocks_and_windows(monkeypatch, cells,
                                                     chunk):
     # blocks of one row of lower endpoints (cells 0), of three, and of
-    # five with a shorter last block; chunk is the wedges a window sums
+    # five with a shorter last block; chunk is the wedges a window sums.
+    # The graph's 2266 wedges fit one default window, so (0, None) sorts
+    # them with no table; 2048 is below that total but above any one
+    # row's wedges (115), so each one-row block is a single window
     g = sample(W_ASYM, 60, 0.3, 8)
     want = four_cycle_oracle(60, g.edges)
     assert want > 0

@@ -306,21 +306,6 @@ def test_decode_within_random_indices(nb, raw):
     assert i * nb - i * (i + 1) // 2 + (j - i - 1) == t
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 300), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
-def test_decode_within_sorted_subsets_either_side_of_the_row_search(
-        nb, share, seed):
-    # up to 4 nb indices search the row starts one index at a time, more
-    # search their own positions for the row starts
-    total = nb * (nb - 1) // 2
-    size = min(total, int(share * 10 * nb))
-    idx = np.sort(np.random.default_rng(seed).choice(total, size,
-                                                     replace=False))
-    i, j = _decode_within(idx.astype(np.int64), nb)
-    assert np.all((0 <= i) & (i < j) & (j < nb))
-    assert np.array_equal(i * nb - i * (i + 1) // 2 + (j - i - 1), idx)
-
-
 # three blocks with a zero and a one entry: at rho = 1 the strata hit both
 # the p <= 0 and the p >= 1 branch
 W_THREE = StepGraphon((0.2, 0.3, 0.5),
