@@ -35,6 +35,7 @@ from .motif import (
     csr_pair_keys,
     expansion_windows,
     has_pair,
+    key_runs,
     named_motif,
     wedge_keys,
 )
@@ -135,10 +136,10 @@ def four_cycle_count(g: SampledGraph) -> int:
 
     The codegrees come from the CSR's wedges (``motif.wedge_keys``).  When
     all of them fit one EXPANSION_CHUNK window, their pair keys are sorted
-    once and each pair's run of equal keys is its codegree.  Otherwise
-    they are summed one range of lower endpoints u at a time, in tables of
-    at most PAIR_TABLE_CELLS // 4 int32 cells (always at least one row),
-    so memory stays bounded at any n.
+    once and each pair's run of equal keys is its codegree
+    (``motif.key_runs``).  Otherwise they are summed one range of lower
+    endpoints u at a time, in tables of at most PAIR_TABLE_CELLS // 4 int32
+    cells (always at least one row), so memory stays bounded at any n.
     """
     if g.edge_count < 4:
         return 0
@@ -149,11 +150,7 @@ def four_cycle_count(g: SampledGraph) -> int:
     if int(deg @ (deg - 1)) <= 2 * _motif.EXPANSION_CHUNK:
         total = 0
         for keys in wedge_keys(n, csr, 0, n + 1):  # one window at most
-            keys.sort()
-            new = np.empty(keys.size + 1, dtype=bool)
-            new[0] = new[-1] = True
-            np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
-            c = np.diff(np.flatnonzero(new))
+            c = key_runs(keys)[1]
             total += int(c @ (c - 1))
         return total // 4
     step = max(1, _motif.PAIR_TABLE_CELLS // 4 // (n + 1))
@@ -211,13 +208,6 @@ def _occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
     return tuple(sorted(zip(map(tuple, occupancy.tolist()), sums.tolist())))
 
 
-def _falling(n: int, c: int) -> float:
-    out = 1.0
-    for i in range(c):
-        out *= n - i
-    return out
-
-
 def conditional_expected_count(latents, m: Motif, w: StepGraphon,
                                rho: float) -> float:
     """Exact conditional mean of the count given the latent coordinates.
@@ -240,8 +230,8 @@ def _conditional_from_occupancy(occ: tuple, m: Motif, w: StepGraphon,
     for counts, weight in _occupancy_polynomial(m, w):
         term = weight
         for n_b, c_b in zip(occ, counts):
-            if c_b:
-                term *= _falling(n_b, c_b)
+            if c_b:  # the falling factorial, multiplied up in floats
+                term *= math.prod(float(n_b - i) for i in range(c_b))
         total += term
     aut = automorphism_count(m)
     return total * rho ** m.edge_count / aut

@@ -11,10 +11,11 @@ so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -56,11 +57,7 @@ class Motif:
         return tuple(sorted(self.edges))
 
     def degrees(self) -> list:
-        deg = [0] * (self.vertex_count + 1)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg[1:]
+        return [len(adj) for adj in self.neighbors()[1:]]
 
     def neighbors(self) -> list:
         adj = [set() for _ in range(self.vertex_count + 1)]
@@ -191,11 +188,7 @@ def _canonical_data(m: Motif):
     for v in range(k):
         classes.setdefault(colors[v], []).append(v)
     ordered = [classes[c] for c in sorted(classes)]
-    offsets = []
-    off = 0
-    for cls in ordered:
-        offsets.append(off)
-        off += len(cls)
+    offsets = list(accumulate(map(len, ordered[:-1]), initial=0))
 
     edges0 = [(a - 1, b - 1) for a, b in m.edges]
     best = None
@@ -243,12 +236,7 @@ def copies_in_complete(m: Motif, n: int) -> int:
     """Number of copies of m in the complete graph K_n: (n)_k / |Aut|."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    k = m.vertex_count
-    if n < k:
-        return 0
-    falling = 1
-    for i in range(k):
-        falling *= n - i
+    falling = math.perm(n, m.vertex_count)  # 0 when n < k
     aut = automorphism_count(m)
     assert falling % aut == 0
     return falling // aut
@@ -496,14 +484,24 @@ def wedge_keys(n: int, csr: CSR, lo: int, hi: int):
         yield u[row] * (n + 1) + indices[start[row] + off]
 
 
+def key_runs(keys: np.ndarray) -> tuple:
+    """(first index, length) of each run of equal ``keys``, sorted in place."""
+    keys.sort()
+    new = np.empty(keys.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    bounds = np.flatnonzero(new)
+    return bounds[:-1], np.diff(bounds)
+
+
 def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
     """Common neighbors of every pair u < v with lo <= u < hi, an int32
     table keyed like ``wedge_keys``: each wedge adds one to its pair,
-    summed one window at a time."""
+    summed one window at a time from the runs of its sorted keys."""
     table = np.zeros((hi - lo) * (n + 1), dtype=np.int32)
     for keys in wedge_keys(n, csr, lo, hi):
-        keys, hits = np.unique(keys, return_counts=True)
-        table[keys] += hits
+        first, hits = key_runs(keys)
+        table[keys[first]] += hits
     return table
 
 

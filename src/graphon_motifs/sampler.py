@@ -29,25 +29,19 @@ A graph's stratum plan (slots, edge probability, first batch size) is
 kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
 graph's edge layer comes from ``_edge_layer``, which draws the first batch
 of every stratum in one generator call and inverts it with one ``log1p``;
-a stratum that needs another batch reads on into those uniforms, which
-grow from the generator only by what a batch runs past their end.  A draw
-holds each stratum's positions, or for a stratum whose first batch is
-longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
-is found from block sums and whose positions are formed only when the
-graph decodes; the blocks' vertex lists are built then too.  Graphs of
-at most ``SMALL_GRAPH_VERTICES`` vertices read their gaps as Python
-floats into position lists and decode them on Python scalars; larger
-graphs read and decode int64 arrays.  The two gap readers give the same
-positions and leave the generator in the same state, and the two
-decoders give the same keys.
-
-Replicate seeds and the child stream generators come from ``seeding``,
-which derives a whole block of replicate seeds, and the words both child
-streams' PCG64 seed themselves from, in numpy array passes that match
-numpy's SeedSequence word for word; ``child_rng`` builds a new generator
-on every call.
-``sample`` draws the latents from stream 0 and then runs the edge step of
-``resample_edges`` on stream 1.
+a stratum that needs another batch reads on into those uniforms, extended
+from the generator only by the shortfall.  A draw holds each stratum's
+positions, or for a stratum whose first batch is longer than
+``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end is found from
+block sums.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
+their gaps as Python floats into position lists and decode them on Python
+scalars; larger graphs read int64 arrays and decode all strata at once,
+laid end to end in one slot space whose row table (``_row_table``) is
+cached per block occupancy.  The two gap readers give the same positions
+and leave the generator in the same state, and the two decoders give the
+same keys.  Replicate seeds and the child stream generators come from
+``seeding``; ``sample`` draws the latents from stream 0 and then runs the
+edge step of ``resample_edges`` on stream 1.
 """
 
 from __future__ import annotations
@@ -66,16 +60,14 @@ from .seeding import child_rng, replicate_seed
 
 # Graphs of at most this many vertices read their gaps into lists and
 # decode on Python scalars; larger ones read and decode int64 arrays.  Edge
-# layer per graph, drawn and decoded, arrays against lists, best of 7 x 200
-# (2-core host, Python 3.11.7, numpy 2.4.6), at n = 30/40/50/60: W_asym at
-# rho = 0.05, 64/64/63/64 against 16/22/26/30 us; at rho = 0.3, 66/68/69/70
-# against 34/61/83/107; at rho = 1, 84/79/80/82 against 81/167/260/302; the
-# one-block const:1 at rho = 1, 32/39/36/31 against 81/141/129/182.  Past
-# n = 30 only sparse graphs favour the lists, so the crossover stays.  The
-# draw alone (W_asym, generator build excluded, best of 7 x 300) takes 19
-# against 4 us at n = 6, and 21 against 51 us at n = 150 and rho = 0.05.
-# numpy's fixed cost per call decides small graphs, Python's cost per
-# uniform and per edge large ones.
+# layer per graph over fixed latents, arrays against lists, best of 7 x 200
+# (2-core host, Python 3.11.7, numpy 2.4.6), at n = 20/25/30/35/40: W_asym
+# at rho = 0.05, 54/54/54/55/55 against 25/27/28/30/33 us; at rho = 0.3,
+# 56/56/57/57/58 against 34/39/45/54/64; at rho = 1, 57/59/62/65/68 against
+# 54/70/92/116/144; const:1 at rho = 1, 28/28/29/30/31 against 38/50/65/81/
+# 101.  Sparse graphs favour the lists past n = 40, dense ones the arrays
+# from n = 20 to 25, and at rho = 0.3 they cross near 37, so the bound
+# stays: numpy's fixed cost per call decides small graphs.
 SMALL_GRAPH_VERTICES = 30
 
 # A stratum whose first batch is longer than this keeps its gap steps and
@@ -93,20 +85,24 @@ SMALL_GRAPH_VERTICES = 30
 # pay their prefix sum twice once the graph decodes.
 PREFIX_BLOCK = 1024
 
+# Above this many positions a stratum row, decoding searches the row starts
+# among the positions, else each position among the row starts: at 2.1/4.2/
+# 8.4 (W_asym, n = 1000) 144/222/404 against 162/187/254 us a graph.
+DENSE_ROWS = 3
+
 
 class SampledGraph:
     """One realization of the model, with its latent layer retained.
 
     The edges are int64 pair keys ``lo * (n + 1) + hi``, in no set order.
     A graph from ``sample`` or ``resample_edges`` keeps its edge layer as
-    drawn (every block-pair stratum's Bernoulli positions, or the gap
-    steps they are the running sum of for a stratum longer than
-    ``PREFIX_BLOCK``, and their total), decodes it into keys on first use
-    and then drops it.  ``edge_count`` is the drawn total and never
-    decodes.  Decoding consumes no random numbers, writes nothing into the
-    draw and gives equal keys from any thread.  ``edges``, lexicographic,
-    and ``adjacency`` are derived from the keys; ``occupancy`` holds the K
-    blocks' vertex counts.
+    drawn (each stratum's Bernoulli positions or ``_Steps``, and their
+    total), decodes it into keys on first use and then drops it; above
+    ``SMALL_GRAPH_VERTICES`` vertices through the row table of its
+    ``occupancy``, the K blocks' vertex counts.  ``edge_count`` is the
+    drawn total.  Decoding consumes no random numbers, writes nothing into
+    the draw and gives equal keys from any thread.  ``edges``,
+    lexicographic, and ``adjacency`` are derived from the keys.
     """
 
     def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
@@ -137,7 +133,7 @@ class SampledGraph:
             strata = self._strata
             if strata is None:
                 return self._keys
-            keys = _decode_edges(strata, self.blocks, len(self.occupancy))
+            keys = _decode_edges(strata, self.blocks, self.occupancy)
             self._keys = keys
             self._strata = None
         return keys
@@ -264,14 +260,13 @@ class _Steps:
         return self.steps.size
 
 
-def _stratum_positions(stratum) -> np.ndarray:
-    """The int64 positions of one drawn stratum: as drawn, or formed from
-    ``_Steps`` into a new array, so that the draw itself is never written
-    and two threads may decode one graph at once."""
+def _stratum_positions(stratum, offset: int = 0, out=None) -> np.ndarray:
+    """The positions of a drawn stratum plus ``offset``, into ``out`` or a new
+    int64 array, never into the draw: threads may decode one graph at once."""
     if type(stratum) is not _Steps:
-        return stratum
-    pos = np.cumsum(stratum.steps)
-    pos -= 1
+        return np.add(stratum, offset, out=out)
+    pos = np.cumsum(stratum.steps, out=out)
+    pos += offset - 1
     return pos
 
 
@@ -356,15 +351,6 @@ def _read_floats(rng, logs: list, at: int, slots: int, p: float,
         size = _batch_size(slots - pos, p)
 
 
-def _decode_within(idx: np.ndarray, nb: int):
-    """Invert t = i*nb - i(i+1)/2 + (j-i-1) for pairs 0 <= i < j < nb:
-    row i is the last row whose start r*(2nb-r-1)/2 is at most t."""
-    rows = np.arange(nb - 1, dtype=np.int64)
-    starts = rows * (2 * nb - rows - 1) // 2
-    i = np.searchsorted(starts, idx, side="right") - 1
-    return i, idx - starts[i] + i + 1
-
-
 @lru_cache(maxsize=None)
 def _stratum_order(K: int) -> tuple:
     """The fixed stratum order of a K-block graphon: same-block pairs by
@@ -390,6 +376,29 @@ def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
         else:
             strata.append((slots, p, 0.0, 0.0, 0))
     return tuple(strata), sum(s[4] for s in strata)
+
+
+# 24 bytes a stratum row, about 36 n at K = 2: 32 tables at n = 150 take
+# 0.2 MB and miss 26% of a campaign's occupancies (24% at 64 tables)
+@lru_cache(maxsize=32)
+def _row_table(occupancy: tuple) -> tuple:
+    """(offsets, starts, ranks, shifts): the strata of ``occupancy`` end to
+    end, stratum s from slot offsets[s], its row i pairing the i-th vertex
+    of its first block: each row's first slot, then the total; after a zero,
+    each row's vertex rank (by block, then label) and slot-to-partner shift."""
+    first = np.cumsum((0,) + occupancy)  # each block's first rank
+    order = _stratum_order(len(occupancy))
+    ranks, cols, runs = [[0]], [[0]], [[0]]
+    for b, c in order:  # row i of (b, b): vertex i and the nb - 1 - i after it
+        i = np.arange(occupancy[b])
+        ranks.append(first[b] + i)
+        cols.append(first[b] + i + 1 if b == c else np.full_like(i, first[c]))
+        runs.append(i[::-1] if b == c else np.full_like(i, occupancy[c]))
+    starts = np.cumsum(np.concatenate(runs))
+    shifts = np.concatenate(cols)
+    shifts[1:] -= starts[:-1]
+    rows = np.cumsum([0] + [occupancy[b] for b, _ in order[:-1]])
+    return tuple(starts[rows].tolist()), starts, np.concatenate(ranks), shifts
 
 
 def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
@@ -445,33 +454,40 @@ def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
     return np.array(keys, dtype=np.int64)
 
 
-def _stratum_keys(verts_b, verts_c, positions, stride: int) -> np.ndarray:
-    """Pair keys lo*stride + hi of one stratum (verts_c is verts_b within)."""
-    if verts_c is verts_b:
-        i, j = _decode_within(positions, verts_b.size)
-        # block vertex arrays ascend, so i < j gives lo, hi
-        return verts_b[i] * stride + verts_b[j]
-    i, j = np.divmod(positions, verts_c.size)
-    x, y = verts_b[i], verts_c[j]
-    return np.minimum(x, y) * stride + np.maximum(x, y)
-
-
-def _decode_vectorized(strata: list, blocks: np.ndarray, K: int):
+def _decode_vectorized(strata: list, blocks: np.ndarray, occupancy: tuple):
     """Pair keys of a draw of int64 positions or ``_Steps`` over
-    ``blocks``."""
-    verts = [np.flatnonzero(blocks == b).astype(np.int64) + 1
-             for b in range(K)]
-    return np.concatenate([_stratum_keys(verts[b], verts[c],
-                                         _stratum_positions(s),
-                                         blocks.size + 1)
-                           for (b, c), s in zip(_stratum_order(K), strata)])
+    ``blocks``, every stratum at once in the slot space of ``_row_table``."""
+    offsets, starts, ranks, shifts = _row_table(occupancy)
+    slot = np.empty(sum(map(len, strata)), dtype=np.int64)
+    at = 0
+    for stratum, offset in zip(strata, offsets):
+        _stratum_positions(stratum, offset, slot[at:at + len(stratum)])
+        at += len(stratum)
+    stride = blocks.size + 1
+    # vertices by block, then label
+    vert = np.sort(blocks * stride + np.arange(1, stride)) % stride
+    first = vert.take(ranks)  # each row's vertex
+    if slot.size > DENSE_ROWS * ranks.size:  # repeat rows over their runs
+        run = np.diff(slot.searchsorted(starts))
+        lo = np.repeat(first[1:], run)
+        slot += np.repeat(shifts[1:], run)
+    else:
+        row = starts.searchsorted(slot, "right")
+        lo = first.take(row)
+        slot += shifts.take(row)
+    hi = vert.take(slot)
+    np.minimum(lo, hi, out=slot)  # a cross-block row vertex may be larger
+    np.maximum(lo, hi, out=hi)
+    slot *= stride
+    slot += hi
+    return slot
 
 
-def _decode_edges(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
+def _decode_edges(strata: list, blocks: np.ndarray, occupancy: tuple):
     """Pair keys of a draw over ``blocks``; consumes no uniforms."""
     if blocks.size <= SMALL_GRAPH_VERTICES:
-        return _decode_scalar(strata, blocks, K)
-    return _decode_vectorized(strata, blocks, K)
+        return _decode_scalar(strata, blocks, len(occupancy))
+    return _decode_vectorized(strata, blocks, occupancy)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:

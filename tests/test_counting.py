@@ -81,7 +81,7 @@ def test_edge_count_does_not_decode(monkeypatch, n):
 def test_edge_count_at_scale_never_forms_positions(monkeypatch):
     # at n = 2000 every stratum keeps its gap steps; the count reads the
     # drawn total, so the positions are never formed
-    def refuse(stratum):
+    def refuse(*args):
         raise AssertionError("formed")
 
     n = 2000

@@ -27,8 +27,8 @@ from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
     _decode_scalar,
     _decode_vectorized,
-    _decode_within,
     _edge_layer,
+    _row_table,
     _stratum_positions,
     replicate_seed,
 )
@@ -287,23 +287,85 @@ def test_threads_decoding_one_graph_get_equal_arrays():
 # edge-stream internals
 
 
-def test_decode_within_exhaustive():
+def _row_of(occupancy: tuple, slots: np.ndarray) -> tuple:
+    """(rank of the row vertex, rank of the partner) of each slot of the
+    strata laid end to end by ``_row_table``."""
+    _, starts, ranks, shifts = _row_table(occupancy)
+    row = starts.searchsorted(slots, "right")
+    return ranks[row], slots + shifts[row]
+
+
+def test_row_table_within_block_exhaustive():
     for nb in range(2, 80):
         idx = np.arange(nb * (nb - 1) // 2, dtype=np.int64)
-        i, j = _decode_within(idx, nb)
+        i, j = _row_of((nb,), idx)
         assert list(zip(i.tolist(), j.tolist())) == [
             (a, b) for a in range(nb) for b in range(a + 1, nb)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 3000), st.integers(0, 10 ** 6))
-def test_decode_within_random_indices(nb, raw):
+def test_row_table_within_block_random_slots(nb, raw):
     total = nb * (nb - 1) // 2
     t = raw % total
-    i, j = _decode_within(np.array([t], dtype=np.int64), nb)
+    i, j = _row_of((nb,), np.array([t], dtype=np.int64))
     i, j = int(i[0]), int(j[0])
     assert 0 <= i < j < nb
     assert i * nb - i * (i + 1) // 2 + (j - i - 1) == t
+
+
+def _decode_both_ways(strata: list, blocks: np.ndarray,
+                      occupancy: tuple) -> list:
+    """``_decode_vectorized`` with DENSE_ROWS set so that it searches each
+    position among the row starts, and so that it searches the row starts
+    among the positions."""
+    out = []
+    for dense_rows in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "DENSE_ROWS", dense_rows)
+            out.append(_decode_vectorized(strata, blocks, occupancy))
+    return out
+
+
+@st.composite
+def _drawn_strata(draw):
+    """(blocks, occupancy, int64 strata, list strata) of a K-block graph
+    with K in 1..4, at least one vertex and blocks of 0 to 9, and in each
+    stratum no
+    positions, all of its slots (p >= 1) or a random subset of them, held
+    as positions or as ``_Steps``."""
+    occupancy = tuple(draw(st.lists(st.integers(0, 9), min_size=1,
+                                    max_size=4).filter(any)))
+    K = len(occupancy)
+    order = draw(st.permutations(range(sum(occupancy))))
+    blocks = np.empty(sum(occupancy), dtype=np.int64)
+    blocks[list(order)] = np.repeat(np.arange(K), occupancy)
+    strata, lists = [], []
+    for b, c in sampler._stratum_order(K):
+        slots = (occupancy[b] * (occupancy[b] - 1) // 2 if b == c
+                 else occupancy[b] * occupancy[c])
+        kind = draw(st.sampled_from(["none", "all", "some"]))
+        pos = (list(range(slots)) if kind == "all" else [] if kind == "none"
+               else sorted(draw(st.sets(st.integers(0, max(slots - 1, 0)),
+                                        max_size=slots))))
+        arr = np.array(pos, dtype=np.int64)
+        if pos and draw(st.booleans()):
+            arr = sampler._Steps(np.diff(arr, prepend=-1))
+        strata.append(arr)
+        lists.append(pos)
+    return blocks, occupancy, strata, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_strata())
+def test_decode_matches_the_scalar_decoder(drawn):
+    blocks, occupancy, strata, lists = drawn
+    want = _decode_scalar(lists, blocks, len(occupancy))
+    for got in _decode_both_ways(strata, blocks, occupancy):
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+    # the draw is read, never written
+    assert [_stratum_positions(s).tolist() for s in strata] == lists
 
 
 # three blocks with a zero and a one entry: at rho = 1 the strata hit both
@@ -363,12 +425,12 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     assert strata_s == strata_ref
     # a long stratum is drawn as steps: compare the positions it forms
     assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
-    vec = _decode_vectorized(strata_v, blocks, w.block_count)
     sca = _decode_scalar(strata_s, blocks, w.block_count)
-    assert vec.shape[0] == total_v
-    assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
-    assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
-    assert np.array_equal(sca, vec)
+    for vec in _decode_both_ways(strata_v, blocks, occupancy):
+        assert vec.shape[0] == total_v
+        assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
+        assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
+        assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random() == rng_ref.random()
     return rng_v, rng_s, rng_ref
