@@ -208,6 +208,13 @@ def _occupancy_polynomial(m: Motif, w: StepGraphon) -> tuple:
     return tuple(sorted(zip(map(tuple, occupancy.tolist()), sums.tolist())))
 
 
+def _falling(n: int, c: int) -> float:
+    out = 1.0
+    for i in range(c):
+        out *= n - i
+    return out
+
+
 def conditional_expected_count(latents, m: Motif, w: StepGraphon,
                                rho: float) -> float:
     """Exact conditional mean of the count given the latent coordinates.
@@ -230,8 +237,8 @@ def _conditional_from_occupancy(occ: tuple, m: Motif, w: StepGraphon,
     for counts, weight in _occupancy_polynomial(m, w):
         term = weight
         for n_b, c_b in zip(occ, counts):
-            if c_b:  # the falling factorial, multiplied up in floats
-                term *= math.prod(float(n_b - i) for i in range(c_b))
+            if c_b:
+                term *= _falling(n_b, c_b)
         total += term
     aut = automorphism_count(m)
     return total * rho ** m.edge_count / aut

@@ -11,11 +11,10 @@ so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +56,11 @@ class Motif:
         return tuple(sorted(self.edges))
 
     def degrees(self) -> list:
-        return [len(adj) for adj in self.neighbors()[1:]]
+        deg = [0] * (self.vertex_count + 1)
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return deg[1:]
 
     def neighbors(self) -> list:
         adj = [set() for _ in range(self.vertex_count + 1)]
@@ -188,7 +191,11 @@ def _canonical_data(m: Motif):
     for v in range(k):
         classes.setdefault(colors[v], []).append(v)
     ordered = [classes[c] for c in sorted(classes)]
-    offsets = list(accumulate(map(len, ordered[:-1]), initial=0))
+    offsets = []
+    off = 0
+    for cls in ordered:
+        offsets.append(off)
+        off += len(cls)
 
     edges0 = [(a - 1, b - 1) for a, b in m.edges]
     best = None
@@ -236,7 +243,12 @@ def copies_in_complete(m: Motif, n: int) -> int:
     """Number of copies of m in the complete graph K_n: (n)_k / |Aut|."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    falling = math.perm(n, m.vertex_count)  # 0 when n < k
+    k = m.vertex_count
+    if n < k:
+        return 0
+    falling = 1
+    for i in range(k):
+        falling *= n - i
     aut = automorphism_count(m)
     assert falling % aut == 0
     return falling // aut

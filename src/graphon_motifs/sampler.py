@@ -29,19 +29,26 @@ A graph's stratum plan (slots, edge probability, first batch size) is
 kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
 graph's edge layer comes from ``_edge_layer``, which draws the first batch
 of every stratum in one generator call and inverts it with one ``log1p``;
-a stratum that needs another batch reads on into those uniforms, extended
-from the generator only by the shortfall.  A draw holds each stratum's
-positions, or for a stratum whose first batch is longer than
-``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end is found from
-block sums.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
+a stratum that needs another batch reads on into those uniforms, which
+grow from the generator only by what a batch runs past their end.  A draw
+holds each stratum's positions, or for a stratum whose first batch is
+longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
+is found from block sums and whose positions are formed only when the
+graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
 their gaps as Python floats into position lists and decode them on Python
 scalars; larger graphs read int64 arrays and decode all strata at once,
 laid end to end in one slot space whose row table (``_row_table``) is
-cached per block occupancy.  The two gap readers give the same positions
-and leave the generator in the same state, and the two decoders give the
-same keys.  Replicate seeds and the child stream generators come from
-``seeding``; ``sample`` draws the latents from stream 0 and then runs the
-edge step of ``resample_edges`` on stream 1.
+cached per block occupancy up to ``ROW_TABLE_CACHE_VERTICES`` vertices.
+The two gap readers give the same positions and leave the generator in
+the same state, and the two decoders give the same keys.
+
+Replicate seeds and the child stream generators come from ``seeding``,
+which derives a whole block of replicate seeds, and the words both child
+streams' PCG64 seed themselves from, in numpy array passes that match
+numpy's SeedSequence word for word; ``child_rng`` builds a new generator
+on every call.
+``sample`` draws the latents from stream 0 and then runs the edge step of
+``resample_edges`` on stream 1.
 """
 
 from __future__ import annotations
@@ -67,7 +74,10 @@ from .seeding import child_rng, replicate_seed
 # 54/70/92/116/144; const:1 at rho = 1, 28/28/29/30/31 against 38/50/65/81/
 # 101.  Sparse graphs favour the lists past n = 40, dense ones the arrays
 # from n = 20 to 25, and at rho = 0.3 they cross near 37, so the bound
-# stays: numpy's fixed cost per call decides small graphs.
+# stays.  The draw alone (W_asym, generator build excluded, best of 7 x
+# 300) takes 19 against 4 us at n = 6, and 21 against 51 us at n = 150
+# and rho = 0.05.  numpy's fixed cost per call decides small graphs,
+# Python's cost per uniform and per edge large ones.
 SMALL_GRAPH_VERTICES = 30
 
 # A stratum whose first batch is longer than this keeps its gap steps and
@@ -85,24 +95,21 @@ SMALL_GRAPH_VERTICES = 30
 # pay their prefix sum twice once the graph decodes.
 PREFIX_BLOCK = 1024
 
-# Above this many positions a stratum row, decoding searches the row starts
-# among the positions, else each position among the row starts: at 2.1/4.2/
-# 8.4 (W_asym, n = 1000) 144/222/404 against 162/187/254 us a graph.
-DENSE_ROWS = 3
-
 
 class SampledGraph:
     """One realization of the model, with its latent layer retained.
 
     The edges are int64 pair keys ``lo * (n + 1) + hi``, in no set order.
     A graph from ``sample`` or ``resample_edges`` keeps its edge layer as
-    drawn (each stratum's Bernoulli positions or ``_Steps``, and their
-    total), decodes it into keys on first use and then drops it; above
-    ``SMALL_GRAPH_VERTICES`` vertices through the row table of its
-    ``occupancy``, the K blocks' vertex counts.  ``edge_count`` is the
-    drawn total.  Decoding consumes no random numbers, writes nothing into
-    the draw and gives equal keys from any thread.  ``edges``,
-    lexicographic, and ``adjacency`` are derived from the keys.
+    drawn (every block-pair stratum's Bernoulli positions, or the gap
+    steps they are the running sum of for a stratum longer than
+    ``PREFIX_BLOCK``, and their total), decodes it into keys on first use
+    and then drops it; above ``SMALL_GRAPH_VERTICES`` vertices, all strata
+    at once through the row table of its ``occupancy``.  ``edge_count`` is
+    the drawn total and never decodes.  Decoding consumes no random
+    numbers, writes nothing into the draw and gives equal keys from any
+    thread.  ``edges``, lexicographic, and ``adjacency`` are derived from
+    the keys; ``occupancy`` holds the K blocks' vertex counts.
     """
 
     def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
@@ -378,8 +385,16 @@ def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
     return tuple(strata), sum(s[4] for s in strata)
 
 
-# 24 bytes a stratum row, about 36 n at K = 2: 32 tables at n = 150 take
-# 0.2 MB and miss 26% of a campaign's occupancies (24% at 64 tables)
+# Graphs of at most this many vertices keep their row tables in a cache of
+# 32; larger ones, whose occupancy seldom repeats, build one each decode.
+# A table takes 24 bytes a stratum row, about 36 n at K = 2, so the cache
+# holds at most about 1.2 MB there.  32 tables at n = 150 miss 26% of a
+# campaign's occupancies (24% at 64 tables).  W_asym at rho = n^-1/2, a
+# table builds in 26/35/44 us at n = 200/1000/2000 against a decode of
+# 23/141/523 us with the table cached.
+ROW_TABLE_CACHE_VERTICES = 1000
+
+
 @lru_cache(maxsize=32)
 def _row_table(occupancy: tuple) -> tuple:
     """(offsets, starts, ranks, shifts): the strata of ``occupancy`` end to
@@ -457,7 +472,9 @@ def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
 def _decode_vectorized(strata: list, blocks: np.ndarray, occupancy: tuple):
     """Pair keys of a draw of int64 positions or ``_Steps`` over
     ``blocks``, every stratum at once in the slot space of ``_row_table``."""
-    offsets, starts, ranks, shifts = _row_table(occupancy)
+    table = (_row_table if blocks.size <= ROW_TABLE_CACHE_VERTICES
+             else _row_table.__wrapped__)
+    offsets, starts, ranks, shifts = table(occupancy)
     slot = np.empty(sum(map(len, strata)), dtype=np.int64)
     at = 0
     for stratum, offset in zip(strata, offsets):
@@ -467,14 +484,9 @@ def _decode_vectorized(strata: list, blocks: np.ndarray, occupancy: tuple):
     # vertices by block, then label
     vert = np.sort(blocks * stride + np.arange(1, stride)) % stride
     first = vert.take(ranks)  # each row's vertex
-    if slot.size > DENSE_ROWS * ranks.size:  # repeat rows over their runs
-        run = np.diff(slot.searchsorted(starts))
-        lo = np.repeat(first[1:], run)
-        slot += np.repeat(shifts[1:], run)
-    else:
-        row = starts.searchsorted(slot, "right")
-        lo = first.take(row)
-        slot += shifts.take(row)
+    row = starts.searchsorted(slot, "right")
+    lo = first.take(row)
+    slot += shifts.take(row)
     hi = vert.take(slot)
     np.minimum(lo, hi, out=slot)  # a cross-block row vertex may be larger
     np.maximum(lo, hi, out=hi)

@@ -32,6 +32,10 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    return np.array([normal_cdf(float(v)) for v in x])
+
+
 def sample_skewness(samples) -> float:
     x = np.asarray(samples, dtype=np.float64)
     m2 = float(np.mean((x - x.mean()) ** 2))
@@ -51,7 +55,7 @@ def ks_test(samples) -> NormalityReport:
     n = x.size
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
-    cdf = np.array([normal_cdf(float(v)) for v in x])
+    cdf = _normal_cdf_array(x)
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1.0) / n)

@@ -28,7 +28,6 @@ from graphon_motifs.sampler import (
     _decode_scalar,
     _decode_vectorized,
     _edge_layer,
-    _row_table,
     _stratum_positions,
     replicate_seed,
 )
@@ -287,53 +286,52 @@ def test_threads_decoding_one_graph_get_equal_arrays():
 # edge-stream internals
 
 
-def _row_of(occupancy: tuple, slots: np.ndarray) -> tuple:
-    """(rank of the row vertex, rank of the partner) of each slot of the
-    strata laid end to end by ``_row_table``."""
-    _, starts, ranks, shifts = _row_table(occupancy)
-    row = starts.searchsorted(slots, "right")
-    return ranks[row], slots + shifts[row]
+def _decode_one_block(nb: int, slots) -> tuple:
+    """(i, j), 0-based in label order, of each slot of the one stratum of a
+    one-block graph on nb vertices, read back from the keys that
+    ``_decode_vectorized`` gives them."""
+    keys = _decode_vectorized([np.asarray(slots, dtype=np.int64)],
+                              np.zeros(nb, dtype=np.int64), (nb,))
+    return keys // (nb + 1) - 1, keys % (nb + 1) - 1
 
 
-def test_row_table_within_block_exhaustive():
+def test_decode_within_exhaustive():
     for nb in range(2, 80):
         idx = np.arange(nb * (nb - 1) // 2, dtype=np.int64)
-        i, j = _row_of((nb,), idx)
+        i, j = _decode_one_block(nb, idx)
         assert list(zip(i.tolist(), j.tolist())) == [
             (a, b) for a in range(nb) for b in range(a + 1, nb)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 3000), st.integers(0, 10 ** 6))
-def test_row_table_within_block_random_slots(nb, raw):
+def test_decode_within_random_indices(nb, raw):
     total = nb * (nb - 1) // 2
     t = raw % total
-    i, j = _row_of((nb,), np.array([t], dtype=np.int64))
+    i, j = _decode_one_block(nb, [t])
     i, j = int(i[0]), int(j[0])
     assert 0 <= i < j < nb
     assert i * nb - i * (i + 1) // 2 + (j - i - 1) == t
 
 
-def _decode_both_ways(strata: list, blocks: np.ndarray,
-                      occupancy: tuple) -> list:
-    """``_decode_vectorized`` with DENSE_ROWS set so that it searches each
-    position among the row starts, and so that it searches the row starts
-    among the positions."""
-    out = []
-    for dense_rows in (10 ** 9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "DENSE_ROWS", dense_rows)
-            out.append(_decode_vectorized(strata, blocks, occupancy))
-    return out
+def test_large_graphs_build_row_tables_outside_the_cache():
+    nb = sampler.ROW_TABLE_CACHE_VERTICES
+    before = sampler._row_table.cache_info()
+    i, j = _decode_one_block(nb + 1, [0, nb * (nb + 1) // 2 - 1])
+    assert (i.tolist(), j.tolist()) == ([0, nb - 1], [1, nb])
+    after = sampler._row_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    _decode_one_block(nb, [0])  # at the bound the cache is read
+    info = sampler._row_table.cache_info()
+    assert info.hits + info.misses == after.hits + after.misses + 1
 
 
 @st.composite
 def _drawn_strata(draw):
     """(blocks, occupancy, int64 strata, list strata) of a K-block graph
     with K in 1..4, at least one vertex and blocks of 0 to 9, and in each
-    stratum no
-    positions, all of its slots (p >= 1) or a random subset of them, held
-    as positions or as ``_Steps``."""
+    stratum no positions, all of its slots (p >= 1) or a random subset of
+    them, held as positions or as ``_Steps``."""
     occupancy = tuple(draw(st.lists(st.integers(0, 9), min_size=1,
                                     max_size=4).filter(any)))
     K = len(occupancy)
@@ -361,9 +359,9 @@ def _drawn_strata(draw):
 def test_decode_matches_the_scalar_decoder(drawn):
     blocks, occupancy, strata, lists = drawn
     want = _decode_scalar(lists, blocks, len(occupancy))
-    for got in _decode_both_ways(strata, blocks, occupancy):
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
+    got = _decode_vectorized(strata, blocks, occupancy)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
     # the draw is read, never written
     assert [_stratum_positions(s).tolist() for s in strata] == lists
 
@@ -426,11 +424,11 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     # a long stratum is drawn as steps: compare the positions it forms
     assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
     sca = _decode_scalar(strata_s, blocks, w.block_count)
-    for vec in _decode_both_ways(strata_v, blocks, occupancy):
-        assert vec.shape[0] == total_v
-        assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
-        assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
-        assert np.array_equal(sca, vec)
+    vec = _decode_vectorized(strata_v, blocks, occupancy)
+    assert vec.shape[0] == total_v
+    assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
+    assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
+    assert np.array_equal(sca, vec)
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random() == rng_ref.random()
     return rng_v, rng_s, rng_ref
