@@ -282,38 +282,38 @@ def _replicate_cell(cfg: ExperimentConfig, n: int) -> ReplicateCell:
     every other kind draws fresh latents for each replicate.
     """
     m, w = cfg.motif, cfg.graphon
-    R = cfg.replicates
     rho = schedule_rho(cfg.schedule, n)
-    seeds = np.empty(R, dtype=np.uint64)
-    xs = np.empty(R)
-    conds = np.empty(R)
-    occupancy = np.empty((R, w.block_count), dtype=np.int64)
+    seeds, xs, occupancy = [], [], []
     frozen = None
     if cfg.experiment_kind == "conditional_clt":
         lat_seed = _numpy_replicate_seed(cfg.seed, n, _LATENT_TAG)
         frozen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(lat_seed))).random(n)
-        conds[:] = conditional_expected_count(frozen, m, w, rho)
-    for r in range(R):
+        cond = conditional_expected_count(frozen, m, w, rho)
+    for r in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, n, r)
-        seeds[r] = seed
+        seeds.append(seed)
         if frozen is None:
             g = sample(w, n, rho, seed)
-            occupancy[r] = g.occupancy
+            occupancy.append(g.occupancy)
         else:
             g = resample_edges(w, frozen, rho, seed)
-        xs[r] = count(g, m)
+        xs.append(count(g, m))
         # free the graph before the next one is drawn
         del g
     if frozen is None:
         # E[X | latents] depends on the latents through the occupancy
-        # counts alone, so each distinct row is evaluated once
-        rows, inverse = np.unique(occupancy, axis=0, return_inverse=True)
-        means = [_conditional_from_occupancy(tuple(row), m, w, rho)
-                 for row in rows.tolist()]
-        conds[:] = np.array(means)[inverse.reshape(-1)]
+        # counts alone, so each distinct tuple is evaluated once
+        means = {}
+        for occ in occupancy:
+            if occ not in means:
+                means[occ] = _conditional_from_occupancy(occ, m, w, rho)
+        conds = np.array([means[occ] for occ in occupancy], dtype=np.float64)
+    else:
+        conds = np.full(cfg.replicates, cond, dtype=np.float64)
     return ReplicateCell(n=n, rho=rho, expected=expected_count(m, w, n, rho),
-                         seed=seeds, x=xs, cond=conds)
+                         seed=np.array(seeds, dtype=np.uint64),
+                         x=np.array(xs, dtype=np.float64), cond=conds)
 
 
 def _base_record(cfg, cell: ReplicateCell) -> CellRecord:

@@ -20,27 +20,32 @@ Reproducibility contract (pinned by a golden test):
   uniforms in batches of ``_batch_size`` until its pair stream is exhausted;
 - ``sample`` and ``resample_edges`` draw every stratum, and so consume
   every uniform of the graph, before they return; a graph decodes the
-  draw into its int64 pair keys ``lo * (n + 1) + hi`` on first use and
-  consumes no uniform doing so.  The keys are the graph's one edge
-  format: its sorted ``edges`` array and its CSR adjacency are both
-  derived from them.
+  draw once, on first use, into int64 pair keys ``lo * (n + 1) + hi``
+  over its draw order (vertex ranks by block, then label), and consumes
+  no uniform doing so.  These keys are the graph's one edge format: a
+  triangle count reads them as they are, and the label keys of
+  ``pair_keys``, its sorted ``edges`` array and its CSR adjacency are
+  derived from them through the rank-to-label map.
 
 A graph's stratum plan (slots, edge probability, first batch size) is
 kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
 graph's edge layer comes from ``_edge_layer``, which draws the first batch
 of every stratum in one generator call and inverts it with one ``log1p``;
 a stratum that needs another batch reads on into those uniforms, which
-grow from the generator only by what a batch runs past their end.  A draw
+grow from the generator only by what a batch runs past their end.  While
+no first batch is longer than ``PREFIX_BLOCK``, all of them are read in
+one pass up to the first stratum that runs past its own.  A draw
 holds each stratum's positions, or for a stratum whose first batch is
 longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
 is found from block sums and whose positions are formed only when the
 graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
 their gaps as Python floats into position lists and decode them on Python
-scalars; larger graphs read int64 arrays and decode all strata at once,
-laid end to end in one slot space whose row table (``_row_table``) is
-cached per block occupancy up to ``ROW_TABLE_CACHE_VERTICES`` vertices.
-The two gap readers give the same positions and leave the generator in
-the same state, and the two decoders give the same keys.
+scalars, and their draw order is label order; larger graphs read int64
+arrays and decode all strata at once, laid end to end in one slot space
+whose row table (``_row_table``) is cached per block occupancy up to
+``ROW_TABLE_CACHE_VERTICES`` vertices.  The gap readers give the same
+positions and leave the generator in the same state, and the two
+decoders give the same label keys.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -103,13 +108,17 @@ class SampledGraph:
     A graph from ``sample`` or ``resample_edges`` keeps its edge layer as
     drawn (every block-pair stratum's Bernoulli positions, or the gap
     steps they are the running sum of for a stratum longer than
-    ``PREFIX_BLOCK``, and their total), decodes it into keys on first use
-    and then drops it; above ``SMALL_GRAPH_VERTICES`` vertices, all strata
-    at once through the row table of its ``occupancy``.  ``edge_count`` is
-    the drawn total and never decodes.  Decoding consumes no random
-    numbers, writes nothing into the draw and gives equal keys from any
-    thread.  ``edges``, lexicographic, and ``adjacency`` are derived from
-    the keys; ``occupancy`` holds the K blocks' vertex counts.
+    ``PREFIX_BLOCK``, and their total), decodes it on first use into
+    ``drawn_keys`` and then drops it.  Above ``SMALL_GRAPH_VERTICES``
+    vertices it decodes all strata at once through the row table of its
+    ``occupancy``, and the keys pair vertex ranks by block, then label;
+    ``pair_keys`` maps them to labels when first asked.  A graph built
+    from keys, or of at most ``SMALL_GRAPH_VERTICES`` vertices, has its
+    labels as its draw order.  ``edge_count`` is the drawn total and never
+    decodes.  Decoding consumes no random numbers, writes nothing into the
+    draw and gives equal keys from any thread.  ``edges``, lexicographic,
+    ``to_dump`` and ``adjacency`` are derived from the label keys;
+    ``occupancy`` holds the K blocks' vertex counts.
     """
 
     def __init__(self, n: int, rho: float, seed: int, latents: np.ndarray,
@@ -123,26 +132,43 @@ class SampledGraph:
         self.occupancy = occupancy
         self._csr = None
         if isinstance(edges, np.ndarray):
-            self._keys, self._strata = edges, None
+            self._keys = self._drawn = edges
+            self._strata = None
             self._edge_count = int(edges.size)
         else:
-            self._keys = None
+            self._keys = self._drawn = None
             self._strata, self._edge_count = edges
 
-    def pair_keys(self) -> np.ndarray:
-        """The distinct int64 pair keys ``lo * (n + 1) + hi``, in no set
-        order; decoded from the drawn edge layer on first use."""
-        keys = self._keys
+    def drawn_keys(self) -> np.ndarray:
+        """The distinct int64 pair keys ``lo * (n + 1) + hi`` over the
+        graph's draw order, in no set order: lo < hi are vertex ranks
+        0..n-1 by block, then label, for a graph drawn above
+        SMALL_GRAPH_VERTICES vertices, and labels for any other graph.
+        Decoded from the drawn edge layer on first use; a count that does
+        not depend on vertex labels can read these."""
+        keys = self._drawn
         if keys is None:
             # two threads may decode at once: each reads the draw into a
             # local and stores equal keys before dropping the draw, so a
             # dropped draw means the keys are already stored
             strata = self._strata
             if strata is None:
-                return self._keys
+                return self._drawn
             keys = _decode_edges(strata, self.blocks, self.occupancy)
-            self._keys = keys
+            self._drawn = keys
             self._strata = None
+        return keys
+
+    def pair_keys(self) -> np.ndarray:
+        """The distinct int64 pair keys ``lo * (n + 1) + hi`` over vertex
+        labels, in no set order: ``drawn_keys`` relabelled, on first use,
+        where the draw order is not label order."""
+        keys = self._keys
+        if keys is None:
+            keys = self.drawn_keys()
+            if self.n > SMALL_GRAPH_VERTICES:
+                keys = _label_keys(keys, self.blocks)
+            self._keys = keys
         return keys
 
     @property
@@ -369,9 +395,10 @@ def _stratum_order(K: int) -> tuple:
 # at K = 2, and a large graph's occupancy seldom repeats
 @lru_cache(maxsize=256)
 def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
-    """(strata, need): every stratum over blocks of ``occupancy`` vertices
-    in the fixed order, as (slots, edge probability p, log(1 - p), gap cap,
-    first batch, 0 if it draws nothing), and the first batches' total."""
+    """(strata, need, longest): every stratum over blocks of ``occupancy``
+    vertices in the fixed order, as (slots, edge probability p, log(1 - p),
+    gap cap, first batch, 0 if it draws nothing), the first batches' total
+    and the longest of them."""
     strata = []
     for b, c in _stratum_order(len(occupancy)):
         nb = occupancy[b]
@@ -382,7 +409,8 @@ def _stratum_plan(w: StepGraphon, rho: float, occupancy: tuple) -> tuple:
                            _batch_size(slots + 1, p)))
         else:
             strata.append((slots, p, 0.0, 0.0, 0))
-    return tuple(strata), sum(s[4] for s in strata)
+    sizes = [s[4] for s in strata]
+    return tuple(strata), sum(sizes), max(sizes)
 
 
 # Graphs of at most this many vertices keep their row tables in a cache of
@@ -397,10 +425,12 @@ ROW_TABLE_CACHE_VERTICES = 1000
 
 @lru_cache(maxsize=32)
 def _row_table(occupancy: tuple) -> tuple:
-    """(offsets, starts, ranks, shifts): the strata of ``occupancy`` end to
-    end, stratum s from slot offsets[s], its row i pairing the i-th vertex
-    of its first block: each row's first slot, then the total; after a zero,
-    each row's vertex rank (by block, then label) and slot-to-partner shift."""
+    """(offsets, starts, leads): the strata of ``occupancy`` end to end,
+    stratum s from slot offsets[s], its row i pairing the i-th vertex of
+    its first block: each row's first slot, then the total; after a zero,
+    each row's lead, which a slot of the row adds up to its draw-order key:
+    row rank * (n + 1) + partner rank less the slot (ranks by block, then
+    label)."""
     first = np.cumsum((0,) + occupancy)  # each block's first rank
     order = _stratum_order(len(occupancy))
     ranks, cols, runs = [[0]], [[0]], [[0]]
@@ -410,10 +440,49 @@ def _row_table(occupancy: tuple) -> tuple:
         cols.append(first[b] + i + 1 if b == c else np.full_like(i, first[c]))
         runs.append(i[::-1] if b == c else np.full_like(i, occupancy[c]))
     starts = np.cumsum(np.concatenate(runs))
-    shifts = np.concatenate(cols)
-    shifts[1:] -= starts[:-1]
+    leads = np.concatenate(cols)
+    leads[1:] -= starts[:-1]
+    leads += np.concatenate(ranks) * int(first[-1] + 1)
     rows = np.cumsum([0] + [occupancy[b] for b, _ in order[:-1]])
-    return tuple(starts[rows].tolist()), starts, np.concatenate(ranks), shifts
+    return tuple(starts[rows].tolist()), starts, leads
+
+
+def _read_first_batches(logs: np.ndarray, strata: tuple) -> tuple:
+    """(positions of the leading strata, at): the strata read as
+    ``_read_positions`` reads them, every first batch in one pass: each
+    batch of ``logs`` divided and capped into one new array, all of them
+    cast to int64 steps and summed at once, then each stratum's end found.
+    It stops at the first stratum that runs past its first batch, ``at``
+    where that batch starts, and leaves ``logs`` as drawn, so that the
+    stratum-by-stratum reader reads on from there."""
+    steps = np.empty(logs.size, dtype=np.int64)
+    gaps = steps.view(np.float64)
+    at = 0
+    for _, _, log_q, cap, size in strata:
+        batch = gaps[at:at + size]
+        np.divide(logs[at:at + size], log_q, out=batch)
+        np.minimum(batch, cap, out=batch)
+        at += size
+    np.copyto(steps, gaps, casting="unsafe")
+    steps += 1
+    np.cumsum(steps, out=steps)
+    out = []
+    at = before = 0  # before: the sum of the steps ahead of at
+    for slots, p, _, _, size in strata:
+        if not size:
+            out.append(np.arange(slots if p >= 1.0 else 0, dtype=np.int64))
+            continue
+        run = steps[at:at + size]
+        # positions strictly ascend: k is the first one at or past the end
+        k = int(run.searchsorted(before + slots + 1))
+        if k == size:
+            break
+        pos = run[:k]
+        pos -= before + 1
+        out.append(pos)
+        at += size
+        before = int(run[-1])
+    return out, at
 
 
 def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
@@ -421,17 +490,21 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
     the first batches of all strata drawn in one call, each stratum read
     on where the last ended.  Graphs of at most SMALL_GRAPH_VERTICES
     vertices read position lists from Python floats (``_read_floats``),
-    larger ones int64 arrays (``_read_positions``)."""
-    strata, need = _stratum_plan(w, rho, occupancy)
+    larger ones int64 arrays: all first batches at once while none is
+    longer than PREFIX_BLOCK (``_read_first_batches``), and from the first
+    stratum that runs past its first batch, or any stratum of a graph
+    that keeps steps, one stratum at a time (``_read_positions``)."""
+    strata, need, longest = _stratum_plan(w, rho, occupancy)
     small = sum(occupancy) <= SMALL_GRAPH_VERTICES
     logs = _log_uniforms(rng, need) if need else np.empty(0)
     read = _read_positions
+    out = []
+    at = 0  # where the next batch starts in logs
     if small:
         logs, read = logs.tolist(), _read_floats
-    at = 0  # where the next batch starts in logs
-    out = []
-    total = 0
-    for slots, p, log_q, cap, size in strata:
+    elif longest <= PREFIX_BLOCK:
+        out, at = _read_first_batches(logs, strata)
+    for slots, p, log_q, cap, size in strata[len(out):]:
         if size:
             pos, logs, at = read(rng, logs, at, slots, p, log_q, cap, size)
         elif small:
@@ -439,8 +512,7 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
         else:
             pos = np.arange(slots if p >= 1.0 else 0, dtype=np.int64)
         out.append(pos)
-        total += len(pos)
-    return out, total
+    return out, sum(map(len, out))
 
 
 def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
@@ -469,37 +541,53 @@ def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
     return np.array(keys, dtype=np.int64)
 
 
-def _decode_vectorized(strata: list, blocks: np.ndarray, occupancy: tuple):
-    """Pair keys of a draw of int64 positions or ``_Steps`` over
-    ``blocks``, every stratum at once in the slot space of ``_row_table``."""
-    table = (_row_table if blocks.size <= ROW_TABLE_CACHE_VERTICES
+def _decode_vectorized(strata: list, occupancy: tuple) -> np.ndarray:
+    """Pair keys ``lo * (n + 1) + hi`` over the draw order of a draw of
+    int64 positions or ``_Steps``: lo < hi are vertex ranks 0..n-1 by
+    block, then label, every stratum at once in the slot space of
+    ``_row_table`` and in stratum order.  ``_label_keys`` relabels them."""
+    table = (_row_table if sum(occupancy) <= ROW_TABLE_CACHE_VERTICES
              else _row_table.__wrapped__)
-    offsets, starts, ranks, shifts = table(occupancy)
-    slot = np.empty(sum(map(len, strata)), dtype=np.int64)
+    offsets, starts, leads = table(occupancy)
+    keys = np.empty(sum(map(len, strata)), dtype=np.int64)
     at = 0
     for stratum, offset in zip(strata, offsets):
-        _stratum_positions(stratum, offset, slot[at:at + len(stratum)])
+        _stratum_positions(stratum, offset, keys[at:at + len(stratum)])
         at += len(stratum)
+    row = starts.searchsorted(keys, "right")
+    # each row's lead in place of its index: mode "clip", a no-op on valid
+    # rows, takes no buffer, and reads each index before writing there
+    keys += leads.take(row, out=row, mode="clip")
+    return keys
+
+
+def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The draw-order keys of ``_decode_vectorized`` over ``blocks`` as
+    keys over vertex labels, in the same order.  It makes three arrays the
+    size of ``keys``: at large n each new one costs about as much in page
+    faults as the arithmetic on it."""
     stride = blocks.size + 1
-    # vertices by block, then label
+    # each rank's vertex: vertices by block, then label
     vert = np.sort(blocks * stride + np.arange(1, stride)) % stride
-    first = vert.take(ranks)  # each row's vertex
-    row = starts.searchsorted(slot, "right")
-    lo = first.take(row)
-    slot += shifts.take(row)
-    hi = vert.take(slot)
-    np.minimum(lo, hi, out=slot)  # a cross-block row vertex may be larger
+    lo = keys // stride  # np.divmod divides several times slower
+    hi = lo * stride
+    np.subtract(keys, hi, out=hi)
+    vert.take(lo, out=lo, mode="clip")  # as in _decode_vectorized
+    vert.take(hi, out=hi, mode="clip")
+    out = np.minimum(lo, hi)  # a cross-block row vertex may be larger
     np.maximum(lo, hi, out=hi)
-    slot *= stride
-    slot += hi
-    return slot
+    out *= stride
+    out += hi
+    return out
 
 
 def _decode_edges(strata: list, blocks: np.ndarray, occupancy: tuple):
-    """Pair keys of a draw over ``blocks``; consumes no uniforms."""
+    """Pair keys of a draw over ``blocks`` in its draw order, which for a
+    graph of at most SMALL_GRAPH_VERTICES vertices is label order;
+    consumes no uniforms."""
     if blocks.size <= SMALL_GRAPH_VERTICES:
         return _decode_scalar(strata, blocks, len(occupancy))
-    return _decode_vectorized(strata, blocks, occupancy)
+    return _decode_vectorized(strata, occupancy)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:

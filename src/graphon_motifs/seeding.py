@@ -8,7 +8,8 @@ replicate, more than sampling a graph of a few vertices, so
 ``SEED_BLOCK`` replicate indices at once, and the four uint64 words each
 child stream's SeedSequence would give PCG64: it restates SeedSequence's
 hashmix, mix and generate_state (O'Neill's seed_seq_fe, M. E. O'Neill,
-HMC-CS-2014-0905) on uint32 arrays.  An ``lru_cache`` keeps the last two
+HMC-CS-2014-0905) on uint32 arrays, one pass for the seeds and one for
+both streams' words.  An ``lru_cache`` keeps the last two
 blocks.  The module notes the last seed handed out, and ``child_rng``
 seeds a new PCG64 from that seed's words through numpy's seed sequence
 interface, so numpy's own PCG64 seeding runs on both paths.  Any other
@@ -91,17 +92,20 @@ def _uint64(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
 
 
-def _child_words(seeds: np.ndarray, k: int) -> np.ndarray:
+def _child_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, uint64)`` of
-    each seed, the words PCG64 seeds itself from, in an array of shape
-    (seeds.size, 4).  A spawned SeedSequence pads the seed to the pool
-    size with zeros, so the entropy is [lo, hi, 0, 0, k]."""
-    lo = (seeds & np.uint64(_M32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    each seed and both child streams k = 0, 1, the words PCG64 seeds itself
+    from, in an array of shape (2, seeds.size, 4).  A spawned SeedSequence
+    pads the seed to the pool size with zeros, so the entropy is
+    [lo, hi, 0, 0, k]: one pass over both streams' lanes, k a lane array."""
+    lo = np.tile((seeds & np.uint64(_M32)).astype(np.uint32), 2)
+    hi = np.tile((seeds >> np.uint64(32)).astype(np.uint32), 2)
+    k = np.repeat(np.arange(2, dtype=np.uint32), seeds.size)
     zero = np.zeros_like(lo)
-    w = _seed_words([lo, hi, zero, zero, np.full_like(lo, k)], 8)
-    return np.stack([_uint64(w[2 * i], w[2 * i + 1]) for i in range(4)],
-                    axis=-1)
+    w = _seed_words([lo, hi, zero, zero, k], 8)
+    words = np.stack([_uint64(w[2 * i], w[2 * i + 1]) for i in range(4)],
+                     axis=-1)
+    return words.reshape(2, seeds.size, 4)
 
 
 @lru_cache(maxsize=2)
@@ -116,7 +120,7 @@ def _seed_block(root: int, n: int, block: int):
                for word in _uint32_words(root) + _uint32_words(n)]
     w = _seed_words(entropy + [r], 2)
     seeds = _uint64(w[0], w[1])
-    words = np.stack([_child_words(seeds, k) for k in (0, 1)])
+    words = _child_words(seeds)
     # every caller gets the cached arrays themselves
     seeds.flags.writeable = words.flags.writeable = False
     return seeds, words

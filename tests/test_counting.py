@@ -441,6 +441,53 @@ def test_four_cycle_count_at_scale_in_bounded_memory():
     assert got == count_embeddings(n, csr, C4)
 
 
+@st.composite
+def _drawn_graphs(draw):
+    """(n, latents, graphon, rho, seed, prefix block) of a graph to redraw:
+    K in 1..4 blocks, some of them left empty, n either side of the small
+    graph and the row-table cache bounds, a mean degree of 1 to 20, and a
+    PREFIX_BLOCK of 1, 16 or the default, so that strata keep their steps
+    at every n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = draw(st.integers(1, 4))
+    w = (StepGraphon.constant(float(rng.uniform(0.05, 0.95))) if K == 1
+         else random_graphon(rng, K))
+    occupied = draw(st.lists(st.booleans(), min_size=K, max_size=K)
+                    .filter(any))
+    n = draw(st.sampled_from([12, sampler.SMALL_GRAPH_VERTICES,
+                              sampler.SMALL_GRAPH_VERTICES + 1, 150,
+                              sampler.ROW_TABLE_CACHE_VERTICES,
+                              sampler.ROW_TABLE_CACHE_VERTICES + 1]))
+    blocks = rng.choice(np.flatnonzero(occupied), size=n)
+    left = np.cumsum((0.0,) + w.pi)[blocks]
+    latents = left + rng.uniform(0.01, 0.99, size=n) * np.array(w.pi)[blocks]
+    rho = min(1.0, draw(st.floats(1.0, 20.0)) / n)
+    prefix = draw(st.sampled_from([1, 16, sampler.PREFIX_BLOCK]))
+    return n, latents, w, rho, draw(st.integers(0, 2 ** 32 - 1)), prefix
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_graphs())
+# one block of W_asym left empty, every stratum kept as steps; then a graph
+# above the cache bound whose strata keep their steps at the default bound
+@example(drawn=(40, np.linspace(0.01, 0.49, 40), W_ASYM, 0.3, 7, 1))
+@example(drawn=(sampler.ROW_TABLE_CACHE_VERTICES + 1,
+                np.linspace(0.0, 0.99, sampler.ROW_TABLE_CACHE_VERTICES + 1),
+                W_SYM, 0.02, 8, sampler.PREFIX_BLOCK))
+def test_draw_order_triangle_count_matches_the_generic_counters(drawn):
+    n, latents, w, rho, seed, prefix = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "PREFIX_BLOCK", prefix)
+        g = resample_edges(w, latents, rho, seed)
+    got = triangle_count(g)
+    if n > sampler.SMALL_GRAPH_VERTICES and g.edge_count >= 3:
+        # the count decoded the draw order alone, and no label keys
+        assert g._drawn is not None and g._keys is None
+    csr = g.adjacency()
+    assert got == count_embeddings(n, csr, K3)
+    assert got == counting._forward_triangle_count(n, csr)
+
+
 def test_triangle_count_at_scale_in_bounded_memory():
     # a boolean table of n + 1 rows of 64 ceil((n + 1) / 64) cells, its
     # rows packed into bits, and one EXPANSION_CHUNK of gathered bit rows;

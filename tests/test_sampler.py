@@ -23,11 +23,13 @@ from graphon_motifs import (
     schedule_rho,
 )
 from graphon_motifs import sampler
+from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
     _decode_scalar,
     _decode_vectorized,
     _edge_layer,
+    _label_keys,
     _stratum_positions,
     replicate_seed,
 )
@@ -215,8 +217,7 @@ def test_resample_edges_keeps_latents():
 def _hand_out(monkeypatch, seed):
     """Note ``seed`` as the last handed-out replicate seed, so that
     ``sample`` seeds its generators from the noted words."""
-    words = np.stack([_child_words(np.array([seed], dtype=np.uint64), k)
-                      for k in (0, 1)])
+    words = _child_words(np.array([seed], dtype=np.uint64))
     monkeypatch.setattr(seeding._LOCAL, "note", (seed, words, 0),
                         raising=False)
 
@@ -255,16 +256,19 @@ def test_edge_count_is_the_same_before_and_after_decode(n):
 
 def test_threads_decoding_one_graph_get_equal_arrays():
     # four threads read one list of undecoded graphs, two forward and two
-    # backward, so a graph is often read while another thread decodes it
+    # backward, so a graph is often read while another thread decodes it;
+    # each graph is read for its edges, its label keys or its triangles,
+    # which read the draw-order keys alone
     seeds = range(150)
     shapes = [(40 + seed % 3 * 100, seed) for seed in seeds]
     graphs = [sample(W_ASYM, n, 0.3, seed) for n, seed in shapes]
+    readers = (lambda g: g.edges, lambda g: g.pair_keys(), triangle_count)
     out = [[None] * len(graphs) for _ in range(4)]
 
     def read(k):
         order = range(len(graphs)) if k % 2 else range(len(graphs))[::-1]
         for i in order:
-            out[k][i] = graphs[i].edges
+            out[k][i] = readers[(i + k) % 3](graphs[i])
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -277,9 +281,34 @@ def test_threads_decoding_one_graph_get_equal_arrays():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old)
-    for (n, seed), *got in zip(shapes, *out):
-        want = sample(W_ASYM, n, 0.3, seed).edges
-        assert all(np.array_equal(x, want) for x in got)
+    for i, ((n, seed), *got) in enumerate(zip(shapes, *out)):
+        want = [reader(sample(W_ASYM, n, 0.3, seed)) for reader in readers]
+        for k, x in enumerate(got):
+            assert np.array_equal(x, want[(i + k) % 3])
+
+
+# the graphs and digests of test_sample_golden_output and its _large_graph
+# and _small_graph variants
+@pytest.mark.parametrize("w,n,rho,seed,digest", [
+    (W_ASYM, 30, 0.3, 42, "75686c478d8c2bd3b2f3ed9c312170a416f52e11"
+                          "a67a67f3a6554e55557f7b01"),
+    (W_SYM, 100, 0.05, 7, "a31cb26867d624f0e8d254a6e02604172a2fbf8a"
+                          "2e857114afb65bce1a3e460a"),
+    (W_ASYM, 2000, 2 / math.sqrt(2000), 2024,
+     "cde9c475091aa95f2a73e6f727364baedf54ff5c57d15154cd4cf17aabea150f"),
+    (W_ASYM, 6, 0.3, 5001, "e1cce918fbf667e247e7a595814dc36d54f6c38d"
+                           "4ed6f5e305920a2a4abb80f2"),
+], ids=["n30", "n100", "n2000", "n6"])
+def test_label_readers_agree_whether_or_not_triangles_were_counted(
+        w, n, rho, seed, digest):
+    plain = sample(w, n, rho, seed)
+    counted = sample(w, n, rho, seed)
+    triangles = triangle_count(counted)
+    assert np.array_equal(counted.pair_keys(), plain.pair_keys())
+    assert np.array_equal(counted.edges, plain.edges)
+    assert counted.to_dump() == plain.to_dump()
+    assert hashlib.sha256(counted.to_dump().encode()).hexdigest() == digest
+    assert triangle_count(plain) == triangles
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +317,10 @@ def test_threads_decoding_one_graph_get_equal_arrays():
 
 def _decode_one_block(nb: int, slots) -> tuple:
     """(i, j), 0-based in label order, of each slot of the one stratum of a
-    one-block graph on nb vertices, read back from the keys that
-    ``_decode_vectorized`` gives them."""
-    keys = _decode_vectorized([np.asarray(slots, dtype=np.int64)],
-                              np.zeros(nb, dtype=np.int64), (nb,))
-    return keys // (nb + 1) - 1, keys % (nb + 1) - 1
+    one-block graph on nb vertices, read back from the draw-order keys that
+    ``_decode_vectorized`` gives them: there rank i is vertex i + 1."""
+    keys = _decode_vectorized([np.asarray(slots, dtype=np.int64)], (nb,))
+    return keys // (nb + 1), keys % (nb + 1)
 
 
 def test_decode_within_exhaustive():
@@ -359,9 +387,18 @@ def _drawn_strata(draw):
 def test_decode_matches_the_scalar_decoder(drawn):
     blocks, occupancy, strata, lists = drawn
     want = _decode_scalar(lists, blocks, len(occupancy))
-    got = _decode_vectorized(strata, blocks, occupancy)
-    assert got.dtype == np.int64
+    ranked = _decode_vectorized(strata, occupancy)
+    got = _label_keys(ranked, blocks)
+    assert ranked.dtype == got.dtype == np.int64
     assert got.tolist() == want.tolist()
+    # the draw-order keys pair ranks lo < hi, and rank r is the (r + 1)-th
+    # vertex by block, then label
+    stride = blocks.size + 1
+    lo, hi = ranked // stride, ranked % stride
+    assert np.all((0 <= lo) & (lo < hi) & (hi < blocks.size))
+    vert = np.lexsort((np.arange(1, stride), blocks)) + 1
+    assert np.array_equal(np.minimum(vert[lo], vert[hi]) * stride
+                          + np.maximum(vert[lo], vert[hi]), want)
     # the draw is read, never written
     assert [_stratum_positions(s).tolist() for s in strata] == lists
 
@@ -424,7 +461,7 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     # a long stratum is drawn as steps: compare the positions it forms
     assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
     sca = _decode_scalar(strata_s, blocks, w.block_count)
-    vec = _decode_vectorized(strata_v, blocks, occupancy)
+    vec = _label_keys(_decode_vectorized(strata_v, occupancy), blocks)
     assert vec.shape[0] == total_v
     assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
     assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
@@ -509,6 +546,43 @@ def test_edge_layer_paths_agree_past_the_first_batch(fresh_plans):
             assert sum(rng_s.sizes[:-1]) == sum(rng.sizes[:-1])
             assert len(rng_s.sizes) > 2
             assert rng_v.sizes == rng_s.sizes
+
+
+# on low uniforms the dense first block still ends inside its first batch,
+# and the sparse second block runs past its own
+W_DENSE_FIRST = StepGraphon((0.5, 0.5), ((0.95, 0.3), (0.3, 0.2)))
+
+
+@pytest.mark.parametrize("n", [40, 60, 80])
+def test_one_pass_reader_falls_back_where_a_stratum_runs_past_its_batch(
+        monkeypatch, fresh_plans, n):
+    blocks = W_DENSE_FIRST.blocks_of(np.random.default_rng(n).random(n))
+    occupancy = tuple(np.bincount(blocks, minlength=2).tolist())
+    assert sampler._stratum_plan(W_DENSE_FIRST, 1.0,
+                                 occupancy)[2] <= sampler.PREFIX_BLOCK
+    read_first = sampler._read_first_batches
+    read = []
+
+    def spy(logs, strata):
+        out, at = read_first(logs, strata)
+        read.append(len(out))
+        return out, at
+
+    monkeypatch.setattr(sampler, "_read_first_batches", spy)
+    rng = _LowUniforms(n, 0.05)
+    got, total = _edge_layer(W_DENSE_FIRST, occupancy, 1.0, rng)
+    # the first stratum was read in the one pass, the second fell back
+    assert read == [1]
+    # the stratum-by-stratum reader alone
+    monkeypatch.setattr(sampler, "_read_first_batches",
+                        lambda logs, strata: ([], 0))
+    rng_w = _LowUniforms(n, 0.05)
+    want, total_w = _edge_layer(W_DENSE_FIRST, occupancy, 1.0, rng_w)
+    assert total == total_w == sum(map(len, want))
+    assert all(type(s) is np.ndarray and s.dtype == np.int64 for s in got)
+    assert [s.tolist() for s in got] == [s.tolist() for s in want]
+    assert rng.sizes == rng_w.sizes and len(rng.sizes) > 1
+    assert rng.random() == rng_w.random()
 
 
 def test_scalar_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(

@@ -63,11 +63,11 @@ def test_block_seeds_match_numpy_seed_sequence(root, n, r):
 @given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
 @example(seeds=[0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
 def test_child_words_match_numpy(seeds):
+    words = _child_words(np.array(seeds, dtype=np.uint64))
     for k in (0, 1):
-        words = _child_words(np.array(seeds, dtype=np.uint64), k)
         for i, seed in enumerate(seeds):
             ss = np.random.SeedSequence(seed, spawn_key=(k,))
-            assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
+            assert np.array_equal(words[k, i], ss.generate_state(4, np.uint64))
 
 
 @pytest.mark.parametrize("k", [0, 1])

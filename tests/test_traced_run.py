@@ -1,11 +1,13 @@
 """Traced runs of the benchmark's child process.
 
-``bench/child.py`` wraps functions of ``experiments`` and ``cli`` by
-attribute name to time each layer, so a rename in either module breaks
-traced benchmark runs.  The per-layer report (``bench/spans.py``) also
-needs ``replicate_seed`` and ``sample`` (or ``resample_edges``) called once
-per replicate through ``experiments``: a replicate loop that seeds or
-samples in batches leaves it no replicate to time.  These tests run the child on tiny campaigns and
+``bench/child.py`` wraps functions of ``experiments``, ``counting`` and
+``cli``, and ``SampledGraph.adjacency``, by attribute name to time each
+layer, so a rename in any of them breaks traced benchmark runs, and a
+counter that stops reading the adjacency leaves its layer empty.  The
+per-layer report (``bench/spans.py``) also needs ``replicate_seed`` and
+``sample`` (or ``resample_edges``) called once per replicate through
+``experiments``: a replicate loop that seeds or samples in batches leaves
+it no replicate to time.  These tests run the child on tiny campaigns and
 read the spans it wrote.
 """
 
@@ -104,3 +106,18 @@ def test_traced_run_with_replicates_times_every_replicate(tmp_path):
     _assert_one_sample_per_replicate(spans, 60)
     rows = (tmp_path / "out" / "replicates.csv").read_text().splitlines()
     assert len(rows) == 61
+
+
+def test_traced_four_cycle_run_times_every_adjacency(tmp_path):
+    # the count_heavy workload's c4 shape: each replicate samples once,
+    # counts once, and the 4-cycle count reads the graph's adjacency,
+    # which is the benchmark's adjacency layer
+    spans = _traced_run(tmp_path, {
+        "experiment_kind": "clt", "motif": "c4", "graphon": "W_sym",
+        "schedule": {"a": 1.0, "gamma": 0.5}, "n_values": [150],
+        "replicates": 50, "seed": 1}, ("--threads", "1"))
+    names = [s[1] for s in spans]
+    assert names.count("sample") == names.count("adjacency") == 50
+    assert names.count("count") == 50
+    _assert_one_sample_per_replicate(spans, 50)
+    assert _bench_spans().layer_totals(spans)["sampler.adjacency_s"] > 0
