@@ -97,15 +97,19 @@ def _child_words(seeds: np.ndarray) -> np.ndarray:
     each seed and both child streams k = 0, 1, the words PCG64 seeds itself
     from, in an array of shape (2, seeds.size, 4).  A spawned SeedSequence
     pads the seed to the pool size with zeros, so the entropy is
-    [lo, hi, 0, 0, k]: one pass over both streams' lanes, k a lane array."""
-    lo = np.tile((seeds & np.uint64(_M32)).astype(np.uint32), 2)
-    hi = np.tile((seeds >> np.uint64(32)).astype(np.uint32), 2)
-    k = np.repeat(np.arange(2, dtype=np.uint32), seeds.size)
-    zero = np.zeros_like(lo)
-    w = _seed_words([lo, hi, zero, zero, k], 8)
-    words = np.stack([_uint64(w[2 * i], w[2 * i + 1]) for i in range(4)],
-                     axis=-1)
-    return words.reshape(2, seeds.size, 4)
+    [lo, hi, 0, 0, k]: one pass over both streams' lanes, k a lane array
+    and the zeros one lane that broadcasts."""
+    lo = (seeds & np.uint64(_M32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    # np.tile and np.repeat, or joining the words through a little-endian
+    # view, raised a benchmark child's peak memory by 0.1-0.15 MB
+    k = np.zeros(2 * seeds.size, dtype=np.uint32)
+    k[seeds.size:] = 1
+    zero = np.zeros(1, dtype=np.uint32)
+    w = _seed_words([np.concatenate((lo, lo)), np.concatenate((hi, hi)),
+                     zero, zero, k], 8)
+    return np.stack([_uint64(w[2 * i], w[2 * i + 1]) for i in range(4)],
+                    axis=-1).reshape(2, seeds.size, 4)
 
 
 @lru_cache(maxsize=2)
