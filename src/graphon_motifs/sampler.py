@@ -21,11 +21,11 @@ Reproducibility contract (pinned by a golden test):
 - ``sample`` and ``resample_edges`` draw every stratum, and so consume
   every uniform of the graph, before they return; a graph decodes the
   draw once, on first use, into int64 pair keys ``lo * (n + 1) + hi``
-  over its draw order (vertex ranks by block, then label), and consumes
-  no uniform doing so.  These keys are the graph's one edge format: a
-  triangle count reads them as they are, and the label keys of
-  ``pair_keys``, its sorted ``edges`` array and its CSR adjacency are
-  derived from them through the rank-to-label map.
+  over its draw order (vertex ranks by block, then label), whatever its
+  size, and consumes no uniform doing so.  These keys are the graph's
+  one edge format: a triangle count reads them as they are, and the
+  label keys of ``pair_keys``, its sorted ``edges`` array and its CSR
+  adjacency are derived from them through the rank-to-label map.
 
 A graph's stratum plan (slots, edge probability, first batch size) is
 kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
@@ -39,13 +39,12 @@ holds each stratum's positions, or for a stratum whose first batch is
 longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
 is found from block sums and whose positions are formed only when the
 graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
-their gaps as Python floats into position lists and decode them on Python
-scalars, and their draw order is label order; larger graphs read int64
-arrays and decode all strata at once, laid end to end in one slot space
-whose row table (``_row_table``) is cached per block occupancy up to
-``ROW_TABLE_CACHE_VERTICES`` vertices.  The gap readers give the same
-positions and leave the generator in the same state, and the two
-decoders give the same label keys.
+their gaps as Python floats into position lists, larger graphs into int64
+arrays; the two gap readers give the same positions and leave the
+generator in the same state.  One decoder (``_decode_edges``) reads
+either: it lays all strata end to end in one slot space whose row table
+(``_row_table``) is cached per block occupancy up to
+``ROW_TABLE_CACHE_VERTICES`` vertices.
 
 Replicate seeds and the child stream generators come from ``seeding``,
 which derives a whole block of replicate seeds, and the words both child
@@ -70,19 +69,16 @@ from .motif import CSR, Motif, csr_from_keys, density_exponents
 from .graphon import StepGraphon
 from .seeding import child_rng, replicate_seed
 
-# Graphs of at most this many vertices read their gaps into lists and
-# decode on Python scalars; larger ones read and decode int64 arrays.  Edge
-# layer per graph over fixed latents, arrays against lists, best of 7 x 200
-# (2-core host, Python 3.11.7, numpy 2.4.6), at n = 20/25/30/35/40: W_asym
-# at rho = 0.05, 54/54/54/55/55 against 25/27/28/30/33 us; at rho = 0.3,
-# 56/56/57/57/58 against 34/39/45/54/64; at rho = 1, 57/59/62/65/68 against
-# 54/70/92/116/144; const:1 at rho = 1, 28/28/29/30/31 against 38/50/65/81/
-# 101.  Sparse graphs favour the lists past n = 40, dense ones the arrays
-# from n = 20 to 25, and at rho = 0.3 they cross near 37, so the bound
-# stays.  The draw alone (W_asym, generator build excluded, best of 7 x
-# 300) takes 19 against 4 us at n = 6, and 21 against 51 us at n = 150
-# and rho = 0.05.  numpy's fixed cost per call decides small graphs,
-# Python's cost per uniform and per edge large ones.
+# Graphs of at most this many vertices read their gaps into Python lists,
+# larger ones into int64 arrays; both draws decode through _decode_edges,
+# so the bound picks the reader only.  The draw alone over fixed latents
+# (W_asym, generator build excluded, best of 7 x 300; 2-core host, Python
+# 3.11.7, numpy 2.4.6), arrays against lists at n = 20/25/30/35/40: at
+# rho = 0.05, 19/19/18/19/19 against 7/7/8/9/11 us; at rho = 0.3,
+# 18/19/19/20/21 against 14/17/19/28/37; at rho = 1, 20/20/21/22/22
+# against 35/40/54/77/113.  At n = 6 and rho = 0.3 it takes 18 against
+# 6 us, at n = 150 and rho = 0.05 21 against 71 us.  numpy's fixed cost
+# per call decides small graphs, Python's cost per uniform large ones.
 SMALL_GRAPH_VERTICES = 30
 
 # A stratum whose first batch is longer than this keeps its gap steps and
@@ -109,14 +105,13 @@ class SampledGraph:
     drawn (every block-pair stratum's Bernoulli positions, or the gap
     steps they are the running sum of for a stratum longer than
     ``PREFIX_BLOCK``, and their total), decodes it on first use into
-    ``drawn_keys`` and then drops it.  Above ``SMALL_GRAPH_VERTICES``
-    vertices it decodes all strata at once through the row table of its
-    ``occupancy``, and the keys pair vertex ranks by block, then label;
-    ``pair_keys`` maps them to labels when first asked.  A graph built
-    from keys, or of at most ``SMALL_GRAPH_VERTICES`` vertices, has its
-    labels as its draw order.  ``edge_count`` is the drawn total and never
-    decodes.  Decoding consumes no random numbers, writes nothing into the
-    draw and gives equal keys from any thread.  ``edges``, lexicographic,
+    ``drawn_keys`` and then drops it.  Whatever its size, it decodes all
+    strata at once through the row table of its ``occupancy``, and the
+    keys pair vertex ranks by block, then label; ``pair_keys`` maps them
+    to labels when first asked.  A graph built from keys has its labels as
+    its draw order.  ``edge_count`` is the drawn total and never decodes.
+    Decoding consumes no random numbers, writes nothing into the draw and
+    gives equal keys from any thread.  ``edges``, lexicographic,
     ``to_dump`` and ``adjacency`` are derived from the label keys;
     ``occupancy`` holds the K blocks' vertex counts.
     """
@@ -142,10 +137,10 @@ class SampledGraph:
     def drawn_keys(self) -> np.ndarray:
         """The distinct int64 pair keys ``lo * (n + 1) + hi`` over the
         graph's draw order, in no set order: lo < hi are vertex ranks
-        0..n-1 by block, then label, for a graph drawn above
-        SMALL_GRAPH_VERTICES vertices, and labels for any other graph.
-        Decoded from the drawn edge layer on first use; a count that does
-        not depend on vertex labels can read these."""
+        0..n-1 by block, then label, for a drawn graph of any size, and
+        labels for a graph built from keys.  Decoded from the drawn edge
+        layer on first use; a count that does not depend on vertex labels
+        can read these."""
         keys = self._drawn
         if keys is None:
             # two threads may decode at once: each reads the draw into a
@@ -154,21 +149,18 @@ class SampledGraph:
             strata = self._strata
             if strata is None:
                 return self._drawn
-            keys = _decode_edges(strata, self.blocks, self.occupancy)
+            keys = _decode_edges(strata, self.occupancy)
             self._drawn = keys
             self._strata = None
         return keys
 
     def pair_keys(self) -> np.ndarray:
         """The distinct int64 pair keys ``lo * (n + 1) + hi`` over vertex
-        labels, in no set order: ``drawn_keys`` relabelled, on first use,
-        where the draw order is not label order."""
+        labels, in no set order: a drawn graph's ``drawn_keys`` relabelled
+        on first use."""
         keys = self._keys
         if keys is None:
-            keys = self.drawn_keys()
-            if self.n > SMALL_GRAPH_VERTICES:
-                keys = _label_keys(keys, self.blocks)
-            self._keys = keys
+            keys = self._keys = _label_keys(self.drawn_keys(), self.blocks)
         return keys
 
     @property
@@ -176,8 +168,13 @@ class SampledGraph:
         """The (m, 2) int64 array of 1-based pairs i < j in lexicographic
         order: the sorted keys, split."""
         keys = np.sort(self.pair_keys())
+        # divided into a contiguous array: into a column of ``edges``, as
+        # into np.divmod's outputs, the division is several times slower
+        lo = keys // (self.n + 1)
         edges = np.empty((keys.size, 2), dtype=np.int64)
-        np.divmod(keys, self.n + 1, out=(edges[:, 0], edges[:, 1]))
+        edges[:, 0] = lo
+        lo *= self.n + 1
+        np.subtract(keys, lo, out=edges[:, 1])
         return edges
 
     @property
@@ -295,9 +292,11 @@ class _Steps:
 
 def _stratum_positions(stratum, offset: int = 0, out=None) -> np.ndarray:
     """The positions of a drawn stratum plus ``offset``, into ``out`` or a new
-    int64 array, never into the draw: threads may decode one graph at once."""
+    int64 array, never into the draw: threads may decode one graph at once.
+    A position list is read as int64 here, since an empty one would read
+    as float64, which cannot be added into an int64 ``out``."""
     if type(stratum) is not _Steps:
-        return np.add(stratum, offset, out=out)
+        return np.add(np.asarray(stratum, dtype=np.int64), offset, out=out)
     pos = np.cumsum(stratum.steps, out=out)
     pos += offset - 1
     return pos
@@ -493,7 +492,9 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
     larger ones int64 arrays: all first batches at once while none is
     longer than PREFIX_BLOCK (``_read_first_batches``), and from the first
     stratum that runs past its first batch, or any stratum of a graph
-    that keeps steps, one stratum at a time (``_read_positions``)."""
+    that keeps steps, one stratum at a time (``_read_positions``).  The
+    bound picks the reader only: either draw decodes through
+    ``_decode_edges``."""
     strata, need, longest = _stratum_plan(w, rho, occupancy)
     small = sum(occupancy) <= SMALL_GRAPH_VERTICES
     logs = _log_uniforms(rng, need) if need else np.empty(0)
@@ -515,37 +516,12 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
     return out, sum(map(len, out))
 
 
-def _decode_scalar(strata: list, blocks: np.ndarray, K: int) -> np.ndarray:
-    """Pair keys lo*(n+1)+hi of a draw of position lists over ``blocks``."""
-    stride = blocks.size + 1
-    verts = [[] for _ in range(K)]
-    for v, b in enumerate(blocks.tolist(), 1):
-        verts[b].append(v)
-    keys = []
-    for (b, c), positions in zip(_stratum_order(K), strata):
-        vb, vc = verts[b], verts[c]
-        if b == c:
-            nb = len(vb)
-            # positions ascend, so walk the rows: row i holds slots [start, end)
-            i, start, end = 0, 0, nb - 1
-            for t in positions:
-                while t >= end:
-                    i += 1
-                    start, end = end, end + nb - 1 - i
-                keys.append(vb[i] * stride + vb[t - start + i + 1])
-        else:
-            nc = len(vc)
-            for t in positions:
-                x, y = vb[t // nc], vc[t % nc]
-                keys.append(x * stride + y if x < y else y * stride + x)
-    return np.array(keys, dtype=np.int64)
-
-
-def _decode_vectorized(strata: list, occupancy: tuple) -> np.ndarray:
-    """Pair keys ``lo * (n + 1) + hi`` over the draw order of a draw of
-    int64 positions or ``_Steps``: lo < hi are vertex ranks 0..n-1 by
-    block, then label, every stratum at once in the slot space of
-    ``_row_table`` and in stratum order.  ``_label_keys`` relabels them."""
+def _decode_edges(strata: list, occupancy: tuple) -> np.ndarray:
+    """Pair keys ``lo * (n + 1) + hi`` over the draw order of any draw,
+    whose strata hold position lists, int64 positions or ``_Steps``: lo <
+    hi are vertex ranks 0..n-1 by block, then label, every stratum at once
+    in the slot space of ``_row_table`` and in stratum order.  Consumes no
+    uniforms.  ``_label_keys`` relabels them."""
     table = (_row_table if sum(occupancy) <= ROW_TABLE_CACHE_VERTICES
              else _row_table.__wrapped__)
     offsets, starts, leads = table(occupancy)
@@ -562,7 +538,7 @@ def _decode_vectorized(strata: list, occupancy: tuple) -> np.ndarray:
 
 
 def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The draw-order keys of ``_decode_vectorized`` over ``blocks`` as
+    """The draw-order keys of ``_decode_edges`` over ``blocks`` as
     keys over vertex labels, in the same order.  It makes three arrays the
     size of ``keys``: at large n each new one costs about as much in page
     faults as the arithmetic on it."""
@@ -572,22 +548,13 @@ def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     lo = keys // stride  # np.divmod divides several times slower
     hi = lo * stride
     np.subtract(keys, hi, out=hi)
-    vert.take(lo, out=lo, mode="clip")  # as in _decode_vectorized
+    vert.take(lo, out=lo, mode="clip")  # as in _decode_edges
     vert.take(hi, out=hi, mode="clip")
     out = np.minimum(lo, hi)  # a cross-block row vertex may be larger
     np.maximum(lo, hi, out=hi)
     out *= stride
     out += hi
     return out
-
-
-def _decode_edges(strata: list, blocks: np.ndarray, occupancy: tuple):
-    """Pair keys of a draw over ``blocks`` in its draw order, which for a
-    graph of at most SMALL_GRAPH_VERTICES vertices is label order;
-    consumes no uniforms."""
-    if blocks.size <= SMALL_GRAPH_VERTICES:
-        return _decode_scalar(strata, blocks, len(occupancy))
-    return _decode_vectorized(strata, occupancy)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:

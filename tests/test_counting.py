@@ -480,7 +480,7 @@ def test_draw_order_triangle_count_matches_the_generic_counters(drawn):
         mp.setattr(sampler, "PREFIX_BLOCK", prefix)
         g = resample_edges(w, latents, rho, seed)
     got = triangle_count(g)
-    if n > sampler.SMALL_GRAPH_VERTICES and g.edge_count >= 3:
+    if g.edge_count >= 3:
         # the count decoded the draw order alone, and no label keys
         assert g._drawn is not None and g._keys is None
     csr = g.adjacency()

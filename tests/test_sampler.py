@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphon_motifs import (
@@ -26,8 +26,7 @@ from graphon_motifs import sampler
 from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
-    _decode_scalar,
-    _decode_vectorized,
+    _decode_edges,
     _edge_layer,
     _label_keys,
     _stratum_positions,
@@ -38,6 +37,7 @@ from graphon_motifs.seeding import SEED_BLOCK, _child_words
 
 from util import (
     bernoulli_positions,
+    enumerated_pair_keys,
     reference_bernoulli_positions,
     reference_edge_layer_scalar,
 )
@@ -318,8 +318,8 @@ def test_label_readers_agree_whether_or_not_triangles_were_counted(
 def _decode_one_block(nb: int, slots) -> tuple:
     """(i, j), 0-based in label order, of each slot of the one stratum of a
     one-block graph on nb vertices, read back from the draw-order keys that
-    ``_decode_vectorized`` gives them: there rank i is vertex i + 1."""
-    keys = _decode_vectorized([np.asarray(slots, dtype=np.int64)], (nb,))
+    ``_decode_edges`` gives them: there rank i is vertex i + 1."""
+    keys = _decode_edges([np.asarray(slots, dtype=np.int64)], (nb,))
     return keys // (nb + 1), keys % (nb + 1)
 
 
@@ -356,10 +356,11 @@ def test_large_graphs_build_row_tables_outside_the_cache():
 
 @st.composite
 def _drawn_strata(draw):
-    """(blocks, occupancy, int64 strata, list strata) of a K-block graph
+    """(blocks, occupancy, drawn strata, position lists) of a K-block graph
     with K in 1..4, at least one vertex and blocks of 0 to 9, and in each
     stratum no positions, all of its slots (p >= 1) or a random subset of
-    them, held as positions or as ``_Steps``."""
+    them, held as int64 positions, as ``_Steps`` or as a Python list, as
+    ``_read_floats`` gives it."""
     occupancy = tuple(draw(st.lists(st.integers(0, 9), min_size=1,
                                     max_size=4).filter(any)))
     K = len(occupancy)
@@ -374,8 +375,11 @@ def _drawn_strata(draw):
         pos = (list(range(slots)) if kind == "all" else [] if kind == "none"
                else sorted(draw(st.sets(st.integers(0, max(slots - 1, 0)),
                                         max_size=slots))))
+        held = draw(st.sampled_from(["array", "steps", "list"]))
         arr = np.array(pos, dtype=np.int64)
-        if pos and draw(st.booleans()):
+        if held == "list":
+            arr = list(pos)
+        elif pos and held == "steps":
             arr = sampler._Steps(np.diff(arr, prepend=-1))
         strata.append(arr)
         lists.append(pos)
@@ -384,10 +388,14 @@ def _drawn_strata(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_drawn_strata())
-def test_decode_matches_the_scalar_decoder(drawn):
+# list strata only, as a small graph draws them: one empty, two full
+@example(drawn=(np.array([0, 1, 0, 1, 1]), (2, 3),
+                [[], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+                [[], [0, 1, 2], [0, 1, 2, 3, 4, 5]]))
+def test_decode_matches_the_enumeration_oracle(drawn):
     blocks, occupancy, strata, lists = drawn
-    want = _decode_scalar(lists, blocks, len(occupancy))
-    ranked = _decode_vectorized(strata, occupancy)
+    want = enumerated_pair_keys(lists, blocks, len(occupancy))
+    ranked = _decode_edges(strata, occupancy)
     got = _label_keys(ranked, blocks)
     assert ranked.dtype == got.dtype == np.int64
     assert got.tolist() == want.tolist()
@@ -407,6 +415,24 @@ def test_decode_matches_the_scalar_decoder(drawn):
 # the p <= 0 and the p >= 1 branch
 W_THREE = StepGraphon((0.2, 0.3, 0.5),
                       ((1.0, 0.0, 0.4), (0.0, 0.7, 1.0), (0.4, 1.0, 0.05)))
+
+
+@pytest.mark.parametrize("w", [W_ASYM, W_THREE], ids=["W_asym", "three_blocks"])
+@pytest.mark.parametrize("n", [6, SMALL_GRAPH_VERTICES,
+                               SMALL_GRAPH_VERTICES + 1])
+def test_drawn_keys_pair_ranks_by_block_then_label(w, n):
+    # either gap reader's draw decodes into the one draw order
+    stride = n + 1
+    for rho in (0.3, 1.0):
+        for r in range(20):
+            g = sample(w, n, rho, replicate_seed(29, n, r))
+            keys = g.drawn_keys()
+            lo, hi = keys // stride, keys % stride
+            assert np.all((0 <= lo) & (lo < hi) & (hi < n))
+            vert = np.lexsort((np.arange(1, stride), g.blocks)) + 1
+            a, b = vert[lo], vert[hi]
+            assert np.array_equal(np.minimum(a, b) * stride
+                                  + np.maximum(a, b), g.pair_keys())
 
 
 class _LowUniforms:
@@ -449,7 +475,8 @@ def _edge_layer_read_as(small: bool, w, occupancy, rho, rng) -> tuple:
 def _assert_paths_agree(w, blocks, rho, make_rng):
     """Both gap readers of the edge layer, and the list reader drawn one
     batch per call (``reference_edge_layer_scalar``), give the same
-    positions and keys and leave their generators in the same state."""
+    positions and leave their generators in the same state, and both
+    readers' strata decode to the keys of ``enumerated_pair_keys``."""
     rng_v, rng_s, rng_ref = make_rng(), make_rng(), make_rng()
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
     strata_v, total_v = _edge_layer_read_as(False, w, occupancy, rho, rng_v)
@@ -460,12 +487,14 @@ def _assert_paths_agree(w, blocks, rho, make_rng):
     assert strata_s == strata_ref
     # a long stratum is drawn as steps: compare the positions it forms
     assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
-    sca = _decode_scalar(strata_s, blocks, w.block_count)
-    vec = _label_keys(_decode_vectorized(strata_v, occupancy), blocks)
+    sca = _label_keys(_decode_edges(strata_s, occupancy), blocks)
+    vec = _label_keys(_decode_edges(strata_v, occupancy), blocks)
     assert vec.shape[0] == total_v
     assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
     assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
     assert np.array_equal(sca, vec)
+    assert np.array_equal(vec, enumerated_pair_keys(strata_ref, blocks,
+                                                    w.block_count))
     # the same next uniform shows the same generator state
     assert rng_s.random() == rng_v.random() == rng_ref.random()
     return rng_v, rng_s, rng_ref

@@ -367,6 +367,28 @@ def _reference_positions_scalar(rng, n_slots: int, p: float) -> list:
             out.append(pos)
 
 
+def enumerated_pair_keys(strata, blocks, K: int) -> np.ndarray:
+    """Label keys lo*(n+1)+hi of a draw over ``blocks``, in stratum order
+    and in each stratum in slot order: slot t of stratum (b, c) is the
+    t-th pair of ``combinations(vb, 2)`` when b == c, or of
+    ``product(vb, vc)`` otherwise, with each block's vertices vb in label
+    order.  ``strata`` holds each stratum's ascending positions."""
+    stride = len(blocks) + 1
+    verts = [[] for _ in range(K)]
+    for v, b in enumerate(np.asarray(blocks).tolist(), 1):
+        verts[b].append(v)
+    keys = []
+    for (b, c), positions in zip(
+            [(b, b) for b in range(K)] + list(combinations(range(K), 2)),
+            strata):
+        pairs = (combinations(verts[b], 2) if b == c
+                 else product(verts[b], verts[c]))
+        chosen = set(positions)
+        keys.extend(min(x, y) * stride + max(x, y)
+                    for t, (x, y) in enumerate(pairs) if t in chosen)
+    return np.array(keys, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # test-only analytics, kept unchanged as the oracles their tests use
 
