@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze-motif, analyze-graphon, sample, count, decompose,
-run-experiment.  Human-readable text goes to stdout; machine output only
-through --format/--output.  Exit codes: 0 success, 1 runtime error,
-2 usage or validation error.
+run-experiment, each defined once in ``SUBCOMMANDS``.  ``main`` builds
+only the parser of the subcommand that its first argument names, and all
+six when it names none (no argument, -h, an unknown name), so help, usage
+and error output read the same either way.  Human-readable text goes to
+stdout; machine output only through --format/--output.  Exit codes:
+0 success, 1 runtime error, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -224,48 +227,40 @@ def cmd_run_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphon-motifs",
-        description="Motif statistics for sparse step-graphon random graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze-motif", help="density exponents of a motif")
+def _args_analyze_motif(p):
     p.add_argument("motif", help="built-in name or JSON file")
     _format_flags(p)
-    p.set_defaults(func=cmd_analyze_motif)
 
-    p = sub.add_parser("analyze-graphon",
-                       help="density analytics of a graphon for a motif")
+
+def _args_analyze_graphon(p):
     p.add_argument("--graphon", required=True)
     p.add_argument("--motif", required=True)
     _format_flags(p)
-    p.set_defaults(func=cmd_analyze_graphon)
 
-    p = sub.add_parser("sample", help="draw one random graph")
+
+def _args_sample(p):
     p.add_argument("--graphon", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("count", help="count motif copies in a graph dump")
+
+def _args_count(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--motif", required=True)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("decompose",
-                       help="sample one graph and decompose its count")
+
+def _args_decompose(p):
     p.add_argument("--graphon", required=True)
     p.add_argument("--motif", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     _format_flags(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("run-experiment", help="run a configured campaign")
+
+def _args_run_experiment(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
@@ -274,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "least 1; default 1)")
     p.add_argument("--with-replicates", action="store_true",
                    help="also write one CSV row per replicate")
-    p.set_defaults(func=cmd_run_experiment)
-    return parser
 
 
 def _format_flags(p):
@@ -283,8 +276,50 @@ def _format_flags(p):
     p.add_argument("--output", default=None)
 
 
+# name: (help, arguments, handler), in the order that the help lists them
+SUBCOMMANDS = {
+    "analyze-motif": ("density exponents of a motif", _args_analyze_motif,
+                      cmd_analyze_motif),
+    "analyze-graphon": ("density analytics of a graphon for a motif",
+                        _args_analyze_graphon, cmd_analyze_graphon),
+    "sample": ("draw one random graph", _args_sample, cmd_sample),
+    "count": ("count motif copies in a graph dump", _args_count, cmd_count),
+    "decompose": ("sample one graph and decompose its count",
+                  _args_decompose, cmd_decompose),
+    "run-experiment": ("run a configured campaign", _args_run_experiment,
+                       cmd_run_experiment),
+}
+
+
+def build_parser(names=tuple(SUBCOMMANDS)) -> argparse.ArgumentParser:
+    """The command-line parser with the subcommands ``names`` (all six by
+    default).  A parser with fewer still names all six in its usage line,
+    so every message it prints reads as the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="graphon-motifs",
+        description="Motif statistics for sparse step-graphon random graphs")
+    # a metavar would also rename the subcommand in the full parser's
+    # "arguments are required" error, so it is set only where needed
+    metavar = (None if len(names) == len(SUBCOMMANDS)
+               else "{" + ",".join(SUBCOMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one subcommand's parser builds 1-2 ms faster than all six; any other
+    # first argument (none, -h, an unknown name) gets all six
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = build_parser((argv[0],))
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

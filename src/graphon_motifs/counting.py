@@ -2,9 +2,10 @@
 
 Counts take one of three fast paths (edge total, triangles, 4-cycles) or
 the generic level-wise counter of ``motif``.  Triangles on hosts within
-the pair-table bound are counted from packed neighbour bit rows, straight
-from the graph's pair keys over its draw order; larger hosts take the
-forward algorithm on the CSR.
+the pair-table bound are counted from packed upper neighbour bit rows,
+straight from the graph's pair keys over its draw order, each triangle
+once on its lower edge; larger hosts take the forward algorithm on the
+CSR.
 
 The observed count X is centered two ways: against the closed-form
 expectation and against the exact conditional expectation given the latent
@@ -76,10 +77,11 @@ def triangle_count(g: SampledGraph) -> int:
     PAIR_TABLE_CELLS, else by the degree-ordered forward algorithm.
 
     Bit rows: row v of an (n + 1) x 64 ceil((n + 1) / 64) boolean table
-    holds v's neighbours, packed into uint64 words; the common neighbours
-    of an edge's endpoints are the set bits of their rows' AND, and every
-    triangle is counted once on each of its three edges.  The rows of
-    one EXPANSION_CHUNK of edges are gathered at a time, so memory stays
+    holds v's upper neighbours (those above v), packed into uint64 words.
+    The AND of the rows of an edge a < b holds the c > b adjacent to both,
+    so a triangle a < b < c is counted once, on its lower edge (a, b):
+    the edge iterator of the papers below, over bitsets.  The rows of one
+    EXPANSION_CHUNK of edges are gathered at a time, so memory stays
     bounded.  A triangle count does not depend on vertex labels, so the
     rows are indexed by the graph's draw order (``drawn_keys``): neither
     the CSR nor the label keys are built.
@@ -99,10 +101,13 @@ def triangle_count(g: SampledGraph) -> int:
     keys = g.drawn_keys()
     lo = keys // (n + 1)  # np.divmod divides several times slower
     hi = keys - lo * (n + 1)
-    table = np.zeros((n + 1, -(-(n + 1) // 64) * 64), dtype=bool)
-    table[lo, hi] = True
-    table[hi, lo] = True
-    rows = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
+    # one flat scatter sets each edge's upper bit: a 2-D assignment of
+    # both bits costs several times more than the AND and popcount
+    width = -(-(n + 1) // 64) * 64
+    table = np.zeros((n + 1) * width, dtype=bool)
+    table[lo * width + hi] = True
+    rows = np.packbits(table, bitorder="little").view(np.uint64).reshape(
+        n + 1, width // 64)
     del table
     chunk = _motif.EXPANSION_CHUNK
     total = 0
@@ -112,12 +117,12 @@ def triangle_count(g: SampledGraph) -> int:
         common &= rows.take(hi[t0:t0 + chunk], axis=0)
         total += int(np.bitwise_count(common).sum())
         del common  # so that one chunk of rows is alive at a time
-    return total // 3
+    return total
 
 
 def _forward_triangle_count(n: int, csr: _motif.CSR) -> int:
     """Triangles by the forward algorithm of ``triangle_count``."""
-    deg = np.diff(csr.indptr)
+    deg = csr.indptr[1:] - csr.indptr[:-1]
     rank = deg * (n + 1) + np.arange(n + 1)
     up = rank[csr.indices] > rank[csr.rows]
     tail, head = csr.rows[up], csr.indices[up]
@@ -149,7 +154,7 @@ def four_cycle_count(g: SampledGraph) -> int:
         return 0
     n = g.n
     csr = g.adjacency()
-    deg = np.diff(csr.indptr)
+    deg = csr.indptr[1:] - csr.indptr[:-1]
     # sum deg (deg - 1) is twice the wedge count
     if int(deg @ (deg - 1)) <= 2 * _motif.EXPANSION_CHUNK:
         total = 0

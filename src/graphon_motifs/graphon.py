@@ -73,6 +73,11 @@ class StepGraphon:
             raise ValueError("graphon edge density must be positive")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "values", values)
+        # the lru caches keyed by a graphon hash it on every lookup
+        object.__setattr__(self, "_hash", hash((pi, values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def block_count(self) -> int:

@@ -505,7 +505,7 @@ def key_runs(keys: np.ndarray) -> tuple:
     new[0] = new[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
     bounds = np.flatnonzero(new)
-    return bounds[:-1], np.diff(bounds)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _codegree_table(n: int, csr: CSR, lo: int, hi: int) -> np.ndarray:
@@ -610,7 +610,7 @@ def count_embeddings(host_n: int, host_edges, m: Motif) -> int:
     if m.edge_count and csr.indices.size == 0:
         return 0
     plan = _embedding_plan(m)
-    deg = np.diff(csr.indptr)
+    deg = csr.indptr[1:] - csr.indptr[:-1]
     first = np.flatnonzero(deg[1:] >= plan[0][0]) + 1
     if k == 1:
         total = first.size

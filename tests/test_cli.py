@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -16,7 +17,7 @@ from graphon_motifs import (
     named_graphon,
     projection_variance,
 )
-from graphon_motifs.cli import build_parser, main
+from graphon_motifs.cli import SUBCOMMANDS, build_parser, main
 from graphon_motifs.graphon import MAX_CRITICAL_VERTICES
 from graphon_motifs.motif import _NAMED
 from util import split_blocks
@@ -673,3 +674,84 @@ def test_bad_const_graphon_gives_the_reason(capsys, name, message):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def _outcome(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that may exit."""
+    try:
+        parse()
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+# per subcommand: a valid argument list, and arguments that give a bad int
+# (or, where it takes no int, a bad --format choice)
+_VALID_ARGV = {
+    "analyze-motif": (["triangle"], ["triangle", "--format", "xml"]),
+    "analyze-graphon": (["--graphon", "W_sym", "--motif", "edge"],
+                        ["--graphon", "W_sym", "--motif", "edge",
+                         "--format", "xml"]),
+    "sample": (["--graphon", "W_sym", "--n", "5", "--rho", "1", "--seed",
+                "1"], ["--graphon", "W_sym", "--n", "5.5", "--rho", "1",
+                       "--seed", "1"]),
+    "count": (["--graph", "g.txt", "--motif", "edge"],
+              ["--graph", "g.txt", "--motif", "edge", "--format", "json"]),
+    "decompose": (["--graphon", "W_sym", "--motif", "edge", "--n", "5",
+                   "--rho", "1", "--seed", "1"],
+                  ["--graphon", "W_sym", "--motif", "edge", "--n", "5",
+                   "--rho", "1", "--seed", "x"]),
+    "run-experiment": (["--config", "c.json", "--out-dir", "o"],
+                       ["--config", "c.json", "--out-dir", "o",
+                        "--threads", "two"]),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_one_subcommand_parser_reads_as_the_full_parser(capsys, name):
+    full, lean = build_parser(), build_parser((name,))
+    assert _subparser(lean, name).format_help() \
+        == _subparser(full, name).format_help()
+    assert lean.format_usage() == full.format_usage()
+    valid, bad = _VALID_ARGV[name]
+    assert vars(lean.parse_args([name, *valid])) \
+        == vars(full.parse_args([name, *valid]))
+    # --help; a missing required argument; a bad value; an unknown option,
+    # which the top-level parser reports under its own usage line
+    for args in (["--help"], valid[:-2] if len(valid) > 2 else [], bad,
+                 [*valid, "--no-such-option"]):
+        argv = [name, *args]
+        want = _outcome(capsys, lambda: full.parse_args(argv))
+        assert want[0] == (0 if args == ["--help"] else 2)
+        assert want[1 if args == ["--help"] else 2]
+        assert _outcome(capsys, lambda: lean.parse_args(argv)) == want
+        # main builds the lean parser for this argv
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (want[0], want[1], want[2])
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["no-such-command"],
+                                  ["--no-such-option", "sample"]],
+                         ids=["none", "h", "help", "unknown", "option"])
+def test_main_builds_every_subcommand_when_none_is_named(capsys, argv):
+    want = _outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert run_cli(capsys, *argv) == want
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in usage.replace("\n", "") \
+        .replace(" ", "")
+    if argv == []:
+        assert want == (2, "", usage + "graphon-motifs: error: the following "
+                        "arguments are required: command\n")
+    elif argv[0] in ("-h", "--help"):
+        assert want[0] == 0 and want[1].startswith(usage)
+        assert all(f"    {name}" in want[1] for name in SUBCOMMANDS)
+    else:
+        assert want[0] == 2 and "error: " in want[2]

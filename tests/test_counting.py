@@ -30,6 +30,7 @@ from graphon_motifs.motif import canonical_key
 from graphon_motifs.sampler import replicate_seed, resample_edges
 from util import (
     all_graphs_on,
+    both_bit_rows_triangle_count,
     four_cycle_oracle,
     label_ustatistic,
     random_graphon,
@@ -486,6 +487,47 @@ def test_draw_order_triangle_count_matches_the_generic_counters(drawn):
     csr = g.adjacency()
     assert got == count_embeddings(n, csr, K3)
     assert got == counting._forward_triangle_count(n, csr)
+
+
+@pytest.mark.parametrize("n", [2, 3, 62, 63, 64, 127, 128, 2046])
+def test_upper_bit_rows_match_the_generic_counters(n):
+    # row widths of 64, 64, 128, 128, 192 and 2048 bits; at n = 63 and 127
+    # a dump graph's label n is the last bit of its row, and at n = 2046
+    # the drawn graph has more than EXPANSION_CHUNK edges
+    edges = set(_random_edges(n, min(4 * n, n * (n - 1) // 2), n))
+    if n > 2:
+        edges |= {(n - 2, n - 1), (n - 2, n), (n - 1, n), (1, n)}
+    graphs = [_graph(n, []), _graph(n, sorted(edges)),
+              sample(W_ASYM, n, min(1.0, 3 / math.sqrt(n)),
+                     replicate_seed(30, n, 0))]
+    if n <= 128:
+        graphs.append(sample(StepGraphon.constant(1.0), n, 1.0, n))
+        assert graphs[-1].edge_count == n * (n - 1) // 2
+    if n == 2046:
+        assert graphs[-1].edge_count > 3 * motif.EXPANSION_CHUNK
+    for g in graphs:
+        got = triangle_count(g)
+        csr = g.adjacency()
+        assert got == count_embeddings(n, csr, K3)
+        assert got == counting._forward_triangle_count(n, csr)
+        assert got == both_bit_rows_triangle_count(n, g.drawn_keys())
+    if n <= 128:
+        assert triangle_count(graphs[-1]) == math.comb(n, 3)
+
+
+def test_upper_bit_rows_match_both_bit_rows_on_conditional_draws():
+    # the conditional CLT campaign's shape: 300 edge draws of W_sym at
+    # n = 200, rho = n^-1/2, on one frozen latent draw
+    n = 200
+    lat = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(2024))).random(n)
+    total = 0
+    for r in range(300):
+        g = resample_edges(W_SYM, lat, n ** -0.5, replicate_seed(2024, n, r))
+        got = triangle_count(g)
+        assert got == both_bit_rows_triangle_count(n, g.drawn_keys())
+        total += got
+    assert total > 300
 
 
 def test_triangle_count_at_scale_in_bounded_memory():

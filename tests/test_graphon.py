@@ -1,4 +1,5 @@
 import math
+import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from graphon_motifs import (
     projection_variance,
     regularity_report,
 )
+from graphon_motifs.graphon import _arrays
 from util import (
     connected_classes_up_to,
     copies_on_labels,
@@ -86,6 +88,23 @@ def test_graphon_accepts_integers_and_numpy_reals():
                     ((np.float32(0.5), 1), (np.int64(1), np.float64(0.25))))
     assert w == StepGraphon((0.5, 0.5), ((0.5, 1.0), (1.0, 0.25)))
     assert all(type(v) is float for v in (*w.pi, *w.values[0], *w.values[1]))
+
+
+@pytest.mark.parametrize("name", ["const:0.25", "W_sym", "W_asym"])
+def test_graphons_built_apart_compare_and_hash_equal(name):
+    w = named_graphon(name)
+    others = [named_graphon(name), StepGraphon(list(w.pi), w.values),
+              StepGraphon.from_json_dict(w.to_json_dict()),
+              pickle.loads(pickle.dumps(w))]
+    for v in others:
+        assert v is not w
+        assert v == w and hash(v) == hash(w) == hash((w.pi, w.values))
+    # a graphon built apart finds what a cache stored under another one
+    assert len({w, *others}) == 1
+    assert _arrays(others[-1]) is _arrays(w)
+    changed = StepGraphon(w.pi, tuple(tuple(v / 2 for v in row)
+                                      for row in w.values))
+    assert changed != w and hash(changed) != hash(w)
 
 
 def test_named_graphons():

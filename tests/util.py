@@ -389,6 +389,22 @@ def enumerated_pair_keys(strata, blocks, K: int) -> np.ndarray:
     return np.array(keys, dtype=np.int64)
 
 
+def both_bit_rows_triangle_count(n: int, keys) -> int:
+    """Triangles of the pair keys ``lo * (n + 1) + hi`` from full neighbour
+    bit rows: both bits of every edge set, the popcounts of each edge's
+    rows' AND summed over all edges at once, and each triangle, found on
+    all three of its edges, counted three times."""
+    keys = np.asarray(keys, dtype=np.int64)
+    lo, hi = keys // (n + 1), keys % (n + 1)
+    table = np.zeros((n + 1, -(-(n + 1) // 64) * 64), dtype=bool)
+    table[lo, hi] = True
+    table[hi, lo] = True
+    rows = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
+    total = int(np.bitwise_count(rows[lo] & rows[hi]).sum())
+    assert total % 3 == 0
+    return total // 3
+
+
 # ---------------------------------------------------------------------------
 # test-only analytics, kept unchanged as the oracles their tests use
 
