@@ -9,7 +9,8 @@ Library layout:
                   each shared vertex set, with no union graph built
 - ``seeding``     replicate seeds and child stream generators, derived in
                   cached blocks that match numpy's SeedSequence word for
-                  word; the last seed handed out seeds PCG64 from its words
+                  word; the last seed handed out seeds PCG64 from its words,
+                  and its block's latent uniforms come from lockstep lanes
 - ``sampler``     seeded generation of sparse graphon random graphs
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance shares

@@ -52,7 +52,12 @@ streams' PCG64 seed themselves from, in numpy array passes that match
 numpy's SeedSequence word for word; ``child_rng`` builds a new generator
 on every call.
 ``sample`` draws the latents from stream 0 and then runs the edge step of
-``resample_edges`` on stream 1.
+``resample_edges`` on stream 1.  For the seed ``replicate_seed`` handed
+out last, at its block's n and at most ``SMALL_GRAPH_VERTICES``, stream 0
+is not built: the latents, blocks and occupancy are that seed's row of
+the block's lockstep lanes (``seeding.lane_uniforms``), whose blocks and
+occupancy come from one ``searchsorted`` and one ``bincount`` over all of
+them, kept for one (graphon, block) at a time (``_lane_labels``).
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ import numpy as np
 
 from .motif import CSR, Motif, csr_from_keys, density_exponents
 from .graphon import StepGraphon
-from .seeding import child_rng, replicate_seed
+from .seeding import (SEED_BLOCK, child_rng, lane_uniforms, noted_lane,
+                      replicate_seed)
 
 # Graphs of at most this many vertices read their gaps into Python lists,
 # larger ones into int64 arrays; both draws decode through _decode_edges,
@@ -528,8 +534,10 @@ def _decode_edges(strata: list, occupancy: tuple) -> np.ndarray:
     keys = np.empty(sum(map(len, strata)), dtype=np.int64)
     at = 0
     for stratum, offset in zip(strata, offsets):
-        _stratum_positions(stratum, offset, keys[at:at + len(stratum)])
-        at += len(stratum)
+        size = len(stratum)
+        if size:  # an empty one would cost two numpy calls
+            _stratum_positions(stratum, offset, keys[at:at + size])
+            at += size
     row = starts.searchsorted(keys, "right")
     # each row's lead in place of its index: mode "clip", a no-op on valid
     # rows, takes no buffer, and reads each index before writing there
@@ -544,7 +552,8 @@ def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     faults as the arithmetic on it."""
     stride = blocks.size + 1
     # each rank's vertex: vertices by block, then label
-    vert = np.sort(blocks * stride + np.arange(1, stride)) % stride
+    vert = np.argsort(blocks, kind="stable")
+    vert += 1
     lo = keys // stride  # np.divmod divides several times slower
     hi = lo * stride
     np.subtract(keys, hi, out=hi)
@@ -557,24 +566,61 @@ def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _lane_labels(w: StepGraphon, block: tuple) -> tuple:
+    """(latents, blocks, occupancy) of every lane of a seed block, from
+    ``lane_uniforms(*block)``: read-only arrays of shape (SEED_BLOCK, n),
+    (SEED_BLOCK, n) and (SEED_BLOCK, K), one ``searchsorted`` and one
+    ``bincount`` over all lanes.  One block is kept: a cell samples its
+    replicates in index order."""
+    latents = lane_uniforms(*block)
+    blocks = w.blocks_of(latents)
+    K = w.block_count
+    lanes = K * np.arange(SEED_BLOCK)[:, None]
+    blocks += lanes  # each lane's blocks apart, then back
+    occupancy = np.bincount(blocks.ravel(), minlength=K * SEED_BLOCK)
+    blocks -= lanes
+    blocks.flags.writeable = occupancy.flags.writeable = False
+    return latents, blocks, occupancy.reshape(SEED_BLOCK, K)
+
+
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     """Draw one graph: latents from the seed's first child stream, edges
-    from the second.  Fully deterministic given (w, n, rho, seed)."""
+    from the second.  Fully deterministic given (w, n, rho, seed).
+
+    For the seed ``replicate_seed`` handed out last, at the n it was
+    derived for and at most SMALL_GRAPH_VERTICES, the latents, blocks and
+    occupancy are read from its row of ``_lane_labels``, read-only views
+    of the same values numpy's generator gives; any other call draws them
+    from a new stream-0 generator."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return resample_edges(w, child_rng(seed, 0).random(n), rho, seed)
+    lane = noted_lane(seed, n) if n <= SMALL_GRAPH_VERTICES else None
+    if lane is None:
+        return resample_edges(w, child_rng(seed, 0).random(n), rho, seed)
+    block, i = lane
+    latents, blocks, occupancy = _lane_labels(w, block)
+    return _with_edges(w, latents[i], blocks[i],
+                       tuple(occupancy[i].tolist()), rho, seed)
 
 
 def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
                    seed: int) -> SampledGraph:
     """Fresh edge layer over fixed latents (conditional resampling), from
     the seed's second child stream."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    rho = float(rho)
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
+    return _with_edges(w, latents, blocks, occupancy, rho, seed)
+
+
+def _with_edges(w: StepGraphon, latents: np.ndarray, blocks: np.ndarray,
+                occupancy: tuple, rho: float, seed: int) -> SampledGraph:
+    """The graph over given latents with its edge layer drawn from the
+    seed's second child stream."""
+    if not (0.0 < rho <= 1.0):
+        raise ValueError("rho must lie in (0, 1]")
+    rho = float(rho)
     return SampledGraph(latents.size, rho, int(seed), latents, blocks,
                         occupancy,
                         _edge_layer(w, occupancy, rho, child_rng(seed, 1)))

@@ -342,6 +342,32 @@ def test_write_result_files_and_determinism(tmp_path):
     assert len((d1 / "replicates.csv").read_text().splitlines()) == 151
 
 
+def test_small_n_cells_draw_latents_from_the_seed_lanes(monkeypatch,
+                                                       tmp_path):
+    # tiny_n's shape: every replicate's latents come from its seed's lane,
+    # so no stream-0 generator is built, and the files are those of the
+    # numpy generators
+    from graphon_motifs import sampler, seeding
+    cfg = small_cfg("variance_ratio", schedule=SparsitySchedule(
+        0.3 * math.sqrt(6), 0.5), n_values=(6, 8, 10), replicates=60)
+    streams = []
+
+    def spy(seed, k):
+        streams.append(k)
+        return seeding.child_rng(seed, k)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sampler, "child_rng", spy)
+        write_result(run_experiment(cfg), tmp_path / "lanes")
+    assert streams == [1] * 180
+    with monkeypatch.context() as mp:
+        mp.setattr(sampler, "noted_lane", lambda seed, n: None)
+        write_result(run_experiment(cfg), tmp_path / "numpy")
+    for name in ("summary.json", "summary.csv"):
+        assert (tmp_path / "lanes" / name).read_bytes() == \
+            (tmp_path / "numpy" / name).read_bytes()
+
+
 def test_tower_orthogonality_cov_within_4se():
     # the two components are uncorrelated by the tower property
     cfg = small_cfg("variance_ratio", n_values=(400,), replicates=5000,

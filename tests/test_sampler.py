@@ -216,9 +216,10 @@ def test_resample_edges_keeps_latents():
 
 def _hand_out(monkeypatch, seed):
     """Note ``seed`` as the last handed-out replicate seed, so that
-    ``sample`` seeds its generators from the noted words."""
+    ``sample`` seeds its generators from the noted words.  The note names
+    no seed block, so the latents come from numpy's generator."""
     words = _child_words(np.array([seed], dtype=np.uint64))
-    monkeypatch.setattr(seeding._LOCAL, "note", (seed, words, 0),
+    monkeypatch.setattr(seeding._LOCAL, "note", (seed, words, 0, None),
                         raising=False)
 
 
@@ -719,20 +720,28 @@ def test_decoded_keys_agree_with_positions_summed_at_once(monkeypatch):
 @pytest.mark.parametrize("w", [W_ASYM, W_THREE],
                          ids=["W_asym", "three_blocks"])
 def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
-    made = []
+    made = {}
 
     def spy(seed, k):
         rng = seeding.child_rng(seed, k)
-        made.append(rng)
+        made[k] = rng
         return rng
 
     monkeypatch.setattr(sampler, "child_rng", spy)
 
     def draw(n, rho, seed):
-        """The graph's keys and the next uniform of both its streams."""
+        """The graph's keys and the next uniform of both its streams: a
+        graph whose latents came from the seed's lane builds no stream-0
+        generator, so stream 0's is numpy's after n doubles."""
         made.clear()
         keys = sample(w, n, rho, seed).pair_keys()
-        return keys, [rng.random() for rng in made]
+        ref = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(0,))))
+        ref.random(n)
+        first = ref.random()
+        if 0 in made:
+            assert made[0].random() == first
+        return keys, [first, made[1].random()]
 
     plans = sampler._stratum_plan
     for n in (8, 30, 31, 200):
@@ -972,6 +981,85 @@ def test_seed_noted_on_another_thread_samples_the_numpy_graph(
     seeding._LOCAL.note = None
     for seed, g in ((hit_seed, hit), (miss_seed, miss)):
         assert g.to_dump() == sample(W_ASYM, n, 0.3, seed).to_dump()
+
+
+# ---------------------------------------------------------------------------
+# latents from the seed block's lanes
+
+
+def _numpy_graph(w, n, rho, seed):
+    """The graph ``sample`` draws, its latents from a numpy generator."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    return resample_edges(w, rng.random(n), rho, seed)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The child stream indices of every generator ``sample`` builds."""
+    made = []
+
+    def spy(seed, k):
+        made.append(k)
+        return seeding.child_rng(seed, k)
+
+    monkeypatch.setattr(sampler, "child_rng", spy)
+    return made
+
+
+@pytest.mark.parametrize("w", [W_ASYM, StepGraphon.constant(0.6), W_THREE],
+                         ids=["W_asym", "one_block", "three_blocks"])
+@pytest.mark.parametrize("n", [SMALL_GRAPH_VERTICES, SMALL_GRAPH_VERTICES + 1])
+def test_lane_served_sample_equals_the_numpy_graph(streams, w, n):
+    for r in (0, 1, SEED_BLOCK - 1, SEED_BLOCK):
+        seed = replicate_seed(23, n, r)
+        streams.clear()
+        g = sample(w, n, 0.4, seed)
+        # at most SMALL_GRAPH_VERTICES the latents come from the lane
+        assert streams == ([1] if n <= SMALL_GRAPH_VERTICES else [0, 1])
+        h = _numpy_graph(w, n, 0.4, seed)
+        assert g.to_dump() == h.to_dump()
+        assert g.occupancy == h.occupancy
+        assert np.array_equal(g.blocks, h.blocks)
+        assert np.array_equal(g.pair_keys(), h.pair_keys())
+
+
+def test_lane_arrays_are_read_only():
+    g = sample(W_ASYM, 6, 0.3, replicate_seed(3, 6, 4))
+    for a in (g.latents, g.blocks):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the next graph of the block reads other rows of the same arrays
+    h = sample(W_ASYM, 6, 0.3, replicate_seed(3, 6, 5))
+    assert h.latents.base is g.latents.base
+    assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, g.seed).to_dump()
+
+
+def test_noted_seed_at_another_n_samples_the_numpy_graph(streams):
+    seed = replicate_seed(8, 8, 3)  # noted with the block of n = 8
+    g = sample(W_ASYM, 6, 0.3, seed)
+    assert streams == [0, 1]
+    assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, seed).to_dump()
+
+
+def test_note_replaced_on_another_thread_samples_the_numpy_graph(streams):
+    seed = replicate_seed(8, 6, 3)
+    t = threading.Thread(target=replicate_seed, args=(8, 6, 4))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    g = sample(W_ASYM, 6, 0.3, seed)
+    assert streams == [0, 1]
+    assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, seed).to_dump()
+
+
+def test_lone_sample_after_replicate_seed_builds_its_block():
+    sampler._lane_labels.cache_clear()
+    seed = replicate_seed(41, 10, 2 * SEED_BLOCK + 7)
+    g = sample(W_THREE, 10, 0.5, seed)
+    assert sampler._lane_labels.cache_info().currsize == 1
+    assert g.to_dump() == _numpy_graph(W_THREE, 10, 0.5, seed).to_dump()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from graphon_motifs.seeding import (
     _child_words,
     _seed_block,
     child_rng,
+    lane_uniforms,
     replicate_seed,
 )
 
@@ -68,6 +69,38 @@ def test_child_words_match_numpy(seeds):
         for i, seed in enumerate(seeds):
             ss = np.random.SeedSequence(seed, spawn_key=(k,))
             assert np.array_equal(words[k, i], ss.generate_state(4, np.uint64))
+
+
+def _numpy_latents(seed, n):
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))).random(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.integers(0, 2 ** 96 - 1), n=st.sampled_from([1, 2, 6, 29, 30]),
+       r=st.integers(0, 3 * SEED_BLOCK))
+@example(root=5, n=6, r=SEED_BLOCK - 1)  # one root word, the block's edge
+@example(root=5, n=1, r=SEED_BLOCK)
+@example(root=2 ** 32 + 7, n=30, r=SEED_BLOCK - 1)  # two words
+@example(root=2 ** 32 + 7, n=2, r=SEED_BLOCK)
+@example(root=2 ** 96 - 1, n=29, r=SEED_BLOCK)  # three words
+@example(root=2 ** 64, n=30, r=SEED_BLOCK - 1)
+def test_lane_uniforms_match_numpy_word_for_word(root, n, r):
+    # the lanes restate numpy's PCG64; if numpy ever changes its seeding or
+    # output, this fails first
+    lanes = lane_uniforms(root, n, r // SEED_BLOCK)
+    assert lanes.shape == (SEED_BLOCK, n) and not lanes.flags.writeable
+    want = _numpy_latents(_numpy_replicate_seed(root, n, r), n)
+    assert np.array_equal(lanes[r % SEED_BLOCK].view(np.uint64),
+                          want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 30])
+def test_every_lane_of_a_block_matches_numpy(n):
+    seeds, _ = _seed_block(11, n, 2)
+    lanes = lane_uniforms(11, n, 2)
+    want = np.array([_numpy_latents(int(seed), n) for seed in seeds])
+    assert np.array_equal(lanes.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("k", [0, 1])
