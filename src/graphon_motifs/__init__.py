@@ -10,8 +10,11 @@ Library layout:
 - ``seeding``     replicate seeds and child stream generators, derived in
                   cached blocks that match numpy's SeedSequence word for
                   word; the last seed handed out seeds PCG64 from its words,
-                  and its block's latent uniforms come from lockstep lanes
+                  and its block's child-stream uniforms come from lockstep
+                  lanes
 - ``sampler``     seeded generation of sparse graphon random graphs
+- ``lanes``       the small graphs of a whole seed block, drawn in lockstep
+                  for ``sampler.sample``
 - ``counting``    subgraph counts and the edge/label variance decomposition
 - ``stats``       standardization, KS goodness of fit, variance shares
 - ``experiments`` Monte Carlo campaigns over the above: a config is checked

@@ -28,8 +28,9 @@ Reproducibility contract (pinned by a golden test):
   adjacency are derived from them through the rank-to-label map.
 
 A graph's stratum plan (slots, edge probability, first batch size) is
-kept by an ``lru_cache`` per (graphon, rho, block occupancy).  Every
-graph's edge layer comes from ``_edge_layer``, which draws the first batch
+kept by an ``lru_cache`` per (graphon, rho, block occupancy).  A graph
+that builds a stream-1 generator draws its edge layer with
+``_edge_layer``, which draws the first batch
 of every stratum in one generator call and inverts it with one ``log1p``;
 a stratum that needs another batch reads on into those uniforms, which
 grow from the generator only by what a batch runs past their end.  While
@@ -41,8 +42,9 @@ is found from block sums and whose positions are formed only when the
 graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
 their gaps as Python floats into position lists, larger graphs into int64
 arrays; the two gap readers give the same positions and leave the
-generator in the same state.  One decoder (``_decode_edges``) reads
-either: it lays all strata end to end in one slot space whose row table
+generator in the same state; a graph served from the edge lanes holds
+read-only views of small unsigned positions.  One decoder
+(``_decode_edges``) reads any of them: it lays all strata end to end in one slot space whose row table
 (``_row_table``) is cached per block occupancy up to
 ``ROW_TABLE_CACHE_VERTICES`` vertices.
 
@@ -53,11 +55,14 @@ numpy's SeedSequence word for word; ``child_rng`` builds a new generator
 on every call.
 ``sample`` draws the latents from stream 0 and then runs the edge step of
 ``resample_edges`` on stream 1.  For the seed ``replicate_seed`` handed
-out last, at its block's n and at most ``SMALL_GRAPH_VERTICES``, stream 0
-is not built: the latents, blocks and occupancy are that seed's row of
-the block's lockstep lanes (``seeding.lane_uniforms``), whose blocks and
-occupancy come from one ``searchsorted`` and one ``bincount`` over all of
-them, kept for one (graphon, block) at a time (``_lane_labels``).
+out last, at its block's n and at most ``SMALL_GRAPH_VERTICES``, no
+generator is built: the latents, blocks and occupancy are that seed's row
+of the block's lockstep lanes (``_lane_labels``), and its edge layer is
+its row of the block's edge lanes (``_lane_edges``), every lane's first
+batches of stream 1 drawn at once and read stratum by stratum across all
+lanes as ``_read_positions`` reads them.  A lane one of whose strata runs
+past its first batch is drawn from its stream-1 generator instead.  Both
+are computed by the ``lanes`` module and kept for one block at a time.
 """
 
 from __future__ import annotations
@@ -72,8 +77,7 @@ import numpy as np
 
 from .motif import CSR, Motif, csr_from_keys, density_exponents
 from .graphon import StepGraphon
-from .seeding import (SEED_BLOCK, child_rng, lane_uniforms, noted_lane,
-                      replicate_seed)
+from .seeding import child_rng, noted_lane, replicate_seed
 
 # Graphs of at most this many vertices read their gaps into Python lists,
 # larger ones into int64 arrays; both draws decode through _decode_edges,
@@ -267,11 +271,18 @@ def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
 # edge stream
 
 
-def _batch_size(remaining: int, p: float) -> int:
+def _batch_size(remaining, p: float):
     """Uniforms drawn at once while ``remaining`` slots are left: the mean
-    count of successes plus four standard deviations, at least 16.  Both
-    gap readers draw these batches, so this fixes what a stratum consumes."""
+    count of successes plus four standard deviations, at least 16.  Every
+    gap reader draws these batches, so this fixes what a stratum consumes.
+    ``remaining`` may be an int64 array, for the lanes of ``_lane_edges``;
+    its sizes are the ints' own, truncated as ``int`` truncates."""
     expect = remaining * p
+    if isinstance(remaining, np.ndarray):
+        size = np.sqrt(expect + 1.0)
+        size *= 4.0
+        size += expect
+        return np.maximum(size.astype(np.int64) + 4, 16)
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
 
@@ -299,8 +310,9 @@ class _Steps:
 def _stratum_positions(stratum, offset: int = 0, out=None) -> np.ndarray:
     """The positions of a drawn stratum plus ``offset``, into ``out`` or a new
     int64 array, never into the draw: threads may decode one graph at once.
-    A position list is read as int64 here, since an empty one would read
-    as float64, which cannot be added into an int64 ``out``."""
+    Positions are read as int64 here: an empty list would read as
+    float64, which cannot be added into an int64 ``out``, and a lane's
+    unsigned positions could not hold the offset."""
     if type(stratum) is not _Steps:
         return np.add(np.asarray(stratum, dtype=np.int64), offset, out=out)
     pos = np.cumsum(stratum.steps, out=out)
@@ -524,7 +536,7 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
 
 def _decode_edges(strata: list, occupancy: tuple) -> np.ndarray:
     """Pair keys ``lo * (n + 1) + hi`` over the draw order of any draw,
-    whose strata hold position lists, int64 positions or ``_Steps``: lo <
+    whose strata hold position lists, integer positions or ``_Steps``: lo <
     hi are vertex ranks 0..n-1 by block, then label, every stratum at once
     in the slot space of ``_row_table`` and in stratum order.  Consumes no
     uniforms.  ``_label_keys`` relabels them."""
@@ -566,22 +578,28 @@ def _label_keys(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+# The lane code is in ``lanes``, imported on first use.  One block of each
+# is kept: a cell samples its replicates in index order.
 @lru_cache(maxsize=1)
 def _lane_labels(w: StepGraphon, block: tuple) -> tuple:
-    """(latents, blocks, occupancy) of every lane of a seed block, from
-    ``lane_uniforms(*block)``: read-only arrays of shape (SEED_BLOCK, n),
-    (SEED_BLOCK, n) and (SEED_BLOCK, K), one ``searchsorted`` and one
-    ``bincount`` over all lanes.  One block is kept: a cell samples its
-    replicates in index order."""
-    latents = lane_uniforms(*block)
-    blocks = w.blocks_of(latents)
-    K = w.block_count
-    lanes = K * np.arange(SEED_BLOCK)[:, None]
-    blocks += lanes  # each lane's blocks apart, then back
-    occupancy = np.bincount(blocks.ravel(), minlength=K * SEED_BLOCK)
-    blocks -= lanes
-    blocks.flags.writeable = occupancy.flags.writeable = False
-    return latents, blocks, occupancy.reshape(SEED_BLOCK, K)
+    """``lanes.labels``: the latents, blocks and occupancy of every lane
+    of a seed block."""
+    from .lanes import labels
+    return labels(w, block)
+
+
+@lru_cache(maxsize=1)
+def _lane_edges(w: StepGraphon, rho: float, block: tuple) -> tuple:
+    """``lanes.edges``: the edge layer of every lane of a seed block, over
+    its ``_lane_labels`` occupancy."""
+    from .lanes import edges
+    return edges(w, rho, block, _lane_labels(w, block)[2])
+
+
+def _checked_rho(rho) -> float:
+    if not (0.0 < rho <= 1.0):
+        raise ValueError("rho must lie in (0, 1]")
+    return float(rho)
 
 
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
@@ -589,25 +607,41 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     from the second.  Fully deterministic given (w, n, rho, seed).
 
     For the seed ``replicate_seed`` handed out last, at the n it was
-    derived for and at most SMALL_GRAPH_VERTICES, the latents, blocks and
-    occupancy are read from its row of ``_lane_labels``, read-only views
-    of the same values numpy's generator gives; any other call draws them
-    from a new stream-0 generator."""
+    derived for and at most SMALL_GRAPH_VERTICES, no generator is built:
+    the latents, blocks and occupancy are read from its row of
+    ``_lane_labels`` and the edge layer from its row of ``_lane_edges``,
+    read-only views of the same values numpy's generators give, unless
+    a stratum of that row runs past its first batch, when the edge layer
+    comes from a new stream-1 generator.  Such a call right after
+    ``replicate_seed`` builds both lane caches for the whole block: at
+    W_asym, about 3.5 ms at n = 6 and rho = 0.3 and 15 ms at n = 30 and
+    rho = 3 / sqrt(30), against 0.45 and 1.8 ms for the latent lanes
+    alone, most of it the stream-1 lanes.  Any other call draws the
+    latents from a new stream-0 generator and the edges from a stream-1
+    one."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    rho = _checked_rho(rho)
     lane = noted_lane(seed, n) if n <= SMALL_GRAPH_VERTICES else None
     if lane is None:
         return resample_edges(w, child_rng(seed, 0).random(n), rho, seed)
     block, i = lane
     latents, blocks, occupancy = _lane_labels(w, block)
-    return _with_edges(w, latents[i], blocks[i],
-                       tuple(occupancy[i].tolist()), rho, seed)
+    occupancy = tuple(occupancy[i].tolist())
+    positions, counts, overrun = _lane_edges(w, rho, block)
+    if overrun[i]:
+        return _with_edges(w, latents[i], blocks[i], occupancy, rho, seed)
+    k = counts[i].tolist()
+    return SampledGraph(n, rho, seed, latents[i], blocks[i], occupancy,
+                        ([pos[i, :c] for pos, c in zip(positions, k)],
+                         sum(k)))
 
 
 def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
                    seed: int) -> SampledGraph:
     """Fresh edge layer over fixed latents (conditional resampling), from
     the seed's second child stream."""
+    rho = _checked_rho(rho)
     latents = np.asarray(latents, dtype=np.float64)
     blocks = w.blocks_of(latents)
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
@@ -617,10 +651,7 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
 def _with_edges(w: StepGraphon, latents: np.ndarray, blocks: np.ndarray,
                 occupancy: tuple, rho: float, seed: int) -> SampledGraph:
     """The graph over given latents with its edge layer drawn from the
-    seed's second child stream."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    rho = float(rho)
+    seed's second child stream, at a checked rho."""
     return SampledGraph(latents.size, rho, int(seed), latents, blocks,
                         occupancy,
                         _edge_layer(w, occupancy, rho, child_rng(seed, 1)))

@@ -1,5 +1,5 @@
 """Replicate seeds, the generators of a seed's two child streams, and the
-latent-stream uniforms of a whole block of seeds.
+child-stream uniforms of a whole block of seeds.
 
 A replicate seed is ``SeedSequence((root, n, r)).generate_state(1, uint64)``
 and the seed's child stream k is ``PCG64(SeedSequence(seed,
@@ -14,13 +14,14 @@ both streams' words.  An ``lru_cache`` keeps the last two
 blocks.  The module notes the last seed handed out with its block, and
 ``child_rng`` seeds a new PCG64 from that seed's words through numpy's
 seed sequence interface, so numpy's own PCG64 seeding runs on both paths.
-``lane_uniforms`` draws stream 0's first n uniforms of every seed of a
-block in lockstep: PCG64 restated over uint64 numpy lanes, seeded as
-numpy's ``pcg64_set_seed`` from the block's stream-0 words, with the
-128-bit LCG step in 32-bit limbs, the XSL-RR output and ``(x >> 11) *
-2^-53``; ``noted_lane`` names the noted seed's lane.  Any other seed, and
-any argument outside the block range, goes through numpy's SeedSequence;
-the values are the same either way.
+``lane_uniforms`` draws a child stream's first uniforms of every seed of
+a block in lockstep, n of stream 0 for the latents and as many of stream
+1 as the edge layers' first batches take: PCG64 restated over uint64
+numpy lanes, seeded as numpy's ``pcg64_set_seed`` from the block's words
+of that stream, with the 128-bit LCG step in 32-bit limbs, the XSL-RR
+output and ``(x >> 11) * 2^-53``; ``noted_lane`` names the noted seed's
+lane.  Any other seed, and any argument outside the block range, goes
+through numpy's SeedSequence; the values are the same either way.
 
 This couples the module to numpy's SeedSequence and PCG64 constants.  The
 tests compare the derived seeds, words and uniforms with numpy word for
@@ -209,17 +210,21 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
     _add128(hi, lo, inc_hi, inc_lo, t[:3])
 
 
-def lane_uniforms(root: int, n: int, block: int) -> np.ndarray:
-    """Stream 0's first n uniforms of every replicate seed of the block
-    ``replicate_seed(root, n, r)`` derives r in, in index order: a
-    read-only array of shape (SEED_BLOCK, n), each row
-    ``child_rng(seed, 0).random(n)``.  PCG64 is seeded as numpy's
+def lane_uniforms(root: int, n: int, block: int, k: int = 0,
+                  count: int = None) -> np.ndarray:
+    """Child stream k's first ``count`` (default n) uniforms of every
+    replicate seed of the block ``replicate_seed(root, n, r)`` derives r
+    in, in index order: an array of shape (SEED_BLOCK, count), each row
+    ``child_rng(seed, k).random(count)``.  Stream 0's, whose rows graphs
+    keep as latents, is read-only; any other stream's is writable, for
+    its caller to transform in place.  PCG64 is seeded as numpy's
     ``pcg64_set_seed`` from the words (w0, w1, w2, w3): the state seed is
     w0 * 2^64 + w1 and the increment (w2 * 2^64 + w3) << 1 | 1; from a
     zero state it steps, adds the state seed and steps again.  Each double
     steps, then takes the XSL-RR output x and ``(x >> 11) * 2^-53``.
     Every step works in place, in four rows of scratch lanes."""
-    words = _seed_block(root, n, block)[1][0]
+    count = n if count is None else count
+    words = _seed_block(root, n, block)[1][k]
     one, s63 = np.uint64(1), np.uint64(63)
     t = np.empty((4, SEED_BLOCK), dtype=np.uint64)
     hi, lo = np.zeros((2, SEED_BLOCK), dtype=np.uint64)
@@ -231,8 +236,8 @@ def lane_uniforms(root: int, n: int, block: int) -> np.ndarray:
     _add128(hi, lo, words[:, 0], words[:, 1], t[:3])
     _pcg_step(hi, lo, inc_hi, inc_lo, t)
     x, rot, left = t[:3]
-    out = np.empty((SEED_BLOCK, n))
-    for j in range(n):
+    out = np.empty((SEED_BLOCK, count))
+    for j in range(count):
         _pcg_step(hi, lo, inc_hi, inc_lo, t)
         np.bitwise_xor(hi, lo, out=x)
         np.right_shift(hi, np.uint64(58), out=rot)
@@ -244,7 +249,7 @@ def lane_uniforms(root: int, n: int, block: int) -> np.ndarray:
         x >>= np.uint64(11)
         out[:, j] = x
     out *= 2.0 ** -53
-    out.flags.writeable = False
+    out.flags.writeable = k != 0
     return out
 
 

@@ -344,9 +344,9 @@ def test_write_result_files_and_determinism(tmp_path):
 
 def test_small_n_cells_draw_latents_from_the_seed_lanes(monkeypatch,
                                                        tmp_path):
-    # tiny_n's shape: every replicate's latents come from its seed's lane,
-    # so no stream-0 generator is built, and the files are those of the
-    # numpy generators
+    # tiny_n's shape: every replicate's latents and edges come from its
+    # seed's lane, so no generator is built, and the files are those of
+    # the numpy generators
     from graphon_motifs import sampler, seeding
     cfg = small_cfg("variance_ratio", schedule=SparsitySchedule(
         0.3 * math.sqrt(6), 0.5), n_values=(6, 8, 10), replicates=60)
@@ -359,7 +359,7 @@ def test_small_n_cells_draw_latents_from_the_seed_lanes(monkeypatch,
     with monkeypatch.context() as mp:
         mp.setattr(sampler, "child_rng", spy)
         write_result(run_experiment(cfg), tmp_path / "lanes")
-    assert streams == [1] * 180
+    assert streams == []
     with monkeypatch.context() as mp:
         mp.setattr(sampler, "noted_lane", lambda seed, n: None)
         write_result(run_experiment(cfg), tmp_path / "numpy")

@@ -732,16 +732,25 @@ def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
     def draw(n, rho, seed):
         """The graph's keys and the next uniform of both its streams: a
         graph whose latents came from the seed's lane builds no stream-0
-        generator, so stream 0's is numpy's after n doubles."""
+        generator, so stream 0's is numpy's after n doubles; one whose
+        edge layer came from the lanes builds no stream-1 generator and
+        read only its plan's first batches, so stream 1's is numpy's after
+        the plan's ``need`` doubles."""
         made.clear()
-        keys = sample(w, n, rho, seed).pair_keys()
+        g = sample(w, n, rho, seed)
+        keys = g.pair_keys()
         ref = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(seed, spawn_key=(0,))))
         ref.random(n)
         first = ref.random()
         if 0 in made:
             assert made[0].random() == first
-        return keys, [first, made[1].random()]
+        if 1 in made:
+            return keys, [first, made[1].random()]
+        ref = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(1,))))
+        ref.random(plans(w, rho, g.occupancy)[1])
+        return keys, [first, ref.random()]
 
     plans = sampler._stratum_plan
     for n in (8, 30, 31, 200):
@@ -1015,8 +1024,14 @@ def test_lane_served_sample_equals_the_numpy_graph(streams, w, n):
         seed = replicate_seed(23, n, r)
         streams.clear()
         g = sample(w, n, 0.4, seed)
-        # at most SMALL_GRAPH_VERTICES the latents come from the lane
-        assert streams == ([1] if n <= SMALL_GRAPH_VERTICES else [0, 1])
+        # at most SMALL_GRAPH_VERTICES the latents come from the lane, and
+        # the edges too unless a stratum runs past its first batch
+        if n <= SMALL_GRAPH_VERTICES:
+            block, i = seeding.noted_lane(seed, n)
+            overrun = sampler._lane_edges(w, 0.4, block)[2][i]
+            assert streams == ([1] if overrun else [])
+        else:
+            assert streams == [0, 1]
         h = _numpy_graph(w, n, 0.4, seed)
         assert g.to_dump() == h.to_dump()
         assert g.occupancy == h.occupancy
@@ -1056,10 +1071,115 @@ def test_note_replaced_on_another_thread_samples_the_numpy_graph(streams):
 
 def test_lone_sample_after_replicate_seed_builds_its_block():
     sampler._lane_labels.cache_clear()
+    sampler._lane_edges.cache_clear()
     seed = replicate_seed(41, 10, 2 * SEED_BLOCK + 7)
     g = sample(W_THREE, 10, 0.5, seed)
     assert sampler._lane_labels.cache_info().currsize == 1
+    assert sampler._lane_edges.cache_info().currsize == 1
     assert g.to_dump() == _numpy_graph(W_THREE, 10, 0.5, seed).to_dump()
+
+
+# ---------------------------------------------------------------------------
+# edge layers from the seed block's lanes
+
+W3 = StepGraphon((0.2, 0.3, 0.5),
+                 ((0.9, 0.2, 0.4), (0.2, 0.6, 0.1), (0.4, 0.1, 0.3)))
+
+
+@pytest.fixture
+def fresh_lanes():
+    """Cold lane caches before and after the test, so that lanes read
+    under one batch rule are never served under another."""
+    for cache in (sampler._lane_labels, sampler._lane_edges):
+        cache.cache_clear()
+    yield
+    for cache in (sampler._lane_labels, sampler._lane_edges):
+        cache.cache_clear()
+
+
+def _strata_lists(g) -> list:
+    return [np.asarray(stratum, dtype=np.int64).tolist()
+            for stratum in g._strata]
+
+
+@pytest.mark.parametrize("w", [W_ASYM, StepGraphon.constant(0.6), W_THREE,
+                               W3],
+                         ids=["W_asym", "one_block", "three_blocks", "W3"])
+@pytest.mark.parametrize("n", [1, 2, 6, 10, 29, 30])
+def test_every_lane_graph_equals_the_generator_graph(w, n):
+    # 75 lanes across two blocks at each rho: a lane's edge layer is read
+    # as the generator reads it, or comes from the generator
+    for rho in (0.05, 0.4, 1.0):
+        for r in range(SEED_BLOCK - 37, SEED_BLOCK + 38):
+            seed = replicate_seed(29, n, r)
+            g = sample(w, n, rho, seed)
+            h = _numpy_graph(w, n, rho, seed)
+            assert g.edge_count == h.edge_count
+            assert _strata_lists(g) == _strata_lists(h)
+            assert g.to_dump() == h.to_dump()
+        if n == 1:  # no stratum has a slot, so no lane draws
+            positions, counts, overrun = sampler._lane_edges(
+                w, rho, (29, 1, 1))
+            assert all(pos.shape == (SEED_BLOCK, 0) for pos in positions)
+            assert not counts.any() and not overrun.any()
+
+
+def test_lanes_past_their_first_batch_draw_from_stream_one(
+        monkeypatch, fresh_plans, fresh_lanes, streams):
+    # batches of one or two uniforms, in the lanes and in the generator
+    # alike: at p = 0.9 every lane runs past its first and is drawn by the
+    # generator, at W_asym and rho = 0.3 most lanes do
+    for w, n, rho, batch in ((StepGraphon.constant(0.9), 30, 1.0, 1),
+                             (W_ASYM, 10, 0.3, 2)):
+        monkeypatch.setattr(sampler, "_batch_size",
+                            lambda remaining, p: batch)
+        sampler._stratum_plan.cache_clear()
+        served = []
+        for r in range(40):
+            seed = replicate_seed(31, n, r)
+            streams.clear()
+            g = sample(w, n, rho, seed)
+            block, i = seeding.noted_lane(seed, n)
+            overrun = sampler._lane_edges(w, rho, block)[2]
+            assert streams == ([1] if overrun[i] else [])
+            served.append(not overrun[i])
+            assert g.to_dump() == _numpy_graph(w, n, rho, seed).to_dump()
+        if n == 30:
+            assert overrun.all()
+        else:
+            assert 0 < sum(served) < len(served)
+
+
+def test_lane_served_positions_are_read_only_views(fresh_lanes):
+    seed = replicate_seed(3, 10, 7)
+    g = sample(W_THREE, 10, 1.0, seed)  # p = 1 and p = 0 strata as well
+    positions = sampler._lane_edges(W_THREE, 1.0, (3, 10, 0))[0]
+    assert len(g._strata) == len(positions)
+    for stratum, pos in zip(g._strata, positions):
+        assert not stratum.flags.writeable
+        assert np.shares_memory(stratum, pos) or stratum.size == 0
+        with pytest.raises(ValueError):
+            stratum[...] = 0
+    assert g.to_dump() == _numpy_graph(W_THREE, 10, 1.0, seed).to_dump()
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.5, float("nan")])
+def test_noted_seed_with_invalid_rho_builds_no_lanes(fresh_lanes, rho):
+    seed = replicate_seed(5, 6, 3)
+    with pytest.raises(ValueError):
+        sample(W_ASYM, 6, rho, seed)
+    assert sampler._lane_labels.cache_info().currsize == 0
+    assert sampler._lane_edges.cache_info().currsize == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(remaining=st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=20),
+       p=st.floats(1e-9, 1.0, exclude_max=True))
+@example(remaining=[0, 1, 16, 435], p=0.9)
+def test_batch_size_of_an_array_is_each_remainders_own(remaining, p):
+    got = sampler._batch_size(np.array(remaining, dtype=np.int64), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sampler._batch_size(x, p) for x in remaining]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,27 @@ def test_lane_uniforms_match_numpy_word_for_word(root, n, r):
                           want.view(np.uint64))
 
 
+@settings(max_examples=30, deadline=None)
+@given(root=st.integers(0, 2 ** 96 - 1), n=st.sampled_from([1, 6, 30]),
+       r=st.integers(0, 3 * SEED_BLOCK), count=st.integers(1, 100))
+@example(root=5, n=6, r=SEED_BLOCK - 1, count=1)  # one root word
+@example(root=5, n=10, r=SEED_BLOCK, count=100)
+@example(root=2 ** 32 + 7, n=30, r=SEED_BLOCK - 1, count=48)  # two words
+@example(root=2 ** 32 + 7, n=1, r=SEED_BLOCK, count=17)
+@example(root=2 ** 96 - 1, n=29, r=SEED_BLOCK, count=100)  # three words
+@example(root=2 ** 64, n=8, r=SEED_BLOCK - 1, count=2)
+def test_stream_one_lanes_match_numpy_word_for_word(root, n, r, count):
+    # stream 1 of the same lanes, as many doubles as asked, writable for
+    # the edge layer's in-place inversion
+    lanes = lane_uniforms(root, n, r // SEED_BLOCK, 1, count)
+    assert lanes.shape == (SEED_BLOCK, count) and lanes.flags.writeable
+    seed = _numpy_replicate_seed(root, n, r)
+    want = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(1,)))).random(count)
+    assert np.array_equal(lanes[r % SEED_BLOCK].view(np.uint64),
+                          want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [6, 8, 10, 30])
 def test_every_lane_of_a_block_matches_numpy(n):
     seeds, _ = _seed_block(11, n, 2)
