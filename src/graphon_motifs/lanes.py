@@ -55,12 +55,12 @@ def edges(w: StepGraphon, rho: float, block: tuple,
     largest count, in the smallest unsigned dtype that holds every slot
     count; counts the (SEED_BLOCK, strata) counts; overrun flags each lane
     one of whose strata runs past its first batch, which is then drawn
-    from its stream-1 generator instead.  Every lane's slots and first
-    batches (``sampler._batch_size``) come from array passes, with p,
-    log(1 - p) and the cap formed as ``sampler._stratum_plan`` forms them;
-    stream 1's first doubles of all lanes come from one ``lane_uniforms``
-    call, inverted in place, and each stratum's batch is read from every
-    lane at once."""
+    from its stream-1 generator instead.  Every lane's slots come from
+    array passes and its first batches from ``sampler._batch_size``, once
+    a distinct slot count of each stratum, with p, log(1 - p) and the cap
+    formed as ``sampler._stratum_plan`` forms them; stream 1's first
+    doubles of all lanes come from one ``lane_uniforms`` call, inverted in
+    place, and each stratum's batch is read from every lane at once."""
     order = sampler._stratum_order(w.block_count)
     ps = [rho * w.values[b][c] for b, c in order]
     slots = np.empty((len(order), SEED_BLOCK), dtype=np.int64)
@@ -68,9 +68,10 @@ def edges(w: StepGraphon, rho: float, block: tuple,
     for s, (b, c) in enumerate(order):
         nb = occupancy[:, b]
         slots[s] = nb * (nb - 1) >> 1 if b == c else nb * occupancy[:, c]
-        if 0.0 < ps[s] < 1.0:
-            sizes[s] = np.where(slots[s] > 0,
-                                sampler._batch_size(slots[s] + 1, ps[s]), 0)
+        if 0.0 < ps[s] < 1.0:  # one batch size a distinct slot count
+            values, inverse = np.unique(slots[s], return_inverse=True)
+            sizes[s] = np.array([sampler._batch_size(v + 1, ps[s]) if v
+                                 else 0 for v in values.tolist()])[inverse]
     widths = sizes.max(axis=1)
     starts = np.cumsum(sizes, axis=0)
     starts -= sizes

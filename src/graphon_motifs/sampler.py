@@ -271,18 +271,12 @@ def _parse_line(numbered: tuple, types: tuple, expected: str) -> list:
 # edge stream
 
 
-def _batch_size(remaining, p: float):
+def _batch_size(remaining: int, p: float) -> int:
     """Uniforms drawn at once while ``remaining`` slots are left: the mean
     count of successes plus four standard deviations, at least 16.  Every
-    gap reader draws these batches, so this fixes what a stratum consumes.
-    ``remaining`` may be an int64 array, for the lanes of ``_lane_edges``;
-    its sizes are the ints' own, truncated as ``int`` truncates."""
+    gap reader, the edge lanes too, draws these batches, so this fixes what
+    a stratum consumes."""
     expect = remaining * p
-    if isinstance(remaining, np.ndarray):
-        size = np.sqrt(expect + 1.0)
-        size *= 4.0
-        size += expect
-        return np.maximum(size.astype(np.int64) + 4, 16)
     return max(16, int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4)
 
 
@@ -632,7 +626,8 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     if overrun[i]:
         return _with_edges(w, latents[i], blocks[i], occupancy, rho, seed)
     k = counts[i].tolist()
-    return SampledGraph(n, rho, seed, latents[i], blocks[i], occupancy,
+    return SampledGraph(latents[i].size, rho, seed, latents[i], blocks[i],
+                        occupancy,
                         ([pos[i, :c] for pos, c in zip(positions, k)],
                          sum(k)))
 

@@ -735,7 +735,8 @@ def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
         generator, so stream 0's is numpy's after n doubles; one whose
         edge layer came from the lanes builds no stream-1 generator and
         read only its plan's first batches, so stream 1's is numpy's after
-        the plan's ``need`` doubles."""
+        the plan's ``need`` doubles, found past the cache so that its
+        counts hold only the sampler's own lookups."""
         made.clear()
         g = sample(w, n, rho, seed)
         keys = g.pair_keys()
@@ -749,27 +750,41 @@ def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
             return keys, [first, made[1].random()]
         ref = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(seed, spawn_key=(1,))))
-        ref.random(plans(w, rho, g.occupancy)[1])
+        ref.random(plans.__wrapped__(w, rho, g.occupancy)[1])
         return keys, [first, ref.random()]
 
     plans = sampler._stratum_plan
-    for n in (8, 30, 31, 200):
+    # n = 8 and 30 from the lanes, then through the list reader of a
+    # stream-1 generator with the lanes patched out
+    for n, lanes in ((8, True), (30, True), (31, True), (200, True),
+                     (8, False), (30, False)):
         rho = min(1.0, 3 / math.sqrt(n))
         seeds = [replicate_seed(9, n, r) for r in range(25)]
-        cold = []
-        for seed in seeds:
-            plans.cache_clear()
-            cold.append(draw(n, rho, seed))
-        for _ in range(2):
-            hits = plans.cache_info().hits
-            warm = [draw(n, rho, seed) for seed in seeds]
-            for (keys, nexts), (keys_c, nexts_c) in zip(warm, cold):
-                assert np.array_equal(keys, keys_c)
-                assert len(nexts) == 2 and nexts == nexts_c
-            info = plans.cache_info()
-            assert info.currsize <= info.maxsize
-        # the second warm pass found every plan in the cache
-        assert info.hits - hits == len(seeds)
+        with monkeypatch.context() as mp:
+            if not lanes:
+                mp.setattr(sampler, "noted_lane", lambda seed, n: None)
+            cold = []
+            for seed in seeds:
+                plans.cache_clear()
+                cold.append(draw(n, rho, seed))
+            for _ in range(2):
+                hits, built = plans.cache_info().hits, 0
+                warm = []
+                for seed in seeds:
+                    warm.append(draw(n, rho, seed))
+                    built += 1 in made
+                for (keys, nexts), (keys_c, nexts_c) in zip(warm, cold):
+                    assert np.array_equal(keys, keys_c)
+                    assert len(nexts) == 2 and nexts == nexts_c
+                info = plans.cache_info()
+                assert info.currsize <= info.maxsize
+        # the second warm pass found the plan of every graph that drew
+        # from a stream-1 generator, and only those looked one up
+        assert info.hits - hits == built
+        if n > SMALL_GRAPH_VERTICES or not lanes:
+            assert built == len(seeds)
+        else:
+            assert built < len(seeds)
 
 
 def test_graph_occupancy_counts_its_blocks():
@@ -1172,14 +1187,11 @@ def test_noted_seed_with_invalid_rho_builds_no_lanes(fresh_lanes, rho):
     assert sampler._lane_edges.cache_info().currsize == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(remaining=st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=20),
-       p=st.floats(1e-9, 1.0, exclude_max=True))
-@example(remaining=[0, 1, 16, 435], p=0.9)
-def test_batch_size_of_an_array_is_each_remainders_own(remaining, p):
-    got = sampler._batch_size(np.array(remaining, dtype=np.int64), p)
-    assert got.dtype == np.int64
-    assert got.tolist() == [sampler._batch_size(x, p) for x in remaining]
+def test_lane_served_graph_takes_its_n_from_its_latents(fresh_lanes):
+    seed = replicate_seed(5, 6, 3)
+    g = sample(W_ASYM, 6.0, 0.3, seed)  # a float n still matches the note
+    assert type(g.n) is int and g.n == 6
+    assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, seed).to_dump()
 
 
 # ---------------------------------------------------------------------------
