@@ -69,9 +69,10 @@ def edges(w: StepGraphon, rho: float, block: tuple,
         nb = occupancy[:, b]
         slots[s] = nb * (nb - 1) >> 1 if b == c else nb * occupancy[:, c]
         if 0.0 < ps[s] < 1.0:  # one batch size a distinct slot count
-            values, inverse = np.unique(slots[s], return_inverse=True)
-            sizes[s] = np.array([sampler._batch_size(v + 1, ps[s]) if v
-                                 else 0 for v in values.tolist()])[inverse]
+            table = np.bincount(slots[s])
+            for v in np.flatnonzero(table).tolist():
+                table[v] = sampler._batch_size(v + 1, ps[s]) if v else 0
+            sizes[s] = table[slots[s]]
     widths = sizes.max(axis=1)
     starts = np.cumsum(sizes, axis=0)
     starts -= sizes

@@ -62,7 +62,9 @@ its row of the block's edge lanes (``_lane_edges``), every lane's first
 batches of stream 1 drawn at once and read stratum by stratum across all
 lanes as ``_read_positions`` reads them.  A lane one of whose strata runs
 past its first batch is drawn from its stream-1 generator instead.  Both
-are computed by the ``lanes`` module and kept for one block at a time.
+are computed by the ``lanes`` module and kept for one block at a time;
+they pay off only in cells that draw a few hundred replicates or more of
+a block (``sample`` gives the break-even).
 """
 
 from __future__ import annotations
@@ -606,13 +608,17 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     ``_lane_labels`` and the edge layer from its row of ``_lane_edges``,
     read-only views of the same values numpy's generators give, unless
     a stratum of that row runs past its first batch, when the edge layer
-    comes from a new stream-1 generator.  Such a call right after
-    ``replicate_seed`` builds both lane caches for the whole block: at
-    W_asym, about 3.5 ms at n = 6 and rho = 0.3 and 15 ms at n = 30 and
-    rho = 3 / sqrt(30), against 0.45 and 1.8 ms for the latent lanes
-    alone, most of it the stream-1 lanes.  Any other call draws the
-    latents from a new stream-0 generator and the edges from a stream-1
-    one."""
+    comes from a new stream-1 generator.  The first such call of a block
+    builds both lane caches for all its seeds, a fixed cost that only the
+    block's later graphs repay, so what decides the gain is how many
+    replicates a cell draws of each block.  At W_asym, rho = 0.3 *
+    sqrt(6 / n), the build costs about 3 ms at n = 6 and 6 ms at n = 30
+    (13 ms at rho = 3 / sqrt(30)), and each later graph saves about 7 us:
+    a block breaks even at about 200 to 450 replicates, and a cell that
+    draws fewer of a block, a lone ``sample`` after ``replicate_seed``
+    among them, is slower than with generators.  Any other call draws
+    the latents from a new stream-0 generator and the edges from a
+    stream-1 one."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rho = _checked_rho(rho)
