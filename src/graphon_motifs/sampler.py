@@ -612,11 +612,12 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     builds both lane caches for all its seeds, a fixed cost that only the
     block's later graphs repay, so what decides the gain is how many
     replicates a cell draws of each block.  At W_asym, rho = 0.3 *
-    sqrt(6 / n), the build costs about 3 ms at n = 6 and 6 ms at n = 30
-    (13 ms at rho = 3 / sqrt(30)), and each later graph saves about 7 us:
-    a block breaks even at about 200 to 450 replicates, and a cell that
-    draws fewer of a block, a lone ``sample`` after ``replicate_seed``
-    among them, is slower than with generators.  Any other call draws
+    sqrt(6 / n), the build costs about 3 ms at n = 6 and 5.5 ms at n =
+    30, and each later graph saves about 7 and 13 us (13 ms and 35 us at
+    rho = 3 / sqrt(30)): a block breaks even at about 350 to 450
+    replicates, and a cell that draws fewer of a block, a lone ``sample``
+    after ``replicate_seed`` among them, is slower than with generators
+    (0.9 against 3.8 ms alone at n = 6).  Any other call draws
     the latents from a new stream-0 generator and the edges from a
     stream-1 one."""
     if n < 1:
