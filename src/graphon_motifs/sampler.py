@@ -615,11 +615,11 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     sqrt(6 / n), the build costs about 3 ms at n = 6 and 5.5 ms at n =
     30, and each later graph saves about 7 and 13 us (13 ms and 35 us at
     rho = 3 / sqrt(30)): a block breaks even at about 350 to 450
-    replicates, and a cell that draws fewer of a block, a lone ``sample``
-    after ``replicate_seed`` among them, is slower than with generators
-    (0.9 against 3.8 ms alone at n = 6).  Any other call draws
-    the latents from a new stream-0 generator and the edges from a
-    stream-1 one."""
+    replicates, and a cell that draws fewer of a block is slower than
+    with generators: a lone ``sample`` after ``replicate_seed`` at n = 6
+    takes about 3.8 ms with its seed block, against 0.9 ms with the
+    latent lanes alone.  Any other call draws the latents from a new
+    stream-0 generator and the edges from a stream-1 one."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rho = _checked_rho(rho)
