@@ -41,7 +41,7 @@ from .motif import (
     wedge_keys,
 )
 from .graphon import StepGraphon, _arrays, _assignment_products, hom_density
-from .sampler import SampledGraph
+from .sampler import SampledGraph, _checked_latents
 
 # Exact (co)variance oracles enumerate all ordered copy pairs.
 MAX_ORACLE_N = 12
@@ -231,7 +231,8 @@ def conditional_expected_count(latents, m: Motif, w: StepGraphon,
     Polynomial in the block occupancy vector, so evaluation is O(K^|V|)
     independent of n.
     """
-    occ = np.bincount(w.blocks_of(latents), minlength=w.block_count)
+    occ = np.bincount(w.blocks_of(_checked_latents(latents)),
+                      minlength=w.block_count)
     return _conditional_from_occupancy(tuple(int(x) for x in occ), m, w, rho)
 
 

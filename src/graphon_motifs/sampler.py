@@ -39,12 +39,9 @@ one pass up to the first stratum that runs past its own.  A draw
 holds each stratum's positions, or for a stratum whose first batch is
 longer than ``PREFIX_BLOCK`` its int64 gap steps (``_Steps``), whose end
 is found from block sums and whose positions are formed only when the
-graph decodes.  Graphs of at most ``SMALL_GRAPH_VERTICES`` vertices read
-their gaps as Python floats into position lists, larger graphs into int64
-arrays; the two gap readers give the same positions and leave the
-generator in the same state; a graph served from the edge lanes holds
-read-only views of small unsigned positions.  One decoder
-(``_decode_edges``) reads any of them: it lays all strata end to end in one slot space whose row table
+graph decodes; a graph served from the edge lanes holds read-only views
+of small unsigned positions.  One decoder (``_decode_edges``) reads any
+of them: it lays all strata end to end in one slot space whose row table
 (``_row_table``) is cached per block occupancy up to
 ``ROW_TABLE_CACHE_VERTICES`` vertices.
 
@@ -77,20 +74,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .motif import CSR, Motif, csr_from_keys, density_exponents
+from .motif import CSR, Motif, _integer, csr_from_keys, density_exponents
 from .graphon import StepGraphon
 from .seeding import child_rng, noted_lane, replicate_seed
 
-# Graphs of at most this many vertices read their gaps into Python lists,
-# larger ones into int64 arrays; both draws decode through _decode_edges,
-# so the bound picks the reader only.  The draw alone over fixed latents
-# (W_asym, generator build excluded, best of 7 x 300; 2-core host, Python
-# 3.11.7, numpy 2.4.6), arrays against lists at n = 20/25/30/35/40: at
-# rho = 0.05, 19/19/18/19/19 against 7/7/8/9/11 us; at rho = 0.3,
-# 18/19/19/20/21 against 14/17/19/28/37; at rho = 1, 20/20/21/22/22
-# against 35/40/54/77/113.  At n = 6 and rho = 0.3 it takes 18 against
-# 6 us, at n = 150 and rho = 0.05 21 against 71 us.  numpy's fixed cost
-# per call decides small graphs, Python's cost per uniform large ones.
+# ``sample`` serves a noted seed from the lanes only up to this n.  It keeps
+# count_heavy's n = 150 and 200 cells, which draw 100 and 300 replicates of
+# a block, off the lanes, which break even at about 350 to 450 (``sample``).
 SMALL_GRAPH_VERTICES = 30
 
 # A stratum whose first batch is longer than this keeps its gap steps and
@@ -235,11 +225,7 @@ class SampledGraph:
                             for ln in lines[i + 1:]], dtype=np.float64)
         if latents.size != n:
             raise ValueError(f"dump has {latents.size} latents for n={n}")
-        bad = np.flatnonzero(~((latents >= 0.0) & (latents < 1.0)))
-        if bad.size:
-            v = int(bad[0])
-            raise ValueError(f"latent {float(latents[v])!r} of vertex {v + 1} "
-                             f"outside [0, 1)")
+        _checked_latents(latents)
         pairs = sorted((min(a, b), max(a, b)) for a, b in edges)
         for k, (a, b) in enumerate(pairs):
             if a == b:
@@ -306,9 +292,8 @@ class _Steps:
 def _stratum_positions(stratum, offset: int = 0, out=None) -> np.ndarray:
     """The positions of a drawn stratum plus ``offset``, into ``out`` or a new
     int64 array, never into the draw: threads may decode one graph at once.
-    Positions are read as int64 here: an empty list would read as
-    float64, which cannot be added into an int64 ``out``, and a lane's
-    unsigned positions could not hold the offset."""
+    Positions are read as int64 here: a lane's unsigned positions could not
+    hold the offset."""
     if type(stratum) is not _Steps:
         return np.add(np.asarray(stratum, dtype=np.int64), offset, out=out)
     pos = np.cumsum(stratum.steps, out=out)
@@ -374,27 +359,6 @@ def _read_positions(rng, logs: np.ndarray, at: int, slots: int, p: float,
         size = _batch_size(slots - last, p)
     out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return (_Steps(out) if defer else out), logs, at
-
-
-def _read_floats(rng, logs: list, at: int, slots: int, p: float,
-                 log_q: float, cap: float, size: int) -> tuple:
-    """(position list, logs, next at) of one stratum: the batches of
-    ``_read_positions``, read from a list of Python floats with the same
-    IEEE division and truncation; a batch past the end of ``logs`` extends
-    it in place from ``rng`` by the shortfall."""
-    positions = []
-    pos = -1
-    while True:
-        end = at + size
-        if end > len(logs):
-            logs += _log_uniforms(rng, end - len(logs)).tolist()
-        for x in logs[at:end]:
-            pos += int(min(x / log_q, cap)) + 1
-            if pos >= slots:
-                return positions, logs, end
-            positions.append(pos)
-        at = end
-        size = _batch_size(slots - pos, p)
 
 
 @lru_cache(maxsize=None)
@@ -499,31 +463,20 @@ def _read_first_batches(logs: np.ndarray, strata: tuple) -> tuple:
 
 
 def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
-    """(positions of each stratum, edge count) of the graph's edge layer:
-    the first batches of all strata drawn in one call, each stratum read
-    on where the last ended.  Graphs of at most SMALL_GRAPH_VERTICES
-    vertices read position lists from Python floats (``_read_floats``),
-    larger ones int64 arrays: all first batches at once while none is
-    longer than PREFIX_BLOCK (``_read_first_batches``), and from the first
-    stratum that runs past its first batch, or any stratum of a graph
-    that keeps steps, one stratum at a time (``_read_positions``).  The
-    bound picks the reader only: either draw decodes through
-    ``_decode_edges``."""
+    """(int64 positions of each stratum, edge count) of the graph's edge
+    layer: the first batches of all strata drawn in one call and read all
+    at once while none is longer than PREFIX_BLOCK (``_read_first_batches``),
+    and from the first stratum that runs past its first batch, or any
+    stratum of a graph that keeps steps, one stratum at a time
+    (``_read_positions``), each read on where the last ended."""
     strata, need, longest = _stratum_plan(w, rho, occupancy)
-    small = sum(occupancy) <= SMALL_GRAPH_VERTICES
     logs = _log_uniforms(rng, need) if need else np.empty(0)
-    read = _read_positions
-    out = []
-    at = 0  # where the next batch starts in logs
-    if small:
-        logs, read = logs.tolist(), _read_floats
-    elif longest <= PREFIX_BLOCK:
-        out, at = _read_first_batches(logs, strata)
+    out, at = (_read_first_batches(logs, strata) if longest <= PREFIX_BLOCK
+               else ([], 0))  # at: where the next batch starts in logs
     for slots, p, log_q, cap, size in strata[len(out):]:
         if size:
-            pos, logs, at = read(rng, logs, at, slots, p, log_q, cap, size)
-        elif small:
-            pos = list(range(slots)) if p >= 1.0 else []
+            pos, logs, at = _read_positions(rng, logs, at, slots, p, log_q,
+                                            cap, size)
         else:
             pos = np.arange(slots if p >= 1.0 else 0, dtype=np.int64)
         out.append(pos)
@@ -532,10 +485,10 @@ def _edge_layer(w: StepGraphon, occupancy: tuple, rho: float, rng) -> tuple:
 
 def _decode_edges(strata: list, occupancy: tuple) -> np.ndarray:
     """Pair keys ``lo * (n + 1) + hi`` over the draw order of any draw,
-    whose strata hold position lists, integer positions or ``_Steps``: lo <
-    hi are vertex ranks 0..n-1 by block, then label, every stratum at once
-    in the slot space of ``_row_table`` and in stratum order.  Consumes no
-    uniforms.  ``_label_keys`` relabels them."""
+    whose strata hold integer positions or ``_Steps``: lo < hi are vertex
+    ranks 0..n-1 by block, then label, every stratum at once in the slot
+    space of ``_row_table`` and in stratum order.  Consumes no uniforms.
+    ``_label_keys`` relabels them."""
     table = (_row_table if sum(occupancy) <= ROW_TABLE_CACHE_VERTICES
              else _row_table.__wrapped__)
     offsets, starts, leads = table(occupancy)
@@ -598,6 +551,21 @@ def _checked_rho(rho) -> float:
     return float(rho)
 
 
+def _checked_latents(latents) -> np.ndarray:
+    """``latents`` as a float64 array, which must be 1-D with at least one
+    entry, each in [0, 1); a ValueError names the first vertex outside."""
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim != 1 or not latents.size:
+        raise ValueError(f"latents must be a 1-D array of at least one "
+                         f"entry, not of shape {latents.shape}")
+    # NaN fails both tests; the message is built only on failure
+    if not (latents.min() >= 0.0 and latents.max() < 1.0):
+        v = int(np.flatnonzero(~((latents >= 0.0) & (latents < 1.0)))[0])
+        raise ValueError(f"latent {float(latents[v])!r} of vertex {v + 1} "
+                         f"outside [0, 1)")
+    return latents
+
+
 def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     """Draw one graph: latents from the seed's first child stream, edges
     from the second.  Fully deterministic given (w, n, rho, seed).
@@ -620,18 +588,19 @@ def sample(w: StepGraphon, n: int, rho: float, seed: int) -> SampledGraph:
     takes about 3.8 ms with its seed block, against 0.9 ms with the
     latent lanes alone.  Any other call draws the latents from a new
     stream-0 generator and the edges from a stream-1 one."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     rho = _checked_rho(rho)
     lane = noted_lane(seed, n) if n <= SMALL_GRAPH_VERTICES else None
     if lane is None:
-        return resample_edges(w, child_rng(seed, 0).random(n), rho, seed)
+        return _with_edges(w, child_rng(seed, 0).random(n), rho, seed)
     block, i = lane
     latents, blocks, occupancy = _lane_labels(w, block)
     occupancy = tuple(occupancy[i].tolist())
     positions, counts, overrun = _lane_edges(w, rho, block)
     if overrun[i]:
-        return _with_edges(w, latents[i], blocks[i], occupancy, rho, seed)
+        return _with_edges(w, latents[i], rho, seed, blocks[i], occupancy)
     k = counts[i].tolist()
     return SampledGraph(latents[i].size, rho, seed, latents[i], blocks[i],
                         occupancy,
@@ -644,16 +613,19 @@ def resample_edges(w: StepGraphon, latents: np.ndarray, rho: float,
     """Fresh edge layer over fixed latents (conditional resampling), from
     the seed's second child stream."""
     rho = _checked_rho(rho)
-    latents = np.asarray(latents, dtype=np.float64)
-    blocks = w.blocks_of(latents)
-    occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
-    return _with_edges(w, latents, blocks, occupancy, rho, seed)
+    return _with_edges(w, _checked_latents(latents), rho, seed)
 
 
-def _with_edges(w: StepGraphon, latents: np.ndarray, blocks: np.ndarray,
-                occupancy: tuple, rho: float, seed: int) -> SampledGraph:
-    """The graph over given latents with its edge layer drawn from the
-    seed's second child stream, at a checked rho."""
+def _with_edges(w: StepGraphon, latents: np.ndarray, rho: float, seed: int,
+                blocks: np.ndarray = None, occupancy: tuple = None
+                ) -> SampledGraph:
+    """The graph over given latents, and their blocks and occupancy unless
+    given, with its edge layer drawn from the seed's second child stream,
+    at a checked rho."""
+    if blocks is None:
+        blocks = w.blocks_of(latents)
+        occupancy = tuple(np.bincount(blocks,
+                                      minlength=w.block_count).tolist())
     return SampledGraph(latents.size, rho, int(seed), latents, blocks,
                         occupancy,
                         _edge_layer(w, occupancy, rho, child_rng(seed, 1)))

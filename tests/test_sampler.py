@@ -15,6 +15,7 @@ from graphon_motifs import (
     SparsitySchedule,
     StepGraphon,
     classify_regime,
+    conditional_expected_count,
     critical_schedule,
     named_graphon,
     named_motif,
@@ -22,7 +23,7 @@ from graphon_motifs import (
     sample,
     schedule_rho,
 )
-from graphon_motifs import sampler
+from graphon_motifs import counting, sampler
 from graphon_motifs.counting import triangle_count
 from graphon_motifs.sampler import (
     SMALL_GRAPH_VERTICES,
@@ -93,8 +94,7 @@ def test_sample_golden_output_large_graph():
 
 
 def test_sample_golden_output_small_graph():
-    # n = 6 reads its gaps into lists; the digest was computed before that
-    # reader existed
+    # n = 6 from a raw seed: a small graph drawn from generators
     g = sample(W_ASYM, 6, 0.3, 5001)
     digest = hashlib.sha256(g.to_dump().encode()).hexdigest()
     assert g.edges.tolist() == [[1, 4], [2, 3], [3, 4], [3, 6]]
@@ -119,6 +119,52 @@ def test_dump_round_trip():
     assert back.edge_list() == g.edge_list()
     assert np.array_equal(back.latents, g.latents)
     assert np.array_equal(back.blocks, g.blocks)
+
+
+@pytest.mark.parametrize("latents,message", [
+    ([1.5, -0.2, 0.3], "latent 1.5 of vertex 1 outside [0, 1)"),
+    ([0.2, -0.2, 0.3], "latent -0.2 of vertex 2 outside [0, 1)"),
+    ([0.2, 0.5, math.nan], "latent nan of vertex 3 outside [0, 1)"),
+    ([0.0, 1.0], "latent 1.0 of vertex 2 outside [0, 1)"),
+    ([math.inf], "latent inf of vertex 1 outside [0, 1)"),
+], ids=["above_and_below", "negative", "nan", "one", "inf"])
+def test_latents_outside_the_unit_interval_fail_alike(latents, message):
+    dump = (f"{len(latents)} 0.3 1\nlatents\n"
+            + "".join(f"{u!r}\n" for u in latents))
+    for refuse in (lambda: resample_edges(W_ASYM, latents, 0.3, 1),
+                   lambda: conditional_expected_count(
+                       latents, named_motif("triangle"), W_ASYM, 0.3),
+                   lambda: SampledGraph.from_dump(dump, W_ASYM)):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("latents", [[], [[0.1, 0.2]], 0.5],
+                         ids=["empty", "two_d", "scalar"])
+def test_latents_that_are_not_a_nonempty_vector_fail_alike(latents):
+    for refuse in (lambda: resample_edges(W_ASYM, latents, 0.3, 1),
+                   lambda: conditional_expected_count(
+                       latents, named_motif("triangle"), W_ASYM, 0.3)):
+        with pytest.raises(ValueError, match="latents must be a 1-D array "
+                                             "of at least one entry"):
+            refuse()
+    # a dump of no latents has n = 0, refused as such
+    with pytest.raises(ValueError, match="n = 0 must be at least 1"):
+        SampledGraph.from_dump("0 0.3 1\nlatents\n", W_ASYM)
+
+
+def test_latents_at_the_ends_of_the_unit_interval_round_trip():
+    latents = [0.0, 0.25, np.nextafter(1.0, 0.0), 0.7]
+    k3 = named_motif("triangle")
+    g = resample_edges(W_ASYM, latents, 1.0, 3)
+    assert g.latents.tolist() == latents
+    back = SampledGraph.from_dump(g.to_dump(), W_ASYM)
+    assert back.to_dump() == g.to_dump()
+    assert back.occupancy == g.occupancy
+    want = counting._conditional_from_occupancy(g.occupancy, k3, W_ASYM, 1.0)
+    for given_as in (latents, g.latents, back.latents):
+        assert conditional_expected_count(given_as, k3, W_ASYM, 1.0) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,8 +406,7 @@ def _drawn_strata(draw):
     """(blocks, occupancy, drawn strata, position lists) of a K-block graph
     with K in 1..4, at least one vertex and blocks of 0 to 9, and in each
     stratum no positions, all of its slots (p >= 1) or a random subset of
-    them, held as int64 positions, as ``_Steps`` or as a Python list, as
-    ``_read_floats`` gives it."""
+    them, held as int64 positions or as ``_Steps``."""
     occupancy = tuple(draw(st.lists(st.integers(0, 9), min_size=1,
                                     max_size=4).filter(any)))
     K = len(occupancy)
@@ -376,11 +421,9 @@ def _drawn_strata(draw):
         pos = (list(range(slots)) if kind == "all" else [] if kind == "none"
                else sorted(draw(st.sets(st.integers(0, max(slots - 1, 0)),
                                         max_size=slots))))
-        held = draw(st.sampled_from(["array", "steps", "list"]))
+        held = draw(st.sampled_from(["array", "steps"]))
         arr = np.array(pos, dtype=np.int64)
-        if held == "list":
-            arr = list(pos)
-        elif pos and held == "steps":
+        if pos and held == "steps":
             arr = sampler._Steps(np.diff(arr, prepend=-1))
         strata.append(arr)
         lists.append(pos)
@@ -389,9 +432,9 @@ def _drawn_strata(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_drawn_strata())
-# list strata only, as a small graph draws them: one empty, two full
+# int64 strata only, as a small graph draws them: one empty, two full
 @example(drawn=(np.array([0, 1, 0, 1, 1]), (2, 3),
-                [[], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+                [np.arange(0), np.arange(3), np.arange(6)],
                 [[], [0, 1, 2], [0, 1, 2, 3, 4, 5]]))
 def test_decode_matches_the_enumeration_oracle(drawn):
     blocks, occupancy, strata, lists = drawn
@@ -422,7 +465,7 @@ W_THREE = StepGraphon((0.2, 0.3, 0.5),
 @pytest.mark.parametrize("n", [6, SMALL_GRAPH_VERTICES,
                                SMALL_GRAPH_VERTICES + 1])
 def test_drawn_keys_pair_ranks_by_block_then_label(w, n):
-    # either gap reader's draw decodes into the one draw order
+    # lane and generator draws decode into the one draw order
     stride = n + 1
     for rho in (0.3, 1.0):
         for r in range(20):
@@ -463,55 +506,38 @@ def fresh_plans():
     sampler._stratum_plan.cache_clear()
 
 
-def _edge_layer_read_as(small: bool, w, occupancy, rho, rng) -> tuple:
-    """``_edge_layer`` with SMALL_GRAPH_VERTICES set to the graph's n, so
-    that it reads lists of Python floats, or to n - 1, so that it reads
-    int64 arrays."""
-    n = sum(occupancy)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "SMALL_GRAPH_VERTICES", n if small else n - 1)
-        return _edge_layer(w, occupancy, rho, rng)
-
-
 def _assert_paths_agree(w, blocks, rho, make_rng):
-    """Both gap readers of the edge layer, and the list reader drawn one
-    batch per call (``reference_edge_layer_scalar``), give the same
-    positions and leave their generators in the same state, and both
-    readers' strata decode to the keys of ``enumerated_pair_keys``."""
-    rng_v, rng_s, rng_ref = make_rng(), make_rng(), make_rng()
+    """The edge layer and the reader drawn one batch per call
+    (``reference_edge_layer_scalar``) give the same positions and leave
+    their generators in the same state, and the layer's strata decode to
+    the keys of ``enumerated_pair_keys``."""
+    rng_v, rng_ref = make_rng(), make_rng()
     occupancy = tuple(np.bincount(blocks, minlength=w.block_count).tolist())
-    strata_v, total_v = _edge_layer_read_as(False, w, occupancy, rho, rng_v)
-    strata_s, total_s = _edge_layer_read_as(True, w, occupancy, rho, rng_s)
+    strata_v, total_v = _edge_layer(w, occupancy, rho, rng_v)
     strata_ref, total_ref = reference_edge_layer_scalar(w, blocks, rho,
                                                         rng_ref)
-    assert total_s == total_v == total_ref
-    assert strata_s == strata_ref
+    assert total_v == total_ref
     # a long stratum is drawn as steps: compare the positions it forms
     assert [_stratum_positions(s).tolist() for s in strata_v] == strata_ref
-    sca = _label_keys(_decode_edges(strata_s, occupancy), blocks)
     vec = _label_keys(_decode_edges(strata_v, occupancy), blocks)
-    assert vec.shape[0] == total_v
-    assert sca.dtype == vec.dtype == np.int64 and sca.shape == vec.shape
-    assert vec.flags["C_CONTIGUOUS"] and sca.flags["C_CONTIGUOUS"]
-    assert np.array_equal(sca, vec)
+    assert vec.dtype == np.int64 and vec.shape == (total_v,)
+    assert vec.flags["C_CONTIGUOUS"]
     assert np.array_equal(vec, enumerated_pair_keys(strata_ref, blocks,
                                                     w.block_count))
     # the same next uniform shows the same generator state
-    assert rng_s.random() == rng_v.random() == rng_ref.random()
-    return rng_v, rng_s, rng_ref
+    assert rng_v.random() == rng_ref.random()
+    return rng_v, rng_ref
 
 
 @pytest.mark.parametrize("w,rho", [(W_ASYM, 0.3), (W_THREE, 0.3),
                                    (StepGraphon.constant(1.0), 1.0)],
                          ids=["W_asym", "three_blocks", "complete"])
-def test_sample_reads_lists_up_to_the_small_graph_bound(w, rho):
-    n = SMALL_GRAPH_VERTICES
-    small = sample(w, n, rho, 11)._strata
-    large = sample(w, n + 1, rho, 11)._strata
-    assert len(small) == len(large) == len(sampler._stratum_order(
-        w.block_count))
-    assert all(type(s) is list for s in small)
-    assert all(type(s) is np.ndarray and s.dtype == np.int64 for s in large)
+def test_sample_reads_int64_arrays_at_every_size(w, rho):
+    for n in (1, 6, SMALL_GRAPH_VERTICES, SMALL_GRAPH_VERTICES + 1):
+        strata = sample(w, n, rho, 11)._strata  # a raw seed: no lanes
+        assert len(strata) == len(sampler._stratum_order(w.block_count))
+        assert all(type(s) is np.ndarray and s.dtype == np.int64
+                   for s in strata)
 
 
 @pytest.mark.parametrize("w", [StepGraphon.constant(0.3), W_ASYM, W_THREE],
@@ -560,7 +586,7 @@ def test_edge_layer_paths_agree_past_the_first_batch(fresh_plans):
     for w in (StepGraphon.constant(0.3), W_ASYM, W_THREE):
         for n in (12, 25, 50):
             blocks = w.blocks_of(np.random.default_rng(n).random(n))
-            rng_v, rng_s, rng = _assert_paths_agree(
+            rng_v, rng = _assert_paths_agree(
                 w, blocks, rho, lambda: _LowUniforms(n, 0.05))
             K = w.block_count
             sizes = np.bincount(blocks, minlength=K).tolist()
@@ -571,11 +597,12 @@ def test_edge_layer_paths_agree_past_the_first_batch(fresh_plans):
                           if slots and 0.0 < rho * w.values[b][c] < 1.0)
             # one batch per drawing stratum, one more uniform for the check
             assert len(rng.sizes) > drawing + 1
-            # both paths drew the same uniforms: the first batches in one
-            # call, then what the drawn uniforms lacked
-            assert sum(rng_s.sizes[:-1]) == sum(rng.sizes[:-1])
-            assert len(rng_s.sizes) > 2
-            assert rng_v.sizes == rng_s.sizes
+            # both drew the same uniforms, the layer the first batches in
+            # one call, then what the drawn uniforms lacked
+            need = sampler._stratum_plan(w, rho, tuple(sizes))[1]
+            assert rng_v.sizes[0] == need
+            assert sum(rng_v.sizes[:-1]) == sum(rng.sizes[:-1])
+            assert len(rng_v.sizes) > 2
 
 
 # on low uniforms the dense first block still ends inside its first batch,
@@ -615,25 +642,13 @@ def test_one_pass_reader_falls_back_where_a_stratum_runs_past_its_batch(
     assert rng.random() == rng_w.random()
 
 
-def test_scalar_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(
-        fresh_plans):
-    blocks = W_ASYM.blocks_of(np.random.default_rng(5).random(10))
-    assert np.bincount(blocks).min() >= 2
-    # a scale of 1 leaves the uniforms as drawn; the spy logs the calls
-    rng_v, rng_s, rng_ref = _assert_paths_agree(W_ASYM, blocks, 0.3,
-                                                lambda: _LowUniforms(7, 1.0))
-    # one batch for each of the three strata, then the check's uniform
-    assert len(rng_ref.sizes) == 3 + 1
-    assert rng_s.sizes == [sum(rng_ref.sizes[:-1]), None]
-
-
 @pytest.mark.parametrize("n", [10, 60, 200])
 def test_vectorized_edge_layer_draws_once_when_every_stratum_ends_in_its_batch(
         fresh_plans, n):
     blocks = W_ASYM.blocks_of(np.random.default_rng(5).random(n))
     assert np.bincount(blocks).min() >= 2
-    rng_v, rng_s, rng_ref = _assert_paths_agree(W_ASYM, blocks, 0.3,
-                                                lambda: _LowUniforms(7, 1.0))
+    rng_v, rng_ref = _assert_paths_agree(W_ASYM, blocks, 0.3,
+                                         lambda: _LowUniforms(7, 1.0))
     # the reference draws one batch for each of the three strata, the
     # vectorized path all of them in one call; then the check's uniform
     assert len(rng_ref.sizes) == 3 + 1
@@ -754,8 +769,8 @@ def test_stratum_plan_cache_is_transparent(monkeypatch, fresh_plans, w):
         return keys, [first, ref.random()]
 
     plans = sampler._stratum_plan
-    # n = 8 and 30 from the lanes, then through the list reader of a
-    # stream-1 generator with the lanes patched out
+    # n = 8 and 30 from the lanes, then from a stream-1 generator with the
+    # lanes patched out
     for n, lanes in ((8, True), (30, True), (31, True), (200, True),
                      (8, False), (30, False)):
         rho = min(1.0, 3 / math.sqrt(n))
@@ -1187,11 +1202,22 @@ def test_noted_seed_with_invalid_rho_builds_no_lanes(fresh_lanes, rho):
     assert sampler._lane_edges.cache_info().currsize == 0
 
 
-def test_lane_served_graph_takes_its_n_from_its_latents(fresh_lanes):
-    seed = replicate_seed(5, 6, 3)
-    g = sample(W_ASYM, 6.0, 0.3, seed)  # a float n still matches the note
-    assert type(g.n) is int and g.n == 6
-    assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, seed).to_dump()
+def test_sample_takes_an_integer_n_only(fresh_lanes):
+    # a raw seed, then the noted one: a float or bool n is refused with the
+    # library's usage error before any lane is built, and a numpy integer
+    # reads as the int it holds
+    for seed in (5, replicate_seed(5, 6, 3)):
+        for n in (6.0, 2.5, True):
+            with pytest.raises(ValueError, match=f"n {n!r} is not an integer"):
+                sample(W_ASYM, n, 0.3, seed)
+        assert sampler._lane_labels.cache_info().currsize == 0
+        assert sampler._lane_edges.cache_info().currsize == 0
+        g = sample(W_ASYM, np.int64(6), 0.3, seed)
+        assert type(g.n) is int and g.n == 6
+        assert g.to_dump() == sample(W_ASYM, 6, 0.3, seed).to_dump()
+        assert g.to_dump() == _numpy_graph(W_ASYM, 6, 0.3, seed).to_dump()
+    # the noted seed was served from its lanes
+    assert sampler._lane_edges.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

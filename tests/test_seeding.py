@@ -158,18 +158,34 @@ def test_handed_out_generator_outlives_the_next_replicate(k):
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
+def _probe(code: str) -> list:
+    """The words ``code`` prints, run in a fresh interpreter on ``SRC``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy 2 loads numpy.random lazily; the package must not load it at
     # import time, where it would add to every run's start-up
-    probe = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-             "import graphon_motifs.cli; "
-             "print(before, 'numpy.random' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    before, after = out.stdout.split()
+    before, after = _probe(
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import graphon_motifs.cli; "
+        "print(before, 'numpy.random' in sys.modules)")
     assert after == before
+
+
+@pytest.mark.parametrize("n,loaded", [(31, "False"), (6, "True")])
+def test_lanes_module_loads_only_for_a_small_graph_campaign(n, loaded):
+    # the lane code is imported on first use: compiled with the sampler, it
+    # raised the peak memory of campaigns that draw no small graph
+    assert _probe(
+        "import sys; from graphon_motifs import *; "
+        "run_experiment(ExperimentConfig('clt', named_motif('edge'), "
+        f"named_graphon('W_asym'), SparsitySchedule(1.0, 0.5), ({n},), 50, "
+        "1)); print('graphon_motifs.lanes' in sys.modules)") == [loaded]
 
 
 def test_seed_cache_under_thread_contention():

@@ -326,11 +326,9 @@ def reference_edge_layer_scalar(w: StepGraphon, blocks, rho: float,
                                 rng) -> tuple:
     """The scalar edge layer drawn stratum by stratum: one ``rng.random``
     call and one ``log1p`` per batch, each stratum's batches drawn before
-    the next stratum's.  Returns (position list of each stratum, total) in
-    the layout of ``sampler._edge_layer`` on a graph of at most
-    ``sampler.SMALL_GRAPH_VERTICES`` vertices, which draws every first
-    batch in one call and must consume the same uniforms and give the
-    same positions."""
+    the next stratum's.  Returns (position list of each stratum, total):
+    ``sampler._edge_layer``, which draws every first batch in one call,
+    must consume the same uniforms and give the same positions."""
     K = w.block_count
     verts = [[] for _ in range(K)]
     for v, b in enumerate(np.asarray(blocks).tolist(), 1):
